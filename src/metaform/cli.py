@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .errors import InfeasibleMergeError, MetaformError
+from .errors import InfeasibleMergeError, InputError, MetaformError
 from .generate import GEN_KINDS, gen
 from .graph import (
     Formation,
@@ -251,6 +251,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "trials", 1) < 1:
+            raise InputError(f"trials must be >= 1, got {args.trials}", location="--trials")
         return args.func(args)
     except MetaformError as exc:
         print(f"error: {exc}", file=sys.stderr)

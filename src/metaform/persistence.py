@@ -157,17 +157,18 @@ def is_persistent(
     persistent"; the seed used is recorded in the verdict.
     """
     led = ledger(f, dim)
-    bad: list[tuple[Edge, ...]] = []
+    # Terminals come sorted by retained edge set, so the first non-rigid
+    # one is the lexicographically smallest witness.
+    witness_terminal = None
     for term in terminal_subgraphs(f, dim, cap=cap):
         view = UndirectedView(
             vertices=f.vertices,
             edges=tuple((min(e), max(e)) for e in term.retained),
         )
-        verdict = check_rigidity(view, dim, seed=seed, trials=trials)
-        if not verdict.rigid:
-            bad.append(term.retained)
-    persistent = not bad
-    witness_terminal = min(bad) if bad else None
+        if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
+            witness_terminal = term.retained
+            break
+    persistent = witness_terminal is None
     if dim == 2:
         structurally = persistent
     else:

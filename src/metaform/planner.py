@@ -36,19 +36,13 @@ from .persistence import (
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    dof_constant,
     generic_rank_oracle,
     required_rank,
 )
 
 # Rank evaluations tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
-
-
-def dof_capacity(n_vertices: int, dim: int) -> int:
-    """Maximal total DOF count of a persistent graph of this size."""
-    if dim == 2:
-        return 2 if n_vertices == 1 else 3
-    return {1: 3, 2: 5}.get(n_vertices, 6)
 
 
 @dataclass(frozen=True)
@@ -68,7 +62,7 @@ def missing_dof(
     """Capacity of the formation's size class minus its actual total DOFs."""
     if check and not is_persistent(f, dim, seed=seed, trials=trials).persistent:
         raise NotPersistentError("missing DOFs are defined for persistent formations")
-    cap = dof_capacity(len(f.vertices), dim)
+    cap = dof_constant(dim, len(f.vertices))
     total = ledger(f, dim).total_dof
     return MissingDof(value=cap - total, capacity=cap, total_dof=total)
 

@@ -1,10 +1,11 @@
 """Undirected generic rigidity decisions.
 
 2D verdicts are exact and combinatorial via the (2,3)-pebble game.
-3D has no complete combinatorial characterization, so verdicts combine
-fast necessary screens (edge count, 3-connectivity, sparsity when the
-edge count is tight) with a randomized exact-rank oracle on the rigidity
-matrix.  Rank arithmetic is modular over a large prime, never floating
+3D has no complete combinatorial characterization.  After the edge
+count, a randomized exact-rank oracle on the rigidity matrix decides;
+the necessary screens (3-connectivity, then (3,6)-sparsity when the
+edge count is tight) run only on a not-rigid verdict, to name its
+witness.  Rank arithmetic is modular over a large prime, never floating
 point, so the only possible error is one-sided (a generic graph can be
 reported non-rigid with negligible probability, never the converse).
 """
@@ -300,12 +301,20 @@ def generic_rank_oracle(
     """Max rigidity-matrix rank over seeded random integer placements.
 
     Deterministic given seed; the max over trials cannot exceed the
-    generic rank, so the verdict errs only toward non-rigid.
+    generic rank, so the verdict errs only toward non-rigid.  Trials stop
+    early once one reaches min(|E|, required rank), which no placement
+    can exceed, so the result equals the max over all trials.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
+    ceiling = min(len(g.edges), required_rank(dim, len(g.vertices)))
     rng = random.Random(seed)
-    return max(rigidity_rank_once(g, dim, rng) for _ in range(trials))
+    best = 0
+    for _ in range(trials):
+        best = max(best, rigidity_rank_once(g, dim, rng))
+        if best >= ceiling:
+            break
+    return best
 
 
 def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]:
@@ -344,7 +353,13 @@ def rigid_3d_check(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> RigidityVerdict:
-    """3D rigidity: necessary screens, then the generic rank oracle."""
+    """3D rigidity: edge count, then the generic rank oracle decides.
+
+    A full-rank placement proves generic rigidity, which implies
+    3-connectivity and, at a tight edge count, (3,6)-sparsity.  So the
+    screens run only after a rank deficit, in that order, to replace the
+    deficit with a separating pair or a violating edge set.
+    """
     n = len(g.vertices)
     if n == 0:
         raise InputError("empty vertex set")
@@ -361,6 +376,11 @@ def rigid_3d_check(
             minimally_rigid=False,
             rank_deficit=(min(len(g.edges), target), target),
         )
+    rank = generic_rank_oracle(g, 3, seed=seed, trials=trials)
+    if rank == target:
+        minimally = len(g.edges) == target
+        deficit = None if minimally else (rank, target)
+        return RigidityVerdict(rigid=True, minimally_rigid=minimally, rank_deficit=deficit)
     ok3, pair = three_connectivity(g)
     if not ok3:
         return RigidityVerdict(rigid=False, minimally_rigid=False, separating_pair=pair)
@@ -372,11 +392,7 @@ def rigid_3d_check(
             return RigidityVerdict(
                 rigid=False, minimally_rigid=False, violating_edges=violation
             )
-    rank = generic_rank_oracle(g, 3, seed=seed, trials=trials)
-    rigid = rank == target
-    minimally = rigid and len(g.edges) == target
-    deficit = (rank, target) if (not rigid or not minimally) else None
-    return RigidityVerdict(rigid=rigid, minimally_rigid=minimally, rank_deficit=deficit)
+    return RigidityVerdict(rigid=False, minimally_rigid=False, rank_deficit=(rank, target))
 
 
 def check_rigidity(

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from metaform.cli import main
-from metaform.graph import export_formation
+from metaform.graph import Formation, export_formation
 
 from conftest import complete, lone_leader_3d, shift, triangle
 
@@ -69,6 +69,49 @@ class TestCheckCommands:
     def test_missing_file_exits_two(self, capsys):
         code, _ = run(capsys, ["check-rigidity", "/nonexistent.json", "--dim", "2"])
         assert code == 2
+
+
+TRIALS_COMMANDS = [
+    ("check-rigidity", 2),
+    ("check-rigidity", 3),
+    ("check-persistence", 2),
+    ("check-persistence", 3),
+    ("check-meta", 2),
+    ("check-meta", 3),
+    ("plan-merge", 2),
+    ("plan-merge", 3),
+    ("verify-plan", 3),
+]
+
+
+class TestTrialsValidation:
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    @pytest.mark.parametrize("command,dim", TRIALS_COMMANDS)
+    def test_trials_below_one_exits_two(self, tmp_path, capsys, command, dim, trials):
+        files = [write(tmp_path, "a.json", complete(4)), write(tmp_path, "b.json", complete(4, 5))]
+        if command == "check-meta":
+            meta = {"metaVertices": [complete(4).to_dict(), complete(4, 5).to_dict()], "interEdges": []}
+            files = [str(tmp_path / "m.json")]
+            (tmp_path / "m.json").write_text(json.dumps(meta))
+        elif command == "verify-plan":
+            files = [str(tmp_path / "p.json")]
+            (tmp_path / "p.json").write_text(json.dumps({"dim": dim}))
+        elif command != "plan-merge":
+            files = files[:1]
+        code = main([command, *files, "--dim", str(dim), "--trials", trials])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"trials must be >= 1, got {trials} (at --trials)" in captured.err
+
+    def test_gen_rejects_zero_trials(self, capsys):
+        assert main(["gen", "tetra", "--trials", "0"]) == 2
+        assert "(at --trials)" in capsys.readouterr().err
+
+    def test_3d_graph_under_edge_count_rejects_zero_trials(self, tmp_path, capsys):
+        path = write(tmp_path, "path.json", Formation(vertices=(1, 2, 3, 4), edges=((2, 1), (3, 2), (4, 3))))
+        assert main(["check-rigidity", path, "--dim", "3", "--trials", "0"]) == 2
+        assert "(at --trials)" in capsys.readouterr().err
 
 
 class TestPlanCommands:

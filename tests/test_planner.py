@@ -12,7 +12,6 @@ from metaform.planner import (
     REASON_OK,
     REASON_TOO_FEW_VERTICES,
     REASON_TWO_LONE_LEADERS,
-    dof_capacity,
     feasibility,
     missing_dof,
     op_e,
@@ -21,6 +20,7 @@ from metaform.planner import (
     plan_pair,
     verify_plan,
 )
+from metaform.rigidity import dof_constant
 
 from conftest import (
     complete,
@@ -37,11 +37,11 @@ from conftest import (
 
 class TestMissingDof:
     def test_capacities(self):
-        assert dof_capacity(1, 2) == 2
-        assert dof_capacity(4, 2) == 3
-        assert dof_capacity(1, 3) == 3
-        assert dof_capacity(2, 3) == 5
-        assert dof_capacity(4, 3) == 6
+        assert dof_constant(2, 1) == 2
+        assert dof_constant(2, 4) == 3
+        assert dof_constant(3, 1) == 3
+        assert dof_constant(3, 2) == 5
+        assert dof_constant(3, 4) == 6
 
     def test_full_dof_formations_miss_nothing(self):
         assert missing_dof(triangle(), 2).value == 0
