@@ -16,6 +16,8 @@ from .graph import (
     Formation,
     MetaFormation,
     export_dot,
+    formation_at,
+    json_int,
     parse_formation,
     parse_meta_formation,
 )
@@ -135,22 +137,42 @@ def _cmd_plan_merge(args) -> int:
     return 0
 
 
+def _plan_edge(e, location: str) -> PlanEdge:
+    if not isinstance(e, dict) or "tail" not in e or "head" not in e:
+        raise InputError("plan edge must be an object with 'tail' and 'head'", location)
+    return PlanEdge(
+        tail=json_int(e["tail"], f"{location}.tail"),
+        head=json_int(e["head"], f"{location}.head"),
+        rule=e.get("rule", "unknown"),
+        step=e.get("step", 0),
+    )
+
+
 def _cmd_verify_plan(args) -> int:
     doc = json.loads(_read(args.file))
-    collection = [Formation.from_dict(d) for d in doc["collection"]]
+    if not isinstance(doc, dict):
+        raise InputError("plan report must be a JSON object", args.file)
+    members = doc.get("collection")
+    if not isinstance(members, list):
+        raise InputError("'collection' must be a list of formations", "collection")
+    collection = [formation_at(d, f"collection[{i}]") for i, d in enumerate(members)]
+    plan_doc = doc.get("plan")
+    if not isinstance(plan_doc, dict) or not isinstance(plan_doc.get("edges"), list):
+        raise InputError("'plan' must be an object with an 'edges' list", "plan")
+    order = plan_doc.get("mergeOrder", list(range(len(collection))))
+    if not isinstance(order, list):
+        raise InputError("'mergeOrder' must be a list", "plan.mergeOrder")
     plan = MergePlan(
         edges=tuple(
-            PlanEdge(
-                tail=e["tail"],
-                head=e["head"],
-                rule=e.get("rule", "unknown"),
-                step=e.get("step", 0),
-            )
-            for e in doc["plan"]["edges"]
+            _plan_edge(e, f"plan.edges[{i}]") for i, e in enumerate(plan_doc["edges"])
         ),
-        merge_order=tuple(doc["plan"].get("mergeOrder", range(len(collection)))),
+        merge_order=tuple(
+            json_int(x, f"plan.mergeOrder[{i}]") for i, x in enumerate(order)
+        ),
     )
-    dim = args.dim if args.dim is not None else doc["dim"]
+    dim = args.dim if args.dim is not None else json_int(doc.get("dim"), "dim")
+    if dim not in (2, 3):
+        raise InputError(f"dimension must be 2 or 3, got {dim}", "dim")
     report = verify_plan(collection, plan, dim, seed=args.seed, trials=args.trials)
     out = {"dim": dim, "seed": args.seed, "trials": args.trials}
     out.update(report.to_dict())
@@ -171,8 +193,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    text = _read(args.file)
-    doc = json.loads(text)
+    doc = json.loads(_read(args.file))
+    if not isinstance(doc, dict):
+        raise InputError("document must be a JSON object", args.file)
     obj = (
         MetaFormation.from_dict(doc)
         if "metaVertices" in doc
@@ -193,20 +216,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, dim_required=True, with_cap=False):
-        p.add_argument(
-            "--dim",
-            type=int,
-            choices=(2, 3),
-            required=dim_required,
-            default=None if dim_required else None,
-        )
+        p.add_argument("--dim", type=int, choices=(2, 3), required=dim_required)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
         p.add_argument(
             "--format", choices=("json", "text", "dot"), default="json"
         )
         if with_cap:
-            p.add_argument("--cap", type=int, default=TERMINAL_SET_CAP)
+            p.add_argument(
+                "--cap",
+                type=int,
+                default=TERMINAL_SET_CAP,
+                help="most terminal subgraphs to check; a formation with more "
+                "exits 2 before any is built (default: %(default)s)",
+            )
 
     p = sub.add_parser("check-rigidity", help="undirected rigidity of a formation")
     p.add_argument("file")
@@ -253,6 +276,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "trials", 1) < 1:
             raise InputError(f"trials must be >= 1, got {args.trials}", location="--trials")
+        if getattr(args, "cap", 1) < 1:
+            raise InputError(f"cap must be >= 1, got {args.cap}", location="--cap")
         return args.func(args)
     except MetaformError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,10 +13,16 @@ class InputError(MetaformError):
     """
 
     def __init__(self, message, location=None):
+        self.detail = message
         self.location = location
         if location is not None:
             message = f"{message} (at {location})"
         super().__init__(message)
+
+    def within(self, outer: str) -> "InputError":
+        """The same error located inside ``outer``, e.g. ``metaVertices[1]``."""
+        inner = f".{self.location}" if self.location is not None else ""
+        return InputError(self.detail, outer + inner)
 
 
 class ResourceLimitError(MetaformError):

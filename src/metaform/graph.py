@@ -20,6 +20,25 @@ def _unordered(e: Edge) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+def json_int(x, location: str) -> int:
+    """``x`` if it is an exact JSON integer; floats, bools and strings raise."""
+    if type(x) is not int:
+        raise InputError(f"expected an integer, got {json.dumps(x, default=repr)}", location)
+    return x
+
+
+def _json_edges(edges, name: str) -> tuple[Edge, ...]:
+    """A JSON list of [tail, head] integer pairs, located as ``name[i][j]``."""
+    if not isinstance(edges, list):
+        raise InputError(f"'{name}' must be a list", name)
+    out = []
+    for i, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise InputError("edge must be a [tail, head] pair", f"{name}[{i}]")
+        out.append((json_int(e[0], f"{name}[{i}][0]"), json_int(e[1], f"{name}[{i}][1]")))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Formation:
     """Directed formation graph.
@@ -86,17 +105,15 @@ class Formation:
     def from_dict(cls, doc: dict) -> "Formation":
         if not isinstance(doc, dict):
             raise InputError("formation document must be a JSON object")
-        try:
-            vertices = doc["vertices"]
-            edges = doc.get("edges", [])
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"missing field: {exc}") from exc
-        if not isinstance(vertices, list) or not isinstance(edges, list):
-            raise InputError("'vertices' and 'edges' must be lists")
-        for i, e in enumerate(edges):
-            if not isinstance(e, list) or len(e) != 2:
-                raise InputError("edge must be a [tail, head] pair", f"edges[{i}]")
-        return cls(vertices=tuple(vertices), edges=tuple((e[0], e[1]) for e in edges))
+        if "vertices" not in doc:
+            raise InputError("missing field: 'vertices'")
+        vertices = doc["vertices"]
+        if not isinstance(vertices, list):
+            raise InputError("'vertices' must be a list", "vertices")
+        return cls(
+            vertices=tuple(json_int(v, f"vertices[{i}]") for i, v in enumerate(vertices)),
+            edges=_json_edges(doc.get("edges", []), "edges"),
+        )
 
 
 @dataclass(frozen=True)
@@ -188,16 +205,23 @@ class MetaFormation:
         if not isinstance(doc, dict):
             raise InputError("meta-formation document must be a JSON object")
         mvs = doc.get("metaVertices")
-        inter = doc.get("interEdges", [])
-        if not isinstance(mvs, list) or not isinstance(inter, list):
-            raise InputError("'metaVertices' and 'interEdges' must be lists")
-        for i, e in enumerate(inter):
-            if not isinstance(e, list) or len(e) != 2:
-                raise InputError("inter-edge must be a [tail, head] pair", f"interEdges[{i}]")
+        if not isinstance(mvs, list):
+            raise InputError("'metaVertices' must be a list", "metaVertices")
+        inter = _json_edges(doc.get("interEdges", []), "interEdges")
         return cls(
-            meta_vertices=tuple(Formation.from_dict(m) for m in mvs),
-            inter_edges=tuple((e[0], e[1]) for e in inter),
+            meta_vertices=tuple(
+                formation_at(m, f"metaVertices[{i}]") for i, m in enumerate(mvs)
+            ),
+            inter_edges=inter,
         )
+
+
+def formation_at(doc, location: str) -> Formation:
+    """``Formation.from_dict`` with errors located inside ``location``."""
+    try:
+        return Formation.from_dict(doc)
+    except InputError as exc:
+        raise exc.within(location) from exc
 
 
 @dataclass(frozen=True)

@@ -151,10 +151,6 @@ def meta_count_violation(meta: MetaFormation, subset, dim: int) -> MetaCount | N
     return None
 
 
-def meta_count_violation_3d(meta: MetaFormation, subset) -> MetaCount | None:
-    return meta_count_violation(meta, subset, 3)
-
-
 @dataclass(frozen=True)
 class MetaVerdict:
     rigid: bool
@@ -254,7 +250,7 @@ def meta_rigid_2d(
     if n < 2:
         raise InputError("merged graph needs at least two vertices")
     bound = merge_bound(cls)
-    substituted, fixed = _gadget_substitute(meta, 2, seed, trials)
+    _, fixed = _gadget_substitute(meta, 2, seed, trials)
     game = PebbleGame2D(flat.vertices)
     for group in fixed:
         for e in group:
@@ -383,26 +379,19 @@ def meta_rigid(
     raise InputError(f"dimension must be 2 or 3, got {dim}")
 
 
-def edge_optimal_rigid(
-    meta: MetaFormation,
-    dim: int,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-) -> bool:
-    """Rigid and no inter-edge removable: |E_M| equals the counting bound."""
-    verdict = meta_rigid(meta, dim, seed=seed, trials=trials)
-    return verdict.rigid and len(meta.inter_edges) == verdict.bound
-
-
 def edge_optimal_persistent(
     meta: MetaFormation,
     dim: int,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> bool:
-    """Edge-optimal rigid merging whose inter-edges all leave local DOFs."""
+    """Edge-optimal rigid merging whose inter-edges all leave local DOFs.
+
+    Edge-optimal rigid means rigid with no removable inter-edge, i.e.
+    |E_M| equals the counting bound.
+    """
     for i, mv in enumerate(meta.meta_vertices):
         if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
             raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
     compliant, _ = local_dof_compliance(meta, dim)
-    return compliant and edge_optimal_rigid(meta, dim, seed=seed, trials=trials)
+    return compliant and meta_rigid(meta, dim, seed=seed, trials=trials).edge_optimal

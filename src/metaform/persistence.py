@@ -2,12 +2,16 @@
 
 A formation is persistent when every terminal subgraph, obtained by
 repeatedly deleting outgoing edges at vertices whose out-degree exceeds
-the dimension, is rigid.  Enumeration memoizes on retained-edge sets
-because distinct removal orders converge to the same subgraphs.
+the dimension, is rigid.  A deletion changes only its tail's out-degree,
+so the terminal subgraphs are the product of independent per-vertex
+choices of which ``dim`` out-edges to keep, and their number is known
+before any is built.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass
 
 from .errors import InputError, NotPersistentError, ResourceLimitError
 from .graph import Edge, Formation, MetaFormation, UndirectedView
@@ -70,49 +74,36 @@ def terminal_subgraphs(
 ) -> list[TerminalSubgraph]:
     """All terminal subgraphs, sorted by retained edge set.
 
-    Depth-first branching over which outgoing edge to delete at each
-    over-constrained vertex; memoized on the retained set so the result
-    is independent of exploration order.
+    A vertex with out-degree d > dim keeps one of the C(d, dim)
+    combinations of its out-edges and drops the rest; every other vertex
+    keeps all of its out-edges.  The trace is the dropped edges, which
+    can be deleted in any order.  Blocks are taken per tail in sorted
+    order and each has a fixed length, so the product comes out sorted.
+    Raises ResourceLimitError, before building any terminal, when their
+    number exceeds ``cap``.
     """
-    results: dict[frozenset, tuple[Edge, ...]] = {}
-    seen: set[frozenset] = set()
-
-    def excess_vertices(edges: tuple[Edge, ...]):
-        deg: dict[int, int] = {}
-        for t, _ in edges:
-            deg[t] = deg.get(t, 0) + 1
-        return [v for v, d in deg.items() if d > dim]
-
-    stack = [(f.edges, ())]
-    seen.add(frozenset(f.edges))
-    while stack:
-        edges, trace = stack.pop()
-        excess = excess_vertices(edges)
-        if not excess:
-            key = frozenset(edges)
-            if key not in results:
-                results[key] = trace
-            continue
-        v = min(excess)
-        for e in edges:
-            if e[0] != v:
-                continue
-            rest = tuple(x for x in edges if x != e)
-            key = frozenset(rest)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > cap:
-                raise ResourceLimitError(
-                    f"terminal subgraph enumeration exceeded {cap} states"
-                )
-            stack.append((rest, trace + (e,)))
-    out = [
-        TerminalSubgraph(retained=tuple(sorted(k)), trace=t)
-        for k, t in results.items()
+    out: dict[int, list[Edge]] = {}
+    for e in sorted(f.edges):
+        out.setdefault(e[0], []).append(e)
+    count = math.prod(math.comb(len(es), dim) for es in out.values() if len(es) > dim)
+    if count > cap:
+        raise ResourceLimitError(
+            f"formation has {count} terminal subgraphs, above the cap of {cap}"
+        )
+    blocks = [
+        [
+            (kept, tuple(e for e in es if e not in kept))
+            for kept in itertools.combinations(es, min(len(es), dim))
+        ]
+        for es in out.values()
     ]
-    out.sort(key=lambda t: t.retained)
-    return out
+    return [
+        TerminalSubgraph(
+            retained=tuple(e for kept, _ in choice for e in kept),
+            trace=tuple(e for _, dropped in choice for e in dropped),
+        )
+        for choice in itertools.product(*blocks)
+    ]
 
 
 @dataclass(frozen=True)
@@ -161,10 +152,7 @@ def is_persistent(
     # one is the lexicographically smallest witness.
     witness_terminal = None
     for term in terminal_subgraphs(f, dim, cap=cap):
-        view = UndirectedView(
-            vertices=f.vertices,
-            edges=tuple((min(e), max(e)) for e in term.retained),
-        )
+        view = UndirectedView(vertices=f.vertices, edges=term.retained)
         if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
             witness_terminal = term.retained
             break

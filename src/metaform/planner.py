@@ -412,14 +412,6 @@ def plan_pair(
     )
 
 
-def plan_pair_2d(ga, gb, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
-    return plan_pair(ga, gb, 2, seed=seed, trials=trials)
-
-
-def plan_pair_3d(ga, gb, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
-    return plan_pair(ga, gb, 3, seed=seed, trials=trials)
-
-
 def _merge_order(collection, dim, seed, trials) -> list[int]:
     """Fold order: ascending missing DOF, special 3D members last."""
     infos = []

@@ -1,10 +1,22 @@
 """Command-line behavior: exit codes, report shapes, determinism."""
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from metaform.cli import main
-from metaform.graph import Formation, export_formation
+from metaform.errors import InputError
+from metaform.graph import (
+    Formation,
+    MetaFormation,
+    export_formation,
+    parse_formation,
+    parse_meta_formation,
+)
 
 from conftest import complete, lone_leader_3d, shift, triangle
 
@@ -112,6 +124,126 @@ class TestTrialsValidation:
         path = write(tmp_path, "path.json", Formation(vertices=(1, 2, 3, 4), edges=((2, 1), (3, 2), (4, 3))))
         assert main(["check-rigidity", path, "--dim", "3", "--trials", "0"]) == 2
         assert "(at --trials)" in capsys.readouterr().err
+
+
+class TestCapValidation:
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_cap_below_one_exits_two(self, tmp_path, capsys, cap):
+        p = write(tmp_path, "k4.json", complete(4))
+        code = main(["check-persistence", p, "--dim", "2", "--cap", cap])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"error: cap must be >= 1, got {cap} (at --cap)" in captured.err
+
+    def test_cap_counts_terminals(self, tmp_path, capsys):
+        # Oriented K6 in 2D has C(5,2) * C(4,2) * C(3,2) = 180 terminals.
+        p = write(tmp_path, "k6.json", complete(6))
+        assert main(["check-persistence", p, "--dim", "2", "--cap", "180"]) == 0
+        capsys.readouterr()
+        assert main(["check-persistence", p, "--dim", "2", "--cap", "179"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "180" in captured.err and "179" in captured.err
+
+
+NOT_AN_INT = [
+    # (command, document, location): each id would otherwise be coerced
+    # (1.2 -> 1, true -> 1) or crash with a traceback ("a").
+    ("check-rigidity", {"vertices": [1, 2, 3], "edges": [[2, 1], [3, 1.2]]}, "edges[1][1]"),
+    ("check-rigidity", {"vertices": [2, 1.7], "edges": []}, "vertices[1]"),
+    ("check-rigidity", {"vertices": [2, True], "edges": [[2, 1]]}, "vertices[1]"),
+    ("check-rigidity", {"vertices": [2, "a"], "edges": []}, "vertices[1]"),
+    (
+        "check-meta",
+        {"metaVertices": [{"vertices": [1, 2], "edges": [[2, 1]]}, {"vertices": [3, 4.0]}]},
+        "metaVertices[1].vertices[1]",
+    ),
+    (
+        "check-meta",
+        {"metaVertices": [{"vertices": [1]}, {"vertices": [2]}], "interEdges": [[2, True]]},
+        "interEdges[0][1]",
+    ),
+]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("command,doc,location", NOT_AN_INT)
+    def test_non_integer_id_exits_two(self, tmp_path, capsys, command, doc, location):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code = main([command, str(p), "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"(at {location})" in captured.err
+
+
+class TestDocumentShape:
+    def test_export_of_scalar_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "five.json"
+        p.write_text("5")
+        assert main(["export", str(p)]) == 2
+        assert "document must be a JSON object" in capsys.readouterr().err
+
+    def test_verify_plan_with_list_plan_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({"collection": [], "plan": [], "dim": 3}))
+        assert main(["verify-plan", str(p)]) == 2
+        assert "(at plan)" in capsys.readouterr().err
+
+    def test_verify_plan_with_bad_dim_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({"collection": [], "plan": {"edges": []}, "dim": 4}))
+        assert main(["verify-plan", str(p)]) == 2
+        assert "(at dim)" in capsys.readouterr().err
+
+
+FUZZ_KEYS = (
+    "vertices", "edges", "metaVertices", "interEdges", "collection",
+    "plan", "mergeOrder", "tail", "head", "dim", "rule", "step",
+)
+json_docs = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-1, max_value=5)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FUZZ_KEYS) | st.text(max_size=2), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+def run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestFuzzedDocuments:
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_parsers_accept_or_raise_input_error(self, doc):
+        text = json.dumps(doc)
+        for parse, kind in ((parse_formation, Formation), (parse_meta_formation, MetaFormation)):
+            try:
+                assert isinstance(parse(text), kind)
+            except InputError:
+                pass
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_docs)
+    def test_export_and_verify_plan_exit_cleanly(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            p = Path(tmp) / "doc.json"
+            p.write_text(json.dumps(doc))
+            for argv in (["export", str(p)], ["verify-plan", str(p)]):
+                code, err = run_quiet(argv)
+                assert code in (0, 1, 2)
+                if code == 2:
+                    assert err.startswith("error: ")
 
 
 class TestPlanCommands:

@@ -8,11 +8,9 @@ from metaform.graph import Formation, MetaFormation
 from metaform.meta import (
     classify,
     edge_optimal_persistent,
-    edge_optimal_rigid,
     merge_bound,
     meta_count,
     meta_count_violation,
-    meta_count_violation_3d,
     meta_rigid,
     meta_rigid_2d,
     meta_rigid_3d,
@@ -116,16 +114,16 @@ class TestMetaCount:
 
     def test_single_edge_never_violates(self):
         meta = two_tetrahedra(((1, 5),))
-        assert meta_count_violation_3d(meta, meta.inter_edges) is None
+        assert meta_count_violation(meta, meta.inter_edges, 3) is None
 
     def test_seven_edges_violate_3d(self):
         meta = two_tetrahedra(GOOD_6 + ((3, 6),))
-        assert meta_count_violation_3d(meta, meta.inter_edges) is not None
+        assert meta_count_violation(meta, meta.inter_edges, 3) is not None
 
     def test_four_edges_on_one_vertex_violate_3d(self):
         meta = two_tetrahedra(((1, 5), (2, 5), (3, 5), (4, 5)))
         # 4 > 6*1 + 3*1 - 6 = 3 with side B in K class.
-        assert meta_count_violation_3d(meta, meta.inter_edges) is not None
+        assert meta_count_violation(meta, meta.inter_edges, 3) is not None
 
 
 class TestMetaRigid2D:
@@ -230,8 +228,8 @@ class TestMetaRigid3D:
 
 class TestEdgeOptimal:
     def test_edge_optimal_rigid(self):
-        assert edge_optimal_rigid(two_tetrahedra(GOOD_6), 3)
-        assert not edge_optimal_rigid(two_tetrahedra(GOOD_6 + ((3, 6),)), 3)
+        assert meta_rigid(two_tetrahedra(GOOD_6), 3).edge_optimal
+        assert not meta_rigid(two_tetrahedra(GOOD_6 + ((3, 6),)), 3).edge_optimal
 
     def test_edge_optimal_persistent_requires_compliance(self):
         # Vertex 4 of K4 (oriented high-to-low) has no local DOFs; an
