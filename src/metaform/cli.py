@@ -99,9 +99,7 @@ def _cmd_check_meta(args) -> int:
         "dim": args.dim,
         "seed": args.seed,
         "trials": args.trials,
-        "edgeOptimalPersistent": edge_optimal_persistent(
-            meta, args.dim, seed=args.seed, trials=args.trials
-        ),
+        "edgeOptimalPersistent": edge_optimal_persistent(meta, verdict),
         "mergedPersistence": persistence.to_dict(),
     }
     doc.update(verdict.to_dict())
@@ -173,6 +171,14 @@ def _cmd_verify_plan(args) -> int:
     dim = args.dim if args.dim is not None else json_int(doc.get("dim"), "dim")
     if dim not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {dim}", "dim")
+    try:
+        plan.apply(collection)
+    except InputError as exc:
+        # The members and plan edges become the meta-formation's
+        # metaVertices and interEdges, index for index.
+        field, _, index = exc.location.partition("[")
+        report_field = {"metaVertices": "collection", "interEdges": "plan.edges"}[field]
+        raise InputError(exc.detail, f"{report_field}[{index}") from exc
     report = verify_plan(collection, plan, dim, seed=args.seed, trials=args.trials)
     out = {"dim": dim, "seed": args.seed, "trials": args.trials}
     out.update(report.to_dict())

@@ -8,7 +8,7 @@ stored on the graph, so the same file can be analyzed in both dimensions.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InputError
 

@@ -5,18 +5,19 @@ The 2D decision substitutes each multi-vertex meta-vertex by a canonical
 minimally rigid spanning subgraph and runs the (2,3)-pebble game once on
 the flattened graph; this is licensed by the fact that merged rigidity
 does not depend on meta-vertex internals beyond their rigidity.  In 3D
-the counting condition is only necessary, so the final verdict comes
-from the rank oracle on the substituted graph; counting and rank
-evidence are reported separately.
+the counting condition is only necessary, so the rank oracle on the
+substituted graph decides; every rigid merge meets the count, and the
+exponential counting search runs only to name the witness of a
+not-rigid verdict.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, NotPersistentError, NotRigidError, ResourceLimitError
-from .graph import Edge, Formation, MetaClass, MetaFormation, UndirectedView
-from .persistence import is_persistent, local_dof_compliance
+from .errors import InputError, NotRigidError
+from .graph import Edge, Formation, MetaClass, MetaFormation
+from .persistence import local_dof_compliance
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -285,7 +286,7 @@ def meta_rigid_2d(
 
 
 def _counting_screen_3d(
-    meta: MetaFormation, bound: int, cap: int
+    meta: MetaFormation, bound: int
 ) -> tuple[bool | None, tuple[Edge, ...] | None]:
     """Search for a bound-sized subset all of whose subsets pass the count.
 
@@ -295,7 +296,7 @@ def _counting_screen_3d(
     """
     edges = meta.inter_edges
     m = len(edges)
-    if m > cap:
+    if m > SUBSET_SEARCH_CAP:
         return None, None
     if bound > m or bound < 0:
         return False, None
@@ -320,47 +321,52 @@ def meta_rigid_3d(
     meta: MetaFormation,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    subset_cap: int = SUBSET_SEARCH_CAP,
 ) -> MetaVerdict:
-    """3D merged-rigidity: necessary counting screen plus rank oracle.
+    """3D merged-rigidity: the rank oracle decides, the count names a witness.
 
     Counting success alone never implies rigidity (the double banana
-    satisfies every count), so the verdict always rests on the rank
-    oracle applied to the gadget-substituted flattened graph; the
-    counting certificate is reported alongside, or marked skipped when
-    the inter-edge set exceeds the subset-search cap.
+    satisfies every count), so the verdict rests on the rank oracle
+    applied to the gadget-substituted flattened graph.  A rigid merge
+    holds a bound-sized independent inter-edge subset, and every subset
+    of it meets the count, so a rigid verdict reports the counting
+    screen as passed without searching.  The bitmask search runs only
+    after a not-rigid verdict, to report the screen and a violating
+    subset.  Both are marked skipped when the inter-edge set exceeds the
+    subset-search cap.
     """
     cls = classify(meta, 3, seed=seed, trials=trials)
     flat = meta.flatten()
     if len(flat.vertices) < 3:
         raise InputError("merged graph needs at least three vertices")
     bound = merge_bound(cls)
-    counting_ok, count_witness = _counting_screen_3d(meta, bound, subset_cap)
     substituted, fixed = _gadget_substitute(meta, 3, seed, trials)
-    sub_flat = substituted.flatten()
-    verdict = rigid_3d_check(sub_flat.underlying(), seed=seed, trials=trials)
-    rigid = verdict.rigid
-    if counting_ok is False:
-        rigid = False
-    selected = None
-    if rigid:
+    sub_flat = substituted.flatten().underlying()
+    verdict = rigid_3d_check(sub_flat, seed=seed, trials=trials)
+    if verdict.rigid:
         spanning = minimally_rigid_spanning(
-            sub_flat.underlying(), 3, fixed=fixed, seed=seed, trials=trials
+            sub_flat, 3, fixed=fixed, seed=seed, trials=trials
         )
         inter_pairs = {(min(e), max(e)): e for e in meta.inter_edges}
-        selected = tuple(
-            inter_pairs[e] for e in spanning if e in inter_pairs
+        return MetaVerdict(
+            rigid=True,
+            edge_optimal=len(meta.inter_edges) == bound,
+            dim=3,
+            classes=cls,
+            bound=bound,
+            selected_subset=tuple(
+                inter_pairs[e] for e in spanning if e in inter_pairs
+            ),
+            counting_ok=True if len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None,
         )
-    edge_optimal = rigid and len(meta.inter_edges) == bound
+    counting_ok, count_witness = _counting_screen_3d(meta, bound)
     return MetaVerdict(
-        rigid=rigid,
-        edge_optimal=edge_optimal,
+        rigid=False,
+        edge_optimal=False,
         dim=3,
         classes=cls,
         bound=bound,
-        selected_subset=selected,
-        witness_subset=count_witness if not rigid else None,
-        rank_deficit=verdict.rank_deficit if not rigid else None,
+        witness_subset=count_witness,
+        rank_deficit=verdict.rank_deficit,
         separating_pair=verdict.separating_pair,
         counting_ok=counting_ok,
     )
@@ -379,19 +385,12 @@ def meta_rigid(
     raise InputError(f"dimension must be 2 or 3, got {dim}")
 
 
-def edge_optimal_persistent(
-    meta: MetaFormation,
-    dim: int,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-) -> bool:
+def edge_optimal_persistent(meta: MetaFormation, verdict: MetaVerdict) -> bool:
     """Edge-optimal rigid merging whose inter-edges all leave local DOFs.
 
-    Edge-optimal rigid means rigid with no removable inter-edge, i.e.
-    |E_M| equals the counting bound.
+    ``verdict`` is the merge's ``meta_rigid`` verdict.  Edge-optimal
+    rigid means rigid with no removable inter-edge, i.e. |E_M| equals
+    the counting bound.  Members must be persistent, which
+    ``merged_persistence`` checks.
     """
-    for i, mv in enumerate(meta.meta_vertices):
-        if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
-            raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
-    compliant, _ = local_dof_compliance(meta, dim)
-    return compliant and meta_rigid(meta, dim, seed=seed, trials=trials).edge_optimal
+    return verdict.edge_optimal and local_dof_compliance(meta, verdict.dim)[0]

@@ -19,7 +19,6 @@ from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     check_rigidity,
-    laman_check_2d,
 )
 
 TERMINAL_SET_CAP = 10**6

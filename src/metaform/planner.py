@@ -15,19 +15,13 @@ last into a partial result whose DOFs are not all on one leader.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    InfeasibleMergeError,
-    InputError,
-    NotPersistentError,
-)
+from .errors import InfeasibleMergeError, NotPersistentError
 from .graph import Edge, Formation, MetaFormation
-from .meta import edge_optimal_persistent, merge_bound, classify
+from .meta import edge_optimal_persistent, meta_rigid
 from .persistence import (
     DofLedger,
-    PersistenceVerdict,
     is_persistent,
     ledger,
     local_dof_compliance,
@@ -38,6 +32,7 @@ from .rigidity import (
     DEFAULT_TRIALS,
     dof_constant,
     generic_rank_oracle,
+    laman_check_2d,
     required_rank,
 )
 
@@ -178,45 +173,6 @@ class MergePlan:
         }
 
 
-def op_v(source_vertex: int, heads, t: int, used_tails=()) -> tuple[Edge, ...]:
-    """Operation (v): a fresh vertex sends 3 - t new connecting edges."""
-    if t not in (0, 1, 2):
-        raise InputError(f"operation parameter t must be 0, 1 or 2, got {t}")
-    if source_vertex in used_tails:
-        raise InputError(f"vertex {source_vertex} already used by a previous operation")
-    heads = tuple(heads)
-    if len(heads) != 3 - t:
-        raise InputError(f"operation (v) at t={t} needs {3 - t} target vertices")
-    if len(set(heads)) != len(heads):
-        raise InputError("operation (v) targets must be distinct")
-    return tuple((source_vertex, h) for h in heads)
-
-
-def op_e(
-    planned: tuple[Edge, ...],
-    source_vertex: int,
-    reroute: Edge,
-    extra_heads,
-    t: int,
-    used_tails=(),
-) -> tuple[Edge, ...]:
-    """Operation (e): reroute one planned edge to a fresh vertex, add 2 - t more."""
-    if t not in (0, 1, 2):
-        raise InputError(f"operation parameter t must be 0, 1 or 2, got {t}")
-    if source_vertex in used_tails:
-        raise InputError(f"vertex {source_vertex} already used by a previous operation")
-    if reroute not in planned:
-        raise InputError(f"operation (e) requires an existing planned edge, {reroute} not found")
-    extra_heads = tuple(extra_heads)
-    if len(extra_heads) != 2 - t:
-        raise InputError(f"operation (e) at t={t} needs {2 - t} extra target vertices")
-    _, j = reroute
-    new_edges = ((source_vertex, j),) + tuple((source_vertex, h) for h in extra_heads)
-    if len({h for _, h in new_edges}) != len(new_edges):
-        raise InputError("operation (e) targets must be distinct")
-    return tuple(e for e in planned if e != reroute) + new_edges
-
-
 def _required_pair_edges(na: int, nb: int, dim: int) -> int:
     """Minimal inter-edge count for a rigid pairwise merge."""
     if dim == 2:
@@ -308,8 +264,6 @@ def _assign_heads(
             vertices=all_vertices, edges=internal_edges + tuple(pairs)
         )
         if dim == 2:
-            from .rigidity import laman_check_2d
-
             return laman_check_2d(flat.underlying()).rigid
         return (
             generic_rank_oracle(flat.underlying(), 3, seed=seed, trials=trials)
@@ -519,7 +473,9 @@ def verify_plan(
             )
             optimal = compliant and len(plan.edges) == required
         else:
-            optimal = edge_optimal_persistent(meta, dim, seed=seed, trials=trials)
+            optimal = edge_optimal_persistent(
+                meta, meta_rigid(meta, dim, seed=seed, trials=trials)
+            )
     member_missing = sum(
         missing_dof(f, dim, check=False).value for f in collection
     )

@@ -198,6 +198,33 @@ class TestDocumentShape:
         assert main(["verify-plan", str(p)]) == 2
         assert "(at dim)" in capsys.readouterr().err
 
+    def verify_plan_error(self, tmp_path, capsys, members, edges):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({
+            "collection": [f.to_dict() for f in members],
+            "plan": {"edges": [{"tail": t, "head": h} for t, h in edges]},
+            "dim": 2,
+        }))
+        assert main(["verify-plan", str(p)]) == 2
+        return capsys.readouterr().err
+
+    def test_verify_plan_edge_outside_members_is_located_in_plan(self, tmp_path, capsys):
+        err = self.verify_plan_error(tmp_path, capsys, [triangle(1), triangle(4)], [(3, 9)])
+        assert "endpoint not in any meta-vertex" in err
+        assert err.endswith("(at plan.edges[0])\n")
+
+    def test_verify_plan_intra_member_edge_is_located_in_plan(self, tmp_path, capsys):
+        err = self.verify_plan_error(
+            tmp_path, capsys, [triangle(1), triangle(4)], [(1, 4), (5, 4)]
+        )
+        assert "both endpoints in meta-vertex 1" in err
+        assert err.endswith("(at plan.edges[1])\n")
+
+    def test_verify_plan_shared_vertex_is_located_in_collection(self, tmp_path, capsys):
+        err = self.verify_plan_error(tmp_path, capsys, [triangle(1), triangle(3)], [])
+        assert "vertex 3 appears in meta-vertices 0 and 1" in err
+        assert err.endswith("(at collection[1])\n")
+
 
 FUZZ_KEYS = (
     "vertices", "edges", "metaVertices", "interEdges", "collection",

@@ -236,5 +236,5 @@ class TestEdgeOptimal:
         # inter-edge leaving it breaks compliance.
         bad = two_tetrahedra(((4, 5), (1, 5), (1, 6), (1, 7), (2, 5), (2, 6)))
         good = two_tetrahedra(GOOD_6)
-        assert edge_optimal_persistent(good, 3)
-        assert not edge_optimal_persistent(bad, 3)
+        assert edge_optimal_persistent(good, meta_rigid(good, 3))
+        assert not edge_optimal_persistent(bad, meta_rigid(bad, 3))

@@ -1,9 +1,9 @@
-"""Feasibility, pairwise plans, operations, collection merging."""
+"""Feasibility, pairwise plans, collection merging."""
 import itertools
 
 import pytest
 
-from metaform.errors import InfeasibleMergeError, InputError, NotPersistentError
+from metaform.errors import InfeasibleMergeError, NotPersistentError
 from metaform.graph import Formation
 from metaform.persistence import is_persistent, merged_persistence
 from metaform.planner import (
@@ -14,8 +14,6 @@ from metaform.planner import (
     REASON_TWO_LONE_LEADERS,
     feasibility,
     missing_dof,
-    op_e,
-    op_v,
     plan_collection,
     plan_pair,
     verify_plan,
@@ -91,46 +89,6 @@ class TestFeasibility:
     def test_gates_lift_with_a_third_member(self):
         f = feasibility([nonstructural_3d(1), zero_dof_3d(10), complete(4, 20)], 3)
         assert f.feasible
-
-
-class TestOperations:
-    def test_op_v_edge_counts(self):
-        assert len(op_v(1, (5, 6, 7), 0)) == 3
-        assert len(op_v(1, (5, 6), 1)) == 2
-        assert len(op_v(1, (5,), 2)) == 1
-
-    def test_op_v_rejects_reused_vertex(self):
-        with pytest.raises(InputError):
-            op_v(1, (5, 6), 1, used_tails=(1,))
-
-    def test_op_v_rejects_wrong_target_count(self):
-        with pytest.raises(InputError):
-            op_v(1, (5, 6, 7), 1)
-
-    def test_op_e_reroutes_and_extends(self):
-        planned = op_v(1, (5, 6, 7), 0)
-        result = op_e(planned, 2, (1, 5), (6,), 1)
-        assert (1, 5) not in result
-        assert (2, 5) in result and (2, 6) in result
-        assert len(result) == 4
-
-    def test_op_e_requires_existing_edge(self):
-        with pytest.raises(InputError):
-            op_e((), 2, (1, 5), (6,), 1)
-
-    def test_three_op_v_total_six_edges(self):
-        edges = op_v(1, (5, 6, 7), 0) + op_v(2, (5, 6), 1) + op_v(3, (5,), 2)
-        assert len(edges) == 6
-        tails = sorted((sum(1 for e in edges if e[0] == v) for v in (1, 2, 3)), reverse=True)
-        assert tails == [3, 2, 1]
-
-    def test_op_sequence_2_2_2(self):
-        # (v), (v), (e): reroute one edge of the first vertex to the third.
-        edges = op_v(1, (5, 6, 7), 0) + op_v(2, (5, 6), 1)
-        edges = op_e(edges, 3, (1, 7), (5,), 1, used_tails=(1, 2))
-        assert len(edges) == 6
-        outs = {v: sum(1 for e in edges if e[0] == v) for v in (1, 2, 3)}
-        assert outs == {1: 2, 2: 2, 3: 2}
 
 
 class TestPlanPair2D:
