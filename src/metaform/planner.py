@@ -7,7 +7,9 @@ construction catalog is realized as a deterministic bounded search over
 DOF-consumption vectors and head assignments, subject to the incidence
 constraints the theory imposes (at least three incident vertices per
 side, no vertex carrying more than three of the six edges), with every
-candidate validated by the exact rank oracle before being emitted.
+candidate validated before being emitted: its few inter-edge rows are
+tested against the members' internal rows, reduced once per rank-oracle
+trial, which gives exactly the rank oracle's verdict on the merged graph.
 Collections are merged pairwise with the special-case ordering rules: a
 zero-DOF member is merged last, and when a member with a single 3-DOF
 leader and no other DOF exists, one such member is isolated and merged
@@ -15,6 +17,7 @@ last into a partial result whose DOFs are not all on one leader.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InfeasibleMergeError, NotPersistentError
@@ -30,10 +33,9 @@ from .persistence import (
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    FixedBaseRank,
     dof_constant,
-    generic_rank_oracle,
     laman_check_2d,
-    required_rank,
 )
 
 # Rank evaluations tried per DOF-consumption vector before moving on.
@@ -240,35 +242,32 @@ def _consumption_vectors(ga, gb, led_a, led_b, required, dim):
     return candidates
 
 
-def _assign_heads(
-    ga, gb, tails, dim, seed, trials, leaf_cap=HEAD_SEARCH_LEAF_CAP
-):
+def _assign_heads(ga, gb, tails, dim, member_rows):
     """Deterministic backtracking over head choices, rank-validated.
 
     tails is a list of tail vertices (one entry per edge).  Constraints:
     distinct unordered pairs, per-vertex incidence at most 3 in 3D, and
     each side incident to at least min(|side|, dim) vertices.  The first
-    assignment whose merged graph reaches full generic rank wins.
+    assignment whose merged graph is rigid wins: in 2D by the pebble game,
+    in 3D by testing the assignment's rows against ``member_rows()``, the
+    members' internal rows reduced once per rank-oracle trial, which gives
+    exactly the rank oracle's verdict on the merged graph.
     """
     side_of = {v: 0 for v in ga.vertices} | {v: 1 for v in gb.vertices}
     side_verts = (ga.vertices, gb.vertices)
     need_cover = (min(len(ga.vertices), dim), min(len(gb.vertices), dim))
     internal_edges = tuple(ga.edges) + tuple(gb.edges)
     all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
-    target = required_rank(dim, len(all_vertices))
     cap = 3 if dim == 3 else len(tails)
-    budget = [leaf_cap]
+    budget = [HEAD_SEARCH_LEAF_CAP]
 
     def rigid(pairs) -> bool:
+        if dim == 3:
+            return member_rows().full_rank(pairs)
         flat = Formation(
             vertices=all_vertices, edges=internal_edges + tuple(pairs)
         )
-        if dim == 2:
-            return laman_check_2d(flat.underlying()).rigid
-        return (
-            generic_rank_oracle(flat.underlying(), 3, seed=seed, trials=trials)
-            == target
-        )
+        return laman_check_2d(flat.underlying()).rigid
 
     def search(i, chosen, used_pairs, incidence):
         if budget[0] <= 0:
@@ -343,11 +342,23 @@ def plan_pair(
                 "both formations have a single 3-DOF leader and no other DOF",
                 REASON_TWO_LONE_LEADERS,
             )
+
+    @functools.cache
+    def member_rows() -> FixedBaseRank:
+        # Built at the first 3D leaf, not up front: members that share a
+        # vertex id fail there, while a search whose every leaf is pruned
+        # still ends in a catalog miss.
+        members = Formation(
+            vertices=tuple(ga.vertices) + tuple(gb.vertices),
+            edges=tuple(ga.edges) + tuple(gb.edges),
+        )
+        return FixedBaseRank(members.underlying(), 3, seed=seed, trials=trials)
+
     for cand in _consumption_vectors(ga, gb, led_a, led_b, required, dim):
         tails = []
         for v in sorted(cand, key=lambda v: (-cand[v], v)):
             tails.extend([v] * cand[v])
-        assignment = _assign_heads(ga, gb, tails, dim, seed, trials)
+        assignment = _assign_heads(ga, gb, tails, dim, member_rows)
         if assignment is None:
             continue
         rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")

@@ -159,6 +159,23 @@ class PebbleGame2D:
         return region
 
 
+def _insert_all(game: PebbleGame2D, edges) -> tuple[Edge, ...] | None:
+    """Insert every edge; the (2,3) circuit the first rejected one closes, or None.
+
+    The circuit is the accepted edges induced on the rejected edge's
+    blocked region plus that edge.  Later edges are still inserted, so
+    ``game.rank()`` is the rank of the whole edge set.
+    """
+    circuit = None
+    for e in edges:
+        if not game.insert(e) and circuit is None:
+            region = game.blocked_region(e)
+            circuit = tuple(
+                f for f in game.accepted if f[0] in region and f[1] in region
+            ) + (e,)
+    return circuit
+
+
 def laman_check_2d(g: UndirectedView) -> RigidityVerdict:
     """Exact 2D rigidity via the pebble game; Laman counts decide."""
     n = len(g.vertices)
@@ -174,13 +191,7 @@ def laman_check_2d(g: UndirectedView) -> RigidityVerdict:
             rigid=False, minimally_rigid=False, rank_deficit=(0, 1)
         )
     game = PebbleGame2D(g.vertices)
-    violating = None
-    for e in g.edges:
-        if not game.insert(e) and violating is None:
-            region = game.blocked_region(e)
-            violating = tuple(
-                f for f in game.accepted if f[0] in region and f[1] in region
-            ) + (e,)
+    violating = _insert_all(game, g.edges)
     target = 2 * n - 3
     rank = game.rank()
     rigid = rank == target
@@ -208,15 +219,7 @@ def sparsity_violation(
     """
     k, l = params.k, params.l
     if k == 2:
-        game = PebbleGame2D(g.vertices)
-        for e in g.edges:
-            if not game.insert(e):
-                region = game.blocked_region(e)
-                subset = tuple(
-                    f for f in game.accepted if f[0] in region and f[1] in region
-                ) + (e,)
-                return subset
-        return None
+        return _insert_all(PebbleGame2D(g.vertices), g.edges)
     # (3, 6): exhaustive over induced vertex subsets.  A violating edge set
     # implies a violating induced set on the same vertices.
     n = len(g.vertices)
@@ -414,7 +417,8 @@ class IncrementalRank:
         self.ncols = ncols
         self.basis: dict[int, np.ndarray] = {}  # pivot column -> reduced row
 
-    def _reduce(self, row: np.ndarray) -> np.ndarray:
+    def reduce(self, row: np.ndarray) -> np.ndarray:
+        """Row minus basis rows, zero in every pivot column; zero iff in the span."""
         p = self.p
         row = row % p
         for col, brow in self.basis.items():
@@ -425,7 +429,7 @@ class IncrementalRank:
 
     def try_add(self, row: np.ndarray) -> bool:
         """Add row if independent of the current basis; report success."""
-        red = self._reduce(row)
+        red = self.reduce(row)
         nz = red.nonzero()[0]
         if nz.size == 0:
             return False
@@ -438,6 +442,72 @@ class IncrementalRank:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+
+class FixedBaseRank:
+    """Rank oracle for one fixed base edge set plus a few extra edges.
+
+    ``full_rank(extra)`` equals ``generic_rank_oracle(g + extra, dim,
+    seed, trials) == required_rank(dim, n)`` for the graph g on the same
+    vertices: trial t places the vertices exactly as that oracle's trial t
+    does (one ``random.Random(seed)`` stream, drawn in g's vertex order),
+    and both ranks are exact over GF(p).  The base rows are reduced into an
+    ``IncrementalRank`` once per trial, and each extra edge's row is
+    reduced against them once per trial, so a query only eliminates its
+    own few rows, restricted to the columns that hold no base pivot.
+    """
+
+    def __init__(
+        self,
+        g: UndirectedView,
+        dim: int,
+        seed: int = DEFAULT_SEED,
+        trials: int = DEFAULT_TRIALS,
+    ):
+        if trials < 1:
+            raise InputError("trials must be >= 1")
+        self.g = g
+        self.dim = dim
+        self.trials = trials
+        self.target = required_rank(dim, len(g.vertices))
+        self._col_of = {v: i for i, v in enumerate(g.vertices)}
+        self._rng = random.Random(seed)
+        # Per trial: positions, reduced base, free columns, reduced extra rows.
+        self._trials: list[tuple[dict, IncrementalRank, np.ndarray, dict]] = []
+
+    def _trial(self, t: int):
+        while len(self._trials) <= t:
+            positions = _positions(self.g.vertices, self.dim, self._rng)
+            base = IncrementalRank(self.dim * len(self.g.vertices))
+            for row in rigidity_matrix_rows(self.g.edges, positions, self._col_of, self.dim):
+                base.try_add(row)
+            # Reduced rows are zero in every pivot column, so only the
+            # other columns can add rank.
+            free = np.array(
+                [c for c in range(base.ncols) if c not in base.basis], dtype=np.intp
+            )
+            self._trials.append((positions, base, free, {}))
+        return self._trials[t]
+
+    def full_rank(self, extra) -> bool:
+        """Does the base plus the extra edges (new vertex pairs) reach full rank?"""
+        extra = [(min(e), max(e)) for e in extra]
+        if len(self.g.edges) + len(extra) < self.target:
+            return False
+        for t in range(self.trials):
+            positions, base, free, reduced = self._trial(t)
+            need = self.target - base.rank
+            if need == 0:
+                return True
+            if need > len(extra):
+                continue
+            for e in extra:
+                if e not in reduced:
+                    row = rigidity_matrix_rows([e], positions, self._col_of, self.dim)[0]
+                    reduced[e] = base.reduce(row)[free]
+            if rank_mod_p(np.stack([reduced[e] for e in extra])) == need:
+                return True
+        return False
 
 
 def minimally_rigid_spanning(
