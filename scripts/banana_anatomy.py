@@ -7,7 +7,6 @@ vertex subset, 3-connectivity, and the exact generic rank.
 """
 from metaform.generate import banana
 from metaform.rigidity import (
-    SparsityParams,
     generic_rank_oracle,
     rigid_3d_check,
     sparsity_violation,
@@ -20,7 +19,7 @@ def main():
     und = f.underlying()
     n, m = len(f.vertices), len(f.edges)
     print(f"vertices: {n}, edges: {m} (3n-6 = {3 * n - 6})")
-    violation = sparsity_violation(und, SparsityParams(3, 6))
+    violation = sparsity_violation(und)
     print(f"(3,6)-sparsity violation: {violation}")
     connected, pair = three_connectivity(und)
     print(f"3-connected: {connected}, separating pair: {pair}")

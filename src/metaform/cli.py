@@ -107,8 +107,25 @@ def _cmd_check_meta(args) -> int:
     return 0 if verdict.rigid else 1
 
 
+def _read_collection(paths) -> list[Formation]:
+    """One formation per file; a vertex id already used by an earlier file
+    (or by the same file given twice) is located by file and index."""
+    collection = []
+    owner: dict[int, str] = {}
+    for path in paths:
+        f = parse_formation(_read(path))
+        for i, v in enumerate(f.vertices):
+            if v in owner:
+                raise InputError(
+                    f"vertex {v} is also a vertex of {owner[v]}", f"{path}, vertices[{i}]"
+                )
+        owner.update((v, path) for v in f.vertices)
+        collection.append(f)
+    return collection
+
+
 def _cmd_plan_merge(args) -> int:
-    collection = [parse_formation(_read(p)) for p in args.files]
+    collection = _read_collection(args.files)
     feas = feasibility(collection, args.dim, seed=args.seed, trials=args.trials)
     base = {
         "dim": args.dim,

@@ -6,6 +6,12 @@ the dimension, is rigid.  A deletion changes only its tail's out-degree,
 so the terminal subgraphs are the product of independent per-vertex
 choices of which ``dim`` out-edges to keep, and their number is known
 before any is built.
+
+In 3D every terminal keeps the formation's vertices in the same order, so
+trial t of each terminal's rank oracle places them the same way, and a
+terminal's rigidity matrix is a row subset of the whole formation's
+matrix for that trial.  Terminals are therefore ranked in batches over
+rows drawn from one matrix per trial.
 """
 from __future__ import annotations
 
@@ -13,15 +19,24 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InputError, NotPersistentError, ResourceLimitError
 from .graph import Edge, Formation, MetaFormation, UndirectedView
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    batch_rank_mod_p,
     check_rigidity,
+    required_rank,
+    rigidity_matrix_rows,
+    trial_placements,
 )
 
 TERMINAL_SET_CAP = 10**6
+# Most matrix cells in one batch of 3D terminals (256 KiB of int64); a
+# batch holds at least one terminal.
+TERMINAL_BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -133,6 +148,47 @@ class PersistenceVerdict:
         return d
 
 
+def _first_nonrigid_terminal_3d(
+    f: Formation, terminals: list[TerminalSubgraph], seed: int, trials: int
+) -> int | None:
+    """Index of the first terminal ``rigid_3d_check`` finds not rigid, or None.
+
+    Needs three or more vertices.  Every terminal keeps min(d+, 3) edges
+    per vertex, so all share one edge count and the edge-count exit
+    decides all of them at once.  Otherwise a terminal is rigid when some
+    trial's rank reaches 3n - 6.  Terminal rows are rows of the
+    formation's matrix for the trial (up to sign, which leaves the rank
+    alone), and that matrix is built once per trial, at first use.  Each
+    batch of terminals goes on to the next trial with only the terminals
+    still short of full rank.
+    """
+    g = f.underlying()
+    target = required_rank(3, len(g.vertices))
+    width = len(terminals[0].retained)
+    if width < target:
+        return 0
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    row_of = {e: i for i, e in enumerate(f.edges)}
+    col_of = {v: i for i, v in enumerate(g.vertices)}
+    placements = trial_placements(g.vertices, 3, seed)
+    matrices: list[np.ndarray] = []
+    size = max(1, TERMINAL_BATCH_CELLS // (width * 3 * len(g.vertices)))
+    for start in range(0, len(terminals), size):
+        batch = terminals[start : start + size]
+        rows = np.array([[row_of[e] for e in t.retained] for t in batch], dtype=np.intp)
+        short = np.arange(len(batch))
+        for t in range(trials):
+            if t == len(matrices):
+                matrices.append(rigidity_matrix_rows(g.edges, next(placements), col_of, 3))
+            short = short[batch_rank_mod_p(matrices[t][rows[short]]) < target]
+            if not short.size:
+                break
+        if short.size:
+            return start + int(short[0])
+    return None
+
+
 def is_persistent(
     f: Formation,
     dim: int,
@@ -149,12 +205,17 @@ def is_persistent(
     led = ledger(f, dim)
     # Terminals come sorted by retained edge set, so the first non-rigid
     # one is the lexicographically smallest witness.
-    witness_terminal = None
-    for term in terminal_subgraphs(f, dim, cap=cap):
-        view = UndirectedView(vertices=f.vertices, edges=term.retained)
-        if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
-            witness_terminal = term.retained
-            break
+    terminals = terminal_subgraphs(f, dim, cap=cap)
+    first = None
+    if dim == 3 and len(f.vertices) > 2:
+        first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
+    else:
+        for i, term in enumerate(terminals):
+            view = UndirectedView(vertices=f.vertices, edges=term.retained)
+            if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
+                first = i
+                break
+    witness_terminal = None if first is None else terminals[first].retained
     persistent = witness_terminal is None
     if dim == 2:
         structurally = persistent

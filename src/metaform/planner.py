@@ -10,6 +10,8 @@ side, no vertex carrying more than three of the six edges), with every
 candidate validated before being emitted: its few inter-edge rows are
 tested against the members' internal rows, reduced once per rank-oracle
 trial, which gives exactly the rank oracle's verdict on the merged graph.
+Candidates share each trial's placement, so a chunk of them is ranked in
+one batch, and the first full-rank one in search order wins.
 Collections are merged pairwise with the special-case ordering rules: a
 zero-DOF member is merged last, and when a member with a single 3-DOF
 leader and no other DOF exists, one such member is isolated and merged
@@ -18,6 +20,7 @@ last into a partial result whose DOFs are not all on one leader.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .errors import InfeasibleMergeError, NotPersistentError
@@ -40,6 +43,8 @@ from .rigidity import (
 
 # Rank evaluations tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
+# 3D head-search leaves ranked together in one batch.
+HEAD_SEARCH_LEAF_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -242,47 +247,29 @@ def _consumption_vectors(ga, gb, led_a, led_b, required, dim):
     return candidates
 
 
-def _assign_heads(ga, gb, tails, dim, member_rows):
-    """Deterministic backtracking over head choices, rank-validated.
+def _covered_leaves(ga, gb, tails, dim):
+    """Head assignments for ``tails``, in backtracking order.
 
     tails is a list of tail vertices (one entry per edge).  Constraints:
     distinct unordered pairs, per-vertex incidence at most 3 in 3D, and
-    each side incident to at least min(|side|, dim) vertices.  The first
-    assignment whose merged graph is rigid wins: in 2D by the pebble game,
-    in 3D by testing the assignment's rows against ``member_rows()``, the
-    members' internal rows reduced once per rank-oracle trial, which gives
-    exactly the rank oracle's verdict on the merged graph.
+    each side incident to at least min(|side|, dim) vertices.  Every
+    complete assignment that meets them is yielded, as a list of
+    (tail, head) pairs.
     """
     side_of = {v: 0 for v in ga.vertices} | {v: 1 for v in gb.vertices}
     side_verts = (ga.vertices, gb.vertices)
     need_cover = (min(len(ga.vertices), dim), min(len(gb.vertices), dim))
-    internal_edges = tuple(ga.edges) + tuple(gb.edges)
-    all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
     cap = 3 if dim == 3 else len(tails)
-    budget = [HEAD_SEARCH_LEAF_CAP]
-
-    def rigid(pairs) -> bool:
-        if dim == 3:
-            return member_rows().full_rank(pairs)
-        flat = Formation(
-            vertices=all_vertices, edges=internal_edges + tuple(pairs)
-        )
-        return laman_check_2d(flat.underlying()).rigid
 
     def search(i, chosen, used_pairs, incidence):
-        if budget[0] <= 0:
-            return None
         if i == len(tails):
             covered = (
                 len({v for e in chosen for v in e if side_of[v] == 0}),
                 len({v for e in chosen for v in e if side_of[v] == 1}),
             )
-            if covered[0] < need_cover[0] or covered[1] < need_cover[1]:
-                return None
-            budget[0] -= 1
-            if rigid(chosen):
-                return list(chosen)
-            return None
+            if covered[0] >= need_cover[0] and covered[1] >= need_cover[1]:
+                yield chosen
+            return
         t = tails[i]
         for h in side_verts[1 - side_of[t]]:
             pair = (min(t, h), max(t, h))
@@ -293,15 +280,37 @@ def _assign_heads(ga, gb, tails, dim, member_rows):
             used_pairs.add(pair)
             incidence[h] = incidence.get(h, 0) + 1
             incidence[t] = incidence.get(t, 0) + 1
-            result = search(i + 1, chosen + [(t, h)], used_pairs, incidence)
-            if result is not None:
-                return result
+            yield from search(i + 1, chosen + [(t, h)], used_pairs, incidence)
             used_pairs.discard(pair)
             incidence[h] -= 1
             incidence[t] -= 1
-        return None
 
     return search(0, [], set(), {})
+
+
+def _assign_heads(ga, gb, tails, dim, member_rows):
+    """The first covered head assignment whose merged graph is rigid.
+
+    At most ``HEAD_SEARCH_LEAF_CAP`` leaves of ``_covered_leaves`` are
+    tested, in order.  2D tests each by the pebble game.  3D tests
+    ``HEAD_SEARCH_LEAF_CHUNK`` at a time against ``member_rows()``, the
+    members' internal rows reduced once per rank-oracle trial, which gives
+    exactly the rank oracle's verdict on each merged graph.
+    """
+    leaves = itertools.islice(_covered_leaves(ga, gb, tails, dim), HEAD_SEARCH_LEAF_CAP)
+    if dim == 2:
+        internal_edges = tuple(ga.edges) + tuple(gb.edges)
+        all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
+        for pairs in leaves:
+            flat = Formation(vertices=all_vertices, edges=internal_edges + tuple(pairs))
+            if laman_check_2d(flat.underlying()).rigid:
+                return pairs
+        return None
+    while chunk := list(itertools.islice(leaves, HEAD_SEARCH_LEAF_CHUNK)):
+        hit = member_rows().first_full_rank(chunk)
+        if hit is not None:
+            return chunk[hit]
+    return None
 
 
 def plan_pair(

@@ -8,6 +8,12 @@ edge count is tight) run only on a not-rigid verdict, to name its
 witness.  Rank arithmetic is modular over a large prime, never floating
 point, so the only possible error is one-sided (a generic graph can be
 reported non-rigid with negligible probability, never the converse).
+
+Persistence and the merge planner ask the oracle about thousands of
+small graphs on one vertex set: terminal subgraphs, or the members plus
+one head assignment.  Trial t of each of those oracles places the
+vertices the same way, so their matrices share the trial's placement
+and are ranked together, one ``batch_rank_mod_p`` call per chunk.
 """
 from __future__ import annotations
 
@@ -36,13 +42,16 @@ SPARSITY_3D_VERTEX_CAP = 20
 
 @dataclass(frozen=True)
 class SparsityParams:
-    """(k, l) count parameters: (2, 3) for 2D, (3, 6) for 3D."""
+    """(k, l) count parameters of ``sparsity_violation``: only (3, 6).
+
+    2D (2,3) counts come from the pebble game in ``laman_check_2d``.
+    """
 
     k: int
     l: int
 
     def __post_init__(self):
-        if (self.k, self.l) not in ((2, 3), (3, 6)):
+        if (self.k, self.l) != (3, 6):
             raise InputError(f"unsupported sparsity parameters {(self.k, self.l)}")
 
 
@@ -208,29 +217,24 @@ def laman_check_2d(g: UndirectedView) -> RigidityVerdict:
 
 
 def sparsity_violation(
-    g: UndirectedView, params: SparsityParams, cap: int = SPARSITY_3D_VERTEX_CAP
+    g: UndirectedView,
+    params: SparsityParams = SparsityParams(3, 6),
+    cap: int = SPARSITY_3D_VERTEX_CAP,
 ) -> tuple[Edge, ...] | None:
-    """Some edge subset E'' with |E''| > k|V(E'')| - l, or None.
+    """Some edge subset E'' with |E''| > 3|V(E'')| - 6, or None.
 
-    The count is only meaningful for subsets spanning at least l/k + 1
-    vertices (2 for (2,3), 3 for (3,6)); smaller subsets are skipped.
-    (2,3) comes out of the pebble game; (3,6) lies outside the matroidal
-    pebble-game regime and is searched exhaustively over vertex subsets.
+    The count is only meaningful for subsets spanning at least 3
+    vertices; smaller subsets are skipped.  (3,6) lies outside the
+    matroidal pebble-game regime, so the search is exhaustive over
+    induced vertex subsets: a violating edge set implies a violating
+    induced set on the same vertices.  ``params`` admits only (3, 6); a
+    caller may pass it to name the counts it asks for.
     """
-    k, l = params.k, params.l
-    if k == 2:
-        return _insert_all(PebbleGame2D(g.vertices), g.edges)
-    # (3, 6): exhaustive over induced vertex subsets.  A violating edge set
-    # implies a violating induced set on the same vertices.
     n = len(g.vertices)
     if n > cap:
         raise ResourceLimitError(
             f"(3,6) sparsity search capped at {cap} vertices, got {n}"
         )
-    adj_edges = {v: [] for v in g.vertices}
-    for e in g.edges:
-        adj_edges[e[0]].append(e)
-        adj_edges[e[1]].append(e)
     verts = list(g.vertices)
     for size in range(3, n + 1):
         for subset in itertools.combinations(verts, size):
@@ -243,6 +247,19 @@ def sparsity_violation(
 
 def _positions(vertices, dim: int, rng: random.Random) -> dict[int, tuple[int, ...]]:
     return {v: tuple(rng.randint(1, COORD_RANGE) for _ in range(dim)) for v in vertices}
+
+
+def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):
+    """The placements of trials 0, 1, 2, ... of the rank oracle, in order.
+
+    ``generic_rank_oracle(g, dim, seed)`` places ``g.vertices`` at the
+    t-th of these in trial t: one ``random.Random(seed)`` stream, drawn
+    in vertex order.  So every graph on the same vertex tuple shares
+    each trial's placement, whatever its edges.
+    """
+    rng = random.Random(seed)
+    while True:
+        yield _positions(vertices, dim, rng)
 
 
 def rigidity_matrix_rows(
@@ -285,6 +302,49 @@ def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
             a[r + 1 :, c:][below] = (a[r + 1 :, c:][below] - factors * a[r, c:]) % p
         r += 1
     return r
+
+
+def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
+    """Exact rank over GF(p) of every matrix in a (B, r, c) stack.
+
+    All B eliminations advance together, one column per step.  Each
+    matrix takes the first unused row with a nonzero entry as its pivot
+    and swaps it up; the rows below are cleared by cross-multiplication,
+    row * pivot - entry * pivot_row.  Both products are below p^2 < 2^62,
+    so int64 holds them and no modular inverse is needed.  A matrix with
+    no pivot in the column uses pivot 1 and entries 0, which leaves it as
+    it was.
+    """
+    a = np.asarray(stack, dtype=np.int64)
+    if a.shape[1] < a.shape[2]:
+        # rank(A) = rank(A^T): step over the shorter side.
+        a = a.transpose(0, 2, 1)
+    a = np.remainder(a, p, order="C")
+    batch, rows, cols = a.shape
+    rank = np.zeros(batch, dtype=np.intp)
+    every = np.arange(batch)
+    row_ids = np.arange(rows)
+    for c in range(cols):
+        # Rows above ``lo`` are pivot rows in every matrix.
+        lo = int(rank.min()) if batch else rows
+        if lo == rows:
+            break
+        cand = (row_ids[lo:] >= rank[:, None]) & (a[:, lo:, c] != 0)
+        has = cand.any(axis=1)
+        if not has.any():
+            continue
+        b = every[has]
+        piv, top = cand.argmax(axis=1)[has] + lo, rank[has]
+        a[b, piv], a[b, top] = a[b, top], a[b, piv]
+        prow = a[every, np.minimum(rank, rows - 1), c:]
+        pivot = np.where(has, prow[:, 0], 1)
+        rank += has
+        block = a[:, lo:, c:]
+        factors = np.where(row_ids[lo:] >= rank[:, None], block[:, :, 0], 0)
+        block *= pivot[:, None, None]
+        block -= factors[:, :, None] * prow[:, None, :]
+        block %= p
+    return rank
 
 
 def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
@@ -390,7 +450,7 @@ def rigid_3d_check(
     if len(g.edges) == target and n <= SPARSITY_3D_VERTEX_CAP:
         # With a tight edge count the candidate E' is forced to be E itself,
         # so a count violation is conclusive.
-        violation = sparsity_violation(g, SparsityParams(3, 6))
+        violation = sparsity_violation(g)
         if violation is not None:
             return RigidityVerdict(
                 rigid=False, minimally_rigid=False, violating_edges=violation
@@ -450,11 +510,13 @@ class FixedBaseRank:
     ``full_rank(extra)`` equals ``generic_rank_oracle(g + extra, dim,
     seed, trials) == required_rank(dim, n)`` for the graph g on the same
     vertices: trial t places the vertices exactly as that oracle's trial t
-    does (one ``random.Random(seed)`` stream, drawn in g's vertex order),
-    and both ranks are exact over GF(p).  The base rows are reduced into an
+    does (``trial_placements`` over g's vertex order), and both ranks are
+    exact over GF(p).  The base rows are reduced into an
     ``IncrementalRank`` once per trial, and each extra edge's row is
     reduced against them once per trial, so a query only eliminates its
     own few rows, restricted to the columns that hold no base pivot.
+    ``first_full_rank`` answers that question for many extra edge sets at
+    once, ranking their reduced rows in one batch per trial.
     """
 
     def __init__(
@@ -471,13 +533,13 @@ class FixedBaseRank:
         self.trials = trials
         self.target = required_rank(dim, len(g.vertices))
         self._col_of = {v: i for i, v in enumerate(g.vertices)}
-        self._rng = random.Random(seed)
+        self._placements = trial_placements(g.vertices, dim, seed)
         # Per trial: positions, reduced base, free columns, reduced extra rows.
         self._trials: list[tuple[dict, IncrementalRank, np.ndarray, dict]] = []
 
     def _trial(self, t: int):
         while len(self._trials) <= t:
-            positions = _positions(self.g.vertices, self.dim, self._rng)
+            positions = next(self._placements)
             base = IncrementalRank(self.dim * len(self.g.vertices))
             for row in rigidity_matrix_rows(self.g.edges, positions, self._col_of, self.dim):
                 base.try_add(row)
@@ -491,23 +553,51 @@ class FixedBaseRank:
 
     def full_rank(self, extra) -> bool:
         """Does the base plus the extra edges (new vertex pairs) reach full rank?"""
-        extra = [(min(e), max(e)) for e in extra]
-        if len(self.g.edges) + len(extra) < self.target:
-            return False
+        return self.first_full_rank([extra]) == 0
+
+    def first_full_rank(self, leaves) -> int | None:
+        """Index of the first extra edge set that reaches full rank, or None.
+
+        A set reaches full rank when some trial does.  Trial t can find a
+        set before the one an earlier trial found, so each trial ranks
+        every set still ahead of the best index so far.  Sets shorter than
+        a trial's missing rank cannot close it and are not ranked; shorter
+        sets are padded with zero rows, which add no rank.
+        """
+        leaves = [[(min(e), max(e)) for e in extra] for extra in leaves]
+        ahead = [
+            i for i, extra in enumerate(leaves)
+            if len(self.g.edges) + len(extra) >= self.target
+        ]
+        best = None
         for t in range(self.trials):
+            if not ahead:
+                break
             positions, base, free, reduced = self._trial(t)
             need = self.target - base.rank
             if need == 0:
-                return True
-            if need > len(extra):
+                return ahead[0]
+            ranked = [i for i in ahead if len(leaves[i]) >= need]
+            if not ranked:
                 continue
-            for e in extra:
-                if e not in reduced:
-                    row = rigidity_matrix_rows([e], positions, self._col_of, self.dim)[0]
-                    reduced[e] = base.reduce(row)[free]
-            if rank_mod_p(np.stack([reduced[e] for e in extra])) == need:
-                return True
-        return False
+            slot = {}
+            for i in ranked:
+                for e in leaves[i]:
+                    if e not in reduced:
+                        row = rigidity_matrix_rows([e], positions, self._col_of, self.dim)[0]
+                        reduced[e] = base.reduce(row)[free]
+                    slot.setdefault(e, len(slot))
+            # Row len(slot) of the table is the zero padding row.
+            table = np.stack([reduced[e] for e in slot] + [np.zeros(free.size, dtype=np.int64)])
+            width = max(len(leaves[i]) for i in ranked)
+            index = np.full((len(ranked), width), len(slot), dtype=np.intp)
+            for k, i in enumerate(ranked):
+                index[k, : len(leaves[i])] = [slot[e] for e in leaves[i]]
+            hits = np.flatnonzero(batch_rank_mod_p(table[index]) == need)
+            if hits.size:
+                best = ranked[hits[0]]
+                ahead = [i for i in ahead if i < best]
+        return best
 
 
 def minimally_rigid_spanning(

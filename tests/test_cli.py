@@ -288,6 +288,26 @@ class TestPlanCommands:
         assert code == 0
         assert json.loads(out)["edgeOptimalPersistent"] is True
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_same_file_twice_exits_two_located_in_input(self, tmp_path, capsys, dim):
+        a = write(tmp_path, "a.json", complete(4, 1))
+        assert main(["plan-merge", a, a, "--dim", str(dim)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: vertex 1 is also a vertex of {a} (at {a}, vertices[0])\n"
+
+    def test_partial_overlap_exits_two_located_in_input(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", complete(4, 1))
+        b = write(tmp_path, "b.json", complete(4, 5))
+        # Vertex 4 of a.json is the last vertex of c.json.
+        c = write(tmp_path, "c.json", Formation(
+            vertices=(9, 10, 11, 4),
+            edges=((10, 9), (11, 9), (11, 10), (4, 9), (4, 10), (4, 11)),
+        ))
+        assert main(["plan-merge", a, b, c, "--dim", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: vertex 4 is also a vertex of {a} (at {c}, vertices[3])\n"
+
     def test_infeasible_pair_exits_one_with_reason(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", lone_leader_3d(1))
         b = write(tmp_path, "b.json", lone_leader_3d(10))

@@ -1,11 +1,12 @@
 """3D head search against the per-leaf rank-oracle reference.
 
-Every 3D head-search leaf is validated by ``FixedBaseRank.full_rank``:
-the members' internal rows are reduced once per rank-oracle trial and
-only the leaf's few inter-edge rows are eliminated.  The reference below
-is the earlier search, which built the merged formation and ran
-``generic_rank_oracle`` on it at every leaf; both must emit the same
-plans, after visiting the same leaves.
+3D head-search leaves are validated a chunk at a time by
+``FixedBaseRank.first_full_rank``: the members' internal rows are reduced
+once per rank-oracle trial and only the leaves' few inter-edge rows are
+eliminated, in one batch.  The reference below is the earlier search,
+which built the merged formation and ran ``generic_rank_oracle`` on it at
+every leaf; both must emit the same plans, after using the same number
+of leaves from the search budget.
 """
 import importlib.util
 import random
@@ -100,23 +101,30 @@ def outcome(plan, *args, **kwargs):
         return {"reason": exc.reason, "message": str(exc)}
 
 
-def counting(monkeypatch, owner, name):
-    """Count the calls made to ``owner.name`` while the test runs."""
-    calls = []
-    original = getattr(owner, name)
+def counting_leaves(monkeypatch):
+    """Leaves ``FixedBaseRank.first_full_rank`` uses from the search budget.
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    A chunk with a full-rank leaf uses the leaves up to and including the
+    first one; a chunk without uses all of its leaves.  That is what the
+    reference counts: every leaf it tested, stopping at the first hit.
+    """
+    used = []
+    original = FixedBaseRank.first_full_rank
 
-    monkeypatch.setattr(owner, name, counted)
-    return calls
+    def counted(self, leaves):
+        leaves = list(leaves)
+        hit = original(self, leaves)
+        used.append(len(leaves) if hit is None else hit + 1)
+        return hit
+
+    monkeypatch.setattr(FixedBaseRank, "first_full_rank", counted)
+    return used
 
 
 def both(monkeypatch, plan, *args, seed, trials, **kwargs):
     """New and reference outcomes of one planning call, and their leaf counts."""
     with monkeypatch.context() as m:
-        leaves = counting(m, FixedBaseRank, "full_rank")
+        leaves = counting_leaves(m)
         new = outcome(plan, *args, seed=seed, trials=trials, **kwargs)
     ref_leaves = []
     with monkeypatch.context() as m:
@@ -128,7 +136,7 @@ def both(monkeypatch, plan, *args, seed, trials, **kwargs):
             ),
         )
         old = outcome(plan, *args, seed=seed, trials=trials, **kwargs)
-    return new, old, len(leaves), len(ref_leaves)
+    return new, old, sum(leaves), len(ref_leaves)
 
 
 def survey_collections(count):
@@ -199,11 +207,11 @@ def test_plan_collection_matches_reference(monkeypatch, name, seed, trials):
 
 def test_corpus_reaches_failing_leaves_and_refusals(monkeypatch):
     """The corpus holds rank-deficient leaves, plans and refused merges."""
-    leaves = counting(monkeypatch, FixedBaseRank, "full_rank")
+    leaves = counting_leaves(monkeypatch)
     outcomes = [outcome(plan_collection, c, 3) for c in COLLECTIONS.values()]
     planned = sum("edges" in o for o in outcomes)
     assert planned >= 12 and len(outcomes) - planned >= 1
-    assert len(leaves) > 2 * planned
+    assert sum(leaves) > 2 * planned
 
 
 def test_five_five_pair_never_rebuilds_the_whole_matrix(monkeypatch):
@@ -250,10 +258,47 @@ def test_full_rank_equals_the_rank_oracle(case, seed, trials):
     dim, vertices, base, queries = case
     oracle = FixedBaseRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
     target = required_rank(dim, len(vertices))
+    expected = []
     for extra in queries:
         merged = UndirectedView(vertices, tuple(base) + tuple(extra))
-        expected = generic_rank_oracle(merged, dim, seed=seed, trials=trials) == target
-        assert oracle.full_rank(extra) == expected
+        expected.append(generic_rank_oracle(merged, dim, seed=seed, trials=trials) == target)
+        assert oracle.full_rank(extra) == expected[-1]
+    first = FixedBaseRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
+    assert first.first_full_rank(queries) == next(
+        (i for i, ok in enumerate(expected) if ok), None
+    )
+
+
+def test_first_full_rank_takes_the_earliest_hit_over_all_trials(monkeypatch):
+    """A leaf that only a later trial finds full rank still wins over a
+    later leaf that trial 0 finds full rank.
+
+    Coordinates from {1, 2, 3} make many placements degenerate, so verdicts
+    differ between trials; the reference is one rank oracle per leaf.
+    """
+    monkeypatch.setattr(rigidity, "COORD_RANGE", 3)
+    vertices = tuple(range(1, 7))
+    base = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    pool = [(a, b) for a in vertices for b in vertices if a < b and (a, b) not in base]
+    rng = random.Random(3)
+    target = required_rank(3, len(vertices))
+    later_trial_wins = 0
+    for seed in range(40):
+        leaves = [rng.sample(pool, 6) for _ in range(12)]
+        full = [
+            generic_rank_oracle(UndirectedView(vertices, base + tuple(x)), 3, seed=seed) == target
+            for x in leaves
+        ]
+        trial0 = [
+            generic_rank_oracle(UndirectedView(vertices, base + tuple(x)), 3, seed=seed, trials=1)
+            == target
+            for x in leaves
+        ]
+        expected = next((i for i, ok in enumerate(full) if ok), None)
+        got = FixedBaseRank(UndirectedView(vertices, base), 3, seed=seed).first_full_rank(leaves)
+        assert got == expected
+        later_trial_wins += expected is not None and not trial0[expected] and any(trial0)
+    assert later_trial_wins >= 1
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metaform.errors import InputError
 from metaform.generate import banana
 from metaform.graph import Formation, UndirectedView
 from metaform.rigidity import (
@@ -92,20 +93,26 @@ class TestLaman2D:
 
 class TestSparsity:
     def test_banana_has_no_36_violation(self):
-        assert sparsity_violation(banana().underlying(), SparsityParams(3, 6)) is None
+        assert sparsity_violation(banana().underlying()) is None
 
     def test_k5_violates_36(self):
         bad = sparsity_violation(
-            undirected(range(1, 6), itertools.combinations(range(1, 6), 2)),
-            SparsityParams(3, 6),
+            undirected(range(1, 6), itertools.combinations(range(1, 6), 2))
         )
         assert bad is not None and len(bad) == 10 > 3 * 5 - 6
 
     def test_k4_violates_23(self):
-        bad = sparsity_violation(K4_2D, SparsityParams(2, 3))
+        # The pebble game names a (2,3) violation only for a not-rigid
+        # graph, so K4 gets a pendant vertex.
+        g = undirected((1, 2, 3, 4, 5), K4_2D.edges + ((4, 5),))
+        bad = laman_check_2d(g).violating_edges
         assert bad is not None
         vs = {x for e in bad for x in e}
         assert len(bad) > 2 * len(vs) - 3
+
+    def test_only_36_counts_are_searched(self):
+        with pytest.raises(InputError, match="unsupported sparsity parameters"):
+            SparsityParams(2, 3)
 
 
 class TestRankOracle:
