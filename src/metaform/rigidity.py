@@ -13,7 +13,10 @@ Persistence and the merge planner ask the oracle about thousands of
 small graphs on one vertex set: terminal subgraphs, or the members plus
 one head assignment.  Trial t of each of those oracles places the
 vertices the same way, so their matrices share the trial's placement
-and are ranked together, one ``batch_rank_mod_p`` call per chunk.
+and are ranked together, one ``batch_rank_mod_p`` call per chunk.  That
+call runs one vectorized elimination over a stack of small matrices,
+and ``rank_mod_p`` per matrix on a short stack or on large matrices,
+where the vectorized one is slower.
 """
 from __future__ import annotations
 
@@ -38,6 +41,17 @@ COORD_RANGE = 2**20
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
 SPARSITY_3D_VERTEX_CAP = 20
+
+# ``batch_rank_mod_p`` eliminates a stack in one vectorized pass only when
+# it holds at least this many matrices of at most this many cells each.
+# One pass costs its numpy calls per column plus every cell of every
+# matrix per column; ``rank_mod_p`` costs its Python loop per column and
+# touches only rows with a nonzero entry.  On sparse rigidity matrices
+# (2-core host) one pass beat ``rank_mod_p`` per matrix from 4 matrices
+# up to about 2,000 cells, tied at 8 or more of about 4,300, and lost at
+# every stack size from about 5,600 cells up (2.5x at 234 x 240).
+BATCH_RANK_MIN_MATRICES = 4
+BATCH_RANK_MAX_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -307,7 +321,21 @@ def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
 def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
     """Exact rank over GF(p) of every matrix in a (B, r, c) stack.
 
-    All B eliminations advance together, one column per step.  Each
+    Stacks of fewer than ``BATCH_RANK_MIN_MATRICES`` matrices, or of
+    matrices over ``BATCH_RANK_MAX_CELLS`` cells, are ranked one matrix
+    at a time by ``rank_mod_p``; the rest in one vectorized elimination.
+    """
+    a = np.asarray(stack, dtype=np.int64)
+    batch, rows, cols = a.shape
+    if batch < BATCH_RANK_MIN_MATRICES or rows * cols > BATCH_RANK_MAX_CELLS:
+        return np.array([rank_mod_p(m, p) for m in a], dtype=np.intp)
+    return _eliminate_stack(a, p)
+
+
+def _eliminate_stack(a: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
+    """Ranks of a (B, r, c) int64 stack, all B eliminations in one pass.
+
+    The eliminations advance together, one column per step.  Each
     matrix takes the first unused row with a nonzero entry as its pivot
     and swaps it up; the rows below are cleared by cross-multiplication,
     row * pivot - entry * pivot_row.  Both products are below p^2 < 2^62,
@@ -315,7 +343,6 @@ def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
     no pivot in the column uses pivot 1 and entries 0, which leaves it as
     it was.
     """
-    a = np.asarray(stack, dtype=np.int64)
     if a.shape[1] < a.shape[2]:
         # rank(A) = rank(A^T): step over the shorter side.
         a = a.transpose(0, 2, 1)

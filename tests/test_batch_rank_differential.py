@@ -1,16 +1,19 @@
 """Batched GF(p) rank tests against one elimination per matrix.
 
-``batch_rank_mod_p`` ranks a whole (B, r, c) stack at once; the
-reference is ``rank_mod_p`` on each matrix.  3D ``is_persistent`` ranks
+``batch_rank_mod_p`` ranks a whole (B, r, c) stack, by one vectorized
+elimination or, for short stacks and large matrices, by ``rank_mod_p``
+per matrix; the reference is ``rank_mod_p`` on each matrix.  3D ``is_persistent`` ranks
 terminals in batches of rows taken from one matrix per trial; the
 reference is the earlier loop, one ``check_rigidity`` per terminal in
 product order, stopping at the first that is not rigid.
 """
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from metaform import persistence
+from metaform import persistence, rigidity
 from metaform.graph import Formation, UndirectedView
 from metaform.persistence import (
     PersistenceVerdict,
@@ -19,7 +22,10 @@ from metaform.persistence import (
     terminal_subgraphs,
 )
 from metaform.rigidity import (
+    BATCH_RANK_MAX_CELLS,
+    BATCH_RANK_MIN_MATRICES,
     RANK_MODULUS,
+    _eliminate_stack,
     batch_rank_mod_p,
     check_rigidity,
     rank_mod_p,
@@ -58,9 +64,11 @@ def stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(stacks())
 def test_batch_rank_equals_rank_mod_p(a):
-    got = batch_rank_mod_p(a)
-    assert got.shape == (a.shape[0],)
-    assert list(got) == [rank_mod_p(m) for m in a]
+    expected = [rank_mod_p(m) for m in a]
+    for ranks in (batch_rank_mod_p, _eliminate_stack):
+        got = ranks(a)
+        assert got.shape == (a.shape[0],)
+        assert list(got) == expected
 
 
 @pytest.mark.parametrize(
@@ -78,14 +86,42 @@ def test_batch_rank_equals_rank_mod_p(a):
     ],
 )
 def test_batch_rank_on_named_stacks(a):
-    assert list(batch_rank_mod_p(a)) == [rank_mod_p(m) for m in a]
+    expected = [rank_mod_p(m) for m in a]
+    assert list(batch_rank_mod_p(a)) == expected
+    assert list(_eliminate_stack(a)) == expected
 
 
-def test_batch_rank_leaves_its_input_alone():
-    a = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
+@pytest.mark.parametrize("ranks", [batch_rank_mod_p, _eliminate_stack])
+def test_batch_rank_leaves_its_input_alone(ranks):
+    a = np.arange(48, dtype=np.int64).reshape(4, 3, 4)
     before = a.copy()
-    batch_rank_mod_p(a)
+    ranks(a)
     assert (a == before).all()
+
+
+@pytest.mark.parametrize(
+    "shape, vectorized",
+    [
+        ((BATCH_RANK_MIN_MATRICES, 6, 6), True),
+        ((64, 6, 12), True),
+        ((16, 32, BATCH_RANK_MAX_CELLS // 32), True),
+        ((BATCH_RANK_MIN_MATRICES - 1, 6, 6), False),
+        ((1, 234, 240), False),
+        ((16, 32, BATCH_RANK_MAX_CELLS // 32 + 1), False),
+        ((0, 6, 6), False),
+    ],
+)
+def test_short_stacks_and_large_matrices_are_ranked_one_by_one(monkeypatch, shape, vectorized):
+    calls = []
+
+    def counted(a, p=RANK_MODULUS):
+        calls.append(a.shape)
+        return _eliminate_stack(a, p)
+
+    monkeypatch.setattr(rigidity, "_eliminate_stack", counted)
+    a = np.random.default_rng(0).integers(-5, 5, size=shape)
+    assert list(batch_rank_mod_p(a)) == [rank_mod_p(m) for m in a]
+    assert calls == ([shape] if vectorized else [])
 
 
 def reference_is_persistent(f, dim, seed=0, trials=3):
@@ -140,6 +176,18 @@ EDGE_COUNT_SHORT = Formation(
     + ((6, 1), (6, 2), (7, 3), (7, 4), (7, 5), (7, 6)),
 )
 
+def vertex_addition(n, braced, seed):
+    """K4, then vertices with three out-edges to earlier ones (``braced`` with four).
+
+    Persistent in 3D, with 4 ** braced terminals.
+    """
+    rng = random.Random(seed)
+    edges = [(j, i) for i in range(1, 5) for j in range(1, 5) if j > i]
+    for v, k in zip(range(5, n + 1), [4] * braced + [3] * n):
+        edges += [(v, t) for t in sorted(rng.sample(range(1, v), k))]
+    return digraph(n, edges)
+
+
 # (formation, terminals per batch, witness index or None)
 CASES = {
     "first-fails": (FIRST_FAILS, None, 0),
@@ -157,6 +205,9 @@ CASES = {
     "singleton": (singleton(1), None, None),
     "pair": (pair(1, 2), None, None),
     "two-apart": (Formation(vertices=(1, 2)), None, 0),
+    # Terminal matrices above BATCH_RANK_MAX_CELLS: ranked one by one.
+    "one-terminal-n30": (vertex_addition(30, 0, 1), None, None),
+    "sixteen-terminals-n24": (vertex_addition(24, 2, 2), None, None),
 }
 
 
@@ -175,6 +226,17 @@ def test_is_persistent_3d_matches_per_terminal_loop(monkeypatch, name, seed, tri
         index = [t.retained for t in terminals].index(expected.witness_terminal)
     assert index == witness
     assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
+
+
+def test_large_terminals_skip_the_vectorized_elimination(monkeypatch):
+    f = vertex_addition(30, 0, 1)
+    assert len(terminal_subgraphs(f, 3)) == 1
+
+    def refuse(a, p=RANK_MODULUS):
+        raise AssertionError("vectorized elimination of a large terminal")
+
+    monkeypatch.setattr(rigidity, "_eliminate_stack", refuse)
+    assert is_persistent(f, 3).to_dict() == reference_is_persistent(f, 3).to_dict()
 
 
 def test_3d_terminals_are_not_checked_one_by_one(monkeypatch):
