@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Survey merge planning over random persistent collections.
 
-Generates seeded collections, plans a minimal persistent merge for each
-feasible one, verifies the plan, and prints summary statistics.
+Generates seeded collections, proves each member persistent once, plans a
+minimal persistent merge for each feasible collection, verifies the plan,
+and prints summary statistics.
 
 Usage: python scripts/merge_survey.py [--dim 3] [--rounds 50] [--seed 0]
 """
@@ -13,7 +14,7 @@ import time
 
 from metaform.generate import gen
 from metaform.graph import Formation
-from metaform.planner import feasibility, plan_collection, verify_plan
+from metaform.planner import feasibility, plan_collection, prove_members, verify_plan
 
 
 def shift(f, offset):
@@ -51,14 +52,15 @@ def main():
     t0 = time.time()
     for i in range(args.rounds):
         coll = random_collection(rng, args.dim)
-        feas = feasibility(coll, args.dim)
+        members = prove_members(coll, args.dim)
+        feas = feasibility(members, args.dim)
         if not feas.feasible:
             print(f"[{i:03d}] infeasible: {feas.reason}")
             continue
-        plan = plan_collection(coll, args.dim)
+        plan = plan_collection(members, args.dim)
         planned += 1
         edge_total += len(plan.edges)
-        rep = verify_plan(coll, plan, args.dim)
+        rep = verify_plan(members, plan, args.dim)
         status = "ok" if rep.persistent and rep.edge_optimal_persistent else "FAILED"
         if status == "ok":
             verified += 1

@@ -28,6 +28,7 @@ from .planner import (
     PlanEdge,
     feasibility,
     plan_collection,
+    prove_members,
     verify_plan,
 )
 from .rigidity import DEFAULT_SEED, DEFAULT_TRIALS, check_rigidity
@@ -108,17 +109,21 @@ def _cmd_check_meta(args) -> int:
 
 
 def _read_collection(paths) -> list[Formation]:
-    """One formation per file; a vertex id already used by an earlier file
-    (or by the same file given twice) is located by file and index."""
+    """One formation per file; a parse error, or a vertex id already used by an
+    earlier file (or by the same file given twice), is located by file first."""
     collection = []
     owner: dict[int, str] = {}
     for path in paths:
-        f = parse_formation(_read(path))
-        for i, v in enumerate(f.vertices):
-            if v in owner:
-                raise InputError(
-                    f"vertex {v} is also a vertex of {owner[v]}", f"{path}, vertices[{i}]"
-                )
+        try:
+            f = parse_formation(_read(path))
+            for i, v in enumerate(f.vertices):
+                if v in owner:
+                    raise InputError(
+                        f"vertex {v} is also a vertex of {owner[v]}", f"vertices[{i}]"
+                    )
+        except InputError as exc:
+            where = path if exc.location is None else f"{path}, {exc.location}"
+            raise InputError(exc.detail, where) from exc
         owner.update((v, path) for v in f.vertices)
         collection.append(f)
     return collection
@@ -126,7 +131,8 @@ def _read_collection(paths) -> list[Formation]:
 
 def _cmd_plan_merge(args) -> int:
     collection = _read_collection(args.files)
-    feas = feasibility(collection, args.dim, seed=args.seed, trials=args.trials)
+    members = prove_members(collection, args.dim, seed=args.seed, trials=args.trials)
+    feas = feasibility(members, args.dim, seed=args.seed, trials=args.trials)
     base = {
         "dim": args.dim,
         "seed": args.seed,
@@ -139,13 +145,13 @@ def _cmd_plan_merge(args) -> int:
         return 1
     try:
         plan = plan_collection(
-            collection, args.dim, seed=args.seed, trials=args.trials
+            members, args.dim, seed=args.seed, trials=args.trials
         )
     except InfeasibleMergeError as exc:
         base["feasibility"] = {"feasible": False, "reason": exc.reason}
         _emit(base, args.format)
         return 1
-    report = verify_plan(collection, plan, args.dim, seed=args.seed, trials=args.trials)
+    report = verify_plan(members, plan, args.dim, seed=args.seed, trials=args.trials)
     base["plan"] = plan.to_dict()
     base["verification"] = report.to_dict()
     _emit(base, args.format)

@@ -36,25 +36,19 @@ def classify(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> MetaClass:
-    """Partition meta-vertex indices into (N, S) for 2D or (N, D, S) for 3D.
+    """``size_classes``, once every multi-vertex meta-vertex is proved rigid.
 
-    Every multi-vertex meta-vertex must be rigid in the dimension; in 3D
-    a two-vertex meta-vertex must contain its internal edge.
+    In 3D a two-vertex meta-vertex is rigid when it contains its edge.
     """
     if dim not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {dim}")
-    n_class, d_class, s_class = [], [], []
     for i, mv in enumerate(meta.meta_vertices):
         size = len(mv.vertices)
-        if size == 1:
-            s_class.append(i)
-            continue
-        if dim == 3 and size == 2:
-            if not mv.edges:
-                raise NotRigidError(
-                    f"meta-vertex {i} has two vertices but no edge; not rigid in 3D"
-                )
-            d_class.append(i)
+        if dim == 3 and size == 2 and not mv.edges:
+            raise NotRigidError(
+                f"meta-vertex {i} has two vertices but no edge; not rigid in 3D"
+            )
+        if size == 1 or (dim == 3 and size == 2):
             continue
         view = mv.underlying()
         verdict = (
@@ -64,7 +58,20 @@ def classify(
         )
         if not verdict.rigid:
             raise NotRigidError(f"meta-vertex {i} is not rigid in {dim}D")
-        n_class.append(i)
+    return size_classes(meta, dim)
+
+
+def size_classes(meta: MetaFormation, dim: int) -> MetaClass:
+    """Partition meta-vertex indices by size into (N, S) for 2D or (N, D, S) for 3D.
+
+    The classes describe merges of at least ``dim`` vertices only.
+    """
+    if sum(len(mv.vertices) for mv in meta.meta_vertices) < dim:
+        raise InputError(f"merged graph needs at least {('two', 'three')[dim - 2]} vertices")
+    n_class, d_class, s_class = [], [], []
+    for i, mv in enumerate(meta.meta_vertices):
+        size = len(mv.vertices)
+        (s_class if size == 1 else d_class if dim == 3 and size == 2 else n_class).append(i)
     return MetaClass(
         n_class=tuple(n_class),
         d_class=tuple(d_class),
@@ -248,8 +255,6 @@ def meta_rigid_2d(
     cls = classify(meta, 2, seed=seed, trials=trials)
     flat = meta.flatten()
     n = len(flat.vertices)
-    if n < 2:
-        raise InputError("merged graph needs at least two vertices")
     bound = merge_bound(cls)
     _, fixed = _gadget_substitute(meta, 2, seed, trials)
     game = PebbleGame2D(flat.vertices)
@@ -263,11 +268,10 @@ def meta_rigid_2d(
             selected.append(e)
     target = 2 * n - 3 if n > 2 else 1
     rigid = game.rank() == target
-    edge_optimal = rigid and len(meta.inter_edges) == bound
     if rigid:
         return MetaVerdict(
             rigid=True,
-            edge_optimal=edge_optimal,
+            edge_optimal=len(meta.inter_edges) == bound,
             dim=2,
             classes=cls,
             bound=bound,
@@ -335,9 +339,6 @@ def meta_rigid_3d(
     subset-search cap.
     """
     cls = classify(meta, 3, seed=seed, trials=trials)
-    flat = meta.flatten()
-    if len(flat.vertices) < 3:
-        raise InputError("merged graph needs at least three vertices")
     bound = merge_bound(cls)
     substituted, fixed = _gadget_substitute(meta, 3, seed, trials)
     sub_flat = substituted.flatten().underlying()

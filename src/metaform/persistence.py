@@ -77,10 +77,9 @@ def ledger(f: Formation, dim: int) -> DofLedger:
 
 @dataclass(frozen=True)
 class TerminalSubgraph:
-    """A retained edge set plus one removal trace that reaches it."""
+    """The edge set a terminal subgraph retains."""
 
     retained: tuple[Edge, ...]
-    trace: tuple[Edge, ...]
 
 
 def terminal_subgraphs(
@@ -90,8 +89,7 @@ def terminal_subgraphs(
 
     A vertex with out-degree d > dim keeps one of the C(d, dim)
     combinations of its out-edges and drops the rest; every other vertex
-    keeps all of its out-edges.  The trace is the dropped edges, which
-    can be deleted in any order.  Blocks are taken per tail in sorted
+    keeps all of its out-edges.  Blocks are taken per tail in sorted
     order and each has a fixed length, so the product comes out sorted.
     Raises ResourceLimitError, before building any terminal, when their
     number exceeds ``cap``.
@@ -104,18 +102,9 @@ def terminal_subgraphs(
         raise ResourceLimitError(
             f"formation has {count} terminal subgraphs, above the cap of {cap}"
         )
-    blocks = [
-        [
-            (kept, tuple(e for e in es if e not in kept))
-            for kept in itertools.combinations(es, min(len(es), dim))
-        ]
-        for es in out.values()
-    ]
+    blocks = [itertools.combinations(es, min(len(es), dim)) for es in out.values()]
     return [
-        TerminalSubgraph(
-            retained=tuple(e for kept, _ in choice for e in kept),
-            trace=tuple(e for _, dropped in choice for e in dropped),
-        )
+        TerminalSubgraph(retained=tuple(e for kept in choice for e in kept))
         for choice in itertools.product(*blocks)
     ]
 
@@ -146,6 +135,23 @@ class PersistenceVerdict:
         if self.seed is not None:
             d["seed"] = self.seed
         return d
+
+
+def _verdict(led: DofLedger, minimally: bool, seed: int, witness=None) -> PersistenceVerdict:
+    """Persistent unless ``witness`` (a non-rigid terminal) is given; in 3D,
+    structurally persistent only with at most one leader, and otherwise
+    the leaders are the witness."""
+    persistent = witness is None
+    structurally = persistent and (led.dim == 2 or len(led.leaders) <= 1)
+    return PersistenceVerdict(
+        persistent=persistent,
+        structurally_persistent=structurally,
+        minimally_persistent=minimally,
+        ledger=led,
+        witness_terminal=witness,
+        witness_leaders=led.leaders if persistent and not structurally else None,
+        seed=seed if led.dim == 3 else None,
+    )
 
 
 def _first_nonrigid_terminal_3d(
@@ -215,28 +221,10 @@ def is_persistent(
             if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
                 first = i
                 break
-    witness_terminal = None if first is None else terminals[first].retained
-    persistent = witness_terminal is None
-    if dim == 2:
-        structurally = persistent
-    else:
-        structurally = persistent and len(led.leaders) <= 1
-    minimally = False
-    if persistent:
-        full = check_rigidity(f.underlying(), dim, seed=seed, trials=trials)
-        minimally = full.minimally_rigid
-    witness_leaders = None
-    if persistent and not structurally:
-        witness_leaders = led.leaders
-    return PersistenceVerdict(
-        persistent=persistent,
-        structurally_persistent=structurally,
-        minimally_persistent=minimally,
-        ledger=led,
-        witness_terminal=witness_terminal,
-        witness_leaders=witness_leaders,
-        seed=seed if dim == 3 else None,
-    )
+    if first is not None:
+        return _verdict(led, False, seed, witness=terminals[first].retained)
+    full = check_rigidity(f.underlying(), dim, seed=seed, trials=trials)
+    return _verdict(led, full.minimally_rigid, seed)
 
 
 def local_dof_compliance(
@@ -266,38 +254,35 @@ def merged_persistence(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> PersistenceVerdict:
-    """Persistence of the flattened meta-formation.
-
-    Requires every meta-vertex to be persistent.  When all inter-edges
-    leave local DOFs, persistence of the merge reduces to rigidity of
-    the flattened graph, skipping terminal enumeration.  Otherwise no
-    merge-aware criterion is known and the full persistence criterion is
-    applied to the flattened graph (an implementation fallback, not a
-    shortcut the theory provides).
-    """
+    """``flattened_persistence``, after checking every meta-vertex is persistent."""
     for i, mv in enumerate(meta.meta_vertices):
         sub = is_persistent(mv, dim, seed=seed, trials=trials)
         if not sub.persistent:
             raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
+    return flattened_persistence(meta, dim, seed=seed, trials=trials)
+
+
+def flattened_persistence(
+    meta: MetaFormation,
+    dim: int,
+    seed: int = DEFAULT_SEED,
+    trials: int = DEFAULT_TRIALS,
+) -> PersistenceVerdict:
+    """Persistence of a flattened meta-formation whose members are persistent.
+
+    When all inter-edges leave local DOFs, persistence of the merge
+    reduces to rigidity of the flattened graph, skipping terminal
+    enumeration.  Otherwise no merge-aware criterion is known and the
+    full persistence criterion is applied to the flattened graph (an
+    implementation fallback, not a shortcut the theory provides).
+    """
     flat = meta.flatten()
     compliant, _ = local_dof_compliance(meta, dim)
     if not compliant:
         return is_persistent(flat, dim, seed=seed, trials=trials)
-    led = ledger(flat, dim)
     verdict = check_rigidity(flat.underlying(), dim, seed=seed, trials=trials)
     if not verdict.rigid:
         # Not rigid implies not persistent; run the full criterion to
         # produce a proper terminal-subgraph witness.
         return is_persistent(flat, dim, seed=seed, trials=trials)
-    if dim == 2:
-        structurally = True
-    else:
-        structurally = len(led.leaders) <= 1
-    return PersistenceVerdict(
-        persistent=True,
-        structurally_persistent=structurally,
-        minimally_persistent=verdict.minimally_rigid,
-        ledger=led,
-        witness_leaders=led.leaders if not structurally else None,
-        seed=seed if dim == 3 else None,
-    )
+    return _verdict(ledger(flat, dim), verdict.minimally_rigid, seed)

@@ -25,13 +25,13 @@ from dataclasses import dataclass
 
 from .errors import InfeasibleMergeError, NotPersistentError
 from .graph import Edge, Formation, MetaFormation
-from .meta import edge_optimal_persistent, meta_rigid
+from .meta import merge_bound, size_classes
 from .persistence import (
     DofLedger,
+    flattened_persistence,
     is_persistent,
     ledger,
     local_dof_compliance,
-    merged_persistence,
 )
 from .rigidity import (
     DEFAULT_SEED,
@@ -61,14 +61,52 @@ def missing_dof(
     dim: int,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    check: bool = True,
 ) -> MissingDof:
     """Capacity of the formation's size class minus its actual total DOFs."""
-    if check and not is_persistent(f, dim, seed=seed, trials=trials).persistent:
+    verdict = is_persistent(f, dim, seed=seed, trials=trials)
+    if not verdict.persistent:
         raise NotPersistentError("missing DOFs are defined for persistent formations")
     cap = dof_constant(dim, len(f.vertices))
-    total = ledger(f, dim).total_dof
+    total = verdict.ledger.total_dof
     return MissingDof(value=cap - total, capacity=cap, total_dof=total)
+
+
+def _missing(f: Formation, led: DofLedger) -> int:
+    """``missing_dof(f).value`` for a formation already proved persistent."""
+    return dof_constant(led.dim, len(f.vertices)) - led.total_dof
+
+
+@dataclass(frozen=True)
+class ProvedMembers:
+    """A collection proved persistent in ``dim``, with each member's ledger and
+    missing DOF; ``feasibility``, ``plan_collection`` and ``verify_plan``
+    take it in place of the collection."""
+
+    formations: tuple[Formation, ...]
+    dim: int
+    ledgers: tuple[DofLedger, ...]
+    missing: tuple[int, ...]
+
+
+def prove_members(
+    collection,
+    dim: int,
+    seed: int = DEFAULT_SEED,
+    trials: int = DEFAULT_TRIALS,
+) -> ProvedMembers:
+    """Prove each member persistent, once and in order; a record for ``dim`` is kept as is."""
+    if isinstance(collection, ProvedMembers):
+        if collection.dim == dim:
+            return collection
+        collection = collection.formations
+    formations, ledgers = tuple(collection), []
+    for i, f in enumerate(formations):
+        verdict = is_persistent(f, dim, seed=seed, trials=trials)
+        if not verdict.persistent:
+            raise NotPersistentError(f"collection member {i} is not persistent in {dim}D")
+        ledgers.append(verdict.ledger)
+    missing = tuple(_missing(f, led) for f, led in zip(formations, ledgers))
+    return ProvedMembers(formations, dim, tuple(ledgers), missing)
 
 
 REASON_OK = "ok"
@@ -101,9 +139,22 @@ def _is_lone_leader(f: Formation, led: DofLedger) -> bool:
     )
 
 
-def _is_nonstructural(f: Formation, led: DofLedger) -> bool:
-    """Persistent with two leaders (hence 6 DOFs, all on them), 3+ vertices."""
-    return len(f.vertices) >= 3 and len(led.leaders) == 2
+def _pair_refusal_3d(ga, led_a, gb, led_b) -> InfeasibleMergeError | None:
+    """Why a 3D pair of persistent formations has no persistent merge."""
+    for f1, l1, l2 in ((ga, led_a, led_b), (gb, led_b, led_a)):
+        # Two leaders on 3+ vertices: persistent, not structurally, with
+        # all 6 DOFs on the leaders.
+        if len(f1.vertices) >= 3 and len(l1.leaders) == 2 and l2.total_dof == 0:
+            return InfeasibleMergeError(
+                "one formation is not structurally persistent and the other has no DOF",
+                REASON_NONSTRUCTURAL_ZERO,
+            )
+    if _is_lone_leader(ga, led_a) and _is_lone_leader(gb, led_b):
+        return InfeasibleMergeError(
+            "both formations have a single 3-DOF leader and no other DOF",
+            REASON_TWO_LONE_LEADERS,
+        )
+    return None
 
 
 def feasibility(
@@ -113,26 +164,18 @@ def feasibility(
     trials: int = DEFAULT_TRIALS,
 ) -> Feasibility:
     """Can the collection be merged into a persistent formation?"""
-    for i, f in enumerate(collection):
-        if not is_persistent(f, dim, seed=seed, trials=trials).persistent:
-            raise NotPersistentError(f"collection member {i} is not persistent in {dim}D")
-    total_vertices = sum(len(f.vertices) for f in collection)
+    members = prove_members(collection, dim, seed=seed, trials=trials)
+    total_vertices = sum(len(f.vertices) for f in members.formations)
     if total_vertices < dim:
         return Feasibility(False, REASON_TOO_FEW_VERTICES)
-    total_missing = sum(
-        missing_dof(f, dim, check=False).value for f in collection
-    )
+    total_missing = sum(members.missing)
     budget = 3 if dim == 2 else 6
     if total_missing > budget:
         return Feasibility(False, REASON_MISSING_DOF, total_missing)
-    if dim == 3 and len(collection) == 2:
-        a, b = collection
-        la, lb = ledger(a, 3), ledger(b, 3)
-        for f1, l1, f2, l2 in ((a, la, b, lb), (b, lb, a, la)):
-            if _is_nonstructural(f1, l1) and l2.total_dof == 0:
-                return Feasibility(False, REASON_NONSTRUCTURAL_ZERO, total_missing)
-        if _is_lone_leader(a, la) and _is_lone_leader(b, lb):
-            return Feasibility(False, REASON_TWO_LONE_LEADERS, total_missing)
+    if dim == 3 and len(members.formations) == 2:
+        (a, b), (la, lb) = members.formations, members.ledgers
+        if refusal := _pair_refusal_3d(a, la, b, lb):
+            return Feasibility(False, refusal.reason, total_missing)
     return Feasibility(True, REASON_OK, total_missing)
 
 
@@ -195,7 +238,7 @@ def _required_pair_edges(na: int, nb: int, dim: int) -> int:
     return table[tuple(small)]
 
 
-def _consumption_vectors(ga, gb, led_a, led_b, required, dim):
+def _consumption_vectors(ga, gb, led_a, led_b, required):
     """DOF-consumption candidates, greedy-largest-first, residual-safe first.
 
     Each candidate maps vertex -> consumed DOFs (sum = required, bounded
@@ -204,7 +247,6 @@ def _consumption_vectors(ga, gb, led_a, led_b, required, dim):
     are sorted last: such residues would make every remaining DOF sit on
     a leader of the merged graph.
     """
-    sides = {v: 0 for v in ga.vertices} | {v: 1 for v in gb.vertices}
     opp_size = (len(gb.vertices), len(ga.vertices))
     dofs = [
         (v, d, 0) for v, d in sorted(led_a.dof.items()) if d > 0
@@ -329,9 +371,7 @@ def plan_pair(
     inter-edges, every tail consuming one local DOF.
     """
     if check:
-        for name, f in (("first", ga), ("second", gb)):
-            if not is_persistent(f, dim, seed=seed, trials=trials).persistent:
-                raise NotPersistentError(f"{name} formation is not persistent in {dim}D")
+        prove_members((ga, gb), dim, seed=seed, trials=trials)
     led_a, led_b = ledger(ga, dim), ledger(gb, dim)
     na, nb = len(ga.vertices), len(gb.vertices)
     required = _required_pair_edges(na, nb, dim)
@@ -341,18 +381,8 @@ def plan_pair(
             f"{required} inter-edges needed but only {available} local DOFs available",
             REASON_MISSING_DOF,
         )
-    if dim == 3 and na >= 3 and nb >= 3 and available == 6:
-        for f1, l1, f2, l2 in ((ga, led_a, gb, led_b), (gb, led_b, ga, led_a)):
-            if _is_nonstructural(f1, l1) and l2.total_dof == 0:
-                raise InfeasibleMergeError(
-                    "one formation is not structurally persistent and the other has no DOF",
-                    REASON_NONSTRUCTURAL_ZERO,
-                )
-        if _is_lone_leader(ga, led_a) and _is_lone_leader(gb, led_b):
-            raise InfeasibleMergeError(
-                "both formations have a single 3-DOF leader and no other DOF",
-                REASON_TWO_LONE_LEADERS,
-            )
+    if dim == 3 and (refusal := _pair_refusal_3d(ga, led_a, gb, led_b)):
+        raise refusal
 
     @functools.cache
     def member_rows() -> FixedBaseRank:
@@ -365,7 +395,7 @@ def plan_pair(
         )
         return FixedBaseRank(members.underlying(), 3, seed=seed, trials=trials)
 
-    for cand in _consumption_vectors(ga, gb, led_a, led_b, required, dim):
+    for cand in _consumption_vectors(ga, gb, led_a, led_b, required):
         tails = []
         for v in sorted(cand, key=lambda v: (-cand[v], v)):
             tails.extend([v] * cand[v])
@@ -388,27 +418,15 @@ def plan_pair(
     )
 
 
-def _merge_order(collection, dim, seed, trials) -> list[int]:
+def _merge_order(members: ProvedMembers) -> list[int]:
     """Fold order: ascending missing DOF, special 3D members last."""
-    infos = []
-    for i, f in enumerate(collection):
-        led = ledger(f, dim)
-        m = missing_dof(f, dim, check=False).value
-        infos.append((i, f, led, m))
+    formations, ledgers = members.formations, members.ledgers
     last: int | None = None
-    if dim == 3:
-        zero = [i for i, f, led, _ in infos if led.total_dof == 0]
-        lone = [i for i, f, led, _ in infos if _is_lone_leader(f, led)]
-        if zero:
-            last = zero[0]
-        elif lone:
-            last = lone[0]
-    rest = [x for x in infos if x[0] != last]
-    rest.sort(key=lambda x: (x[3], x[0]))
-    order = [i for i, *_ in rest]
-    if last is not None:
-        order.append(last)
-    return order
+    if members.dim == 3:
+        zero = [i for i, led in enumerate(ledgers) if led.total_dof == 0]
+        lone = [i for i, f in enumerate(formations) if _is_lone_leader(f, ledgers[i])]
+        last = (zero or lone or [None])[0]
+    return sorted(range(len(formations)), key=lambda i: (i == last, members.missing[i], i))
 
 
 def plan_collection(
@@ -423,18 +441,16 @@ def plan_collection(
     count lands exactly on the counting bound of the classified
     collection.
     """
-    collection = list(collection)
-    feas = feasibility(collection, dim, seed=seed, trials=trials)
+    members = prove_members(collection, dim, seed=seed, trials=trials)
+    feas = feasibility(members, dim, seed=seed, trials=trials)
     if not feas.feasible:
         raise InfeasibleMergeError(f"collection cannot be merged: {feas.reason}", feas.reason)
-    if len(collection) == 1:
-        return MergePlan(edges=(), merge_order=(0,))
-    order = _merge_order(collection, dim, seed, trials)
-    acc = collection[order[0]]
-    acc_missing = missing_dof(acc, dim, check=False).value
+    order = _merge_order(members)
+    acc = members.formations[order[0]]
+    acc_missing = members.missing[order[0]]
     edges: list[PlanEdge] = []
     for step, idx in enumerate(order[1:], start=1):
-        member = collection[idx]
+        member = members.formations[idx]
         pair_plan = plan_pair(acc, member, dim, seed=seed, trials=trials, check=False)
         edges.extend(
             PlanEdge(tail=e.tail, head=e.head, rule=e.rule, step=step)
@@ -444,12 +460,11 @@ def plan_collection(
             vertices=tuple(acc.vertices) + tuple(member.vertices),
             edges=tuple(acc.edges) + tuple(member.edges) + pair_plan.edge_pairs(),
         )
-        member_missing = missing_dof(member, dim, check=False).value
-        new_missing = missing_dof(merged, dim, check=False).value
-        if new_missing != acc_missing + member_missing:
+        new_missing = _missing(merged, ledger(merged, dim))
+        if new_missing != acc_missing + members.missing[idx]:
             raise AssertionError(
                 f"missing-DOF conservation broken at step {step}: "
-                f"{new_missing} != {acc_missing} + {member_missing}"
+                f"{new_missing} != {acc_missing} + {members.missing[idx]}"
             )
         acc, acc_missing = merged, new_missing
     return MergePlan(edges=tuple(edges), merge_order=tuple(order))
@@ -481,31 +496,26 @@ def verify_plan(
     trials: int = DEFAULT_TRIALS,
 ) -> PlanReport:
     """Closed-loop check of a plan against its collection."""
-    meta = plan.apply(collection)
-    verdict = merged_persistence(meta, dim, seed=seed, trials=trials)
+    members = prove_members(collection, dim, seed=seed, trials=trials)
+    meta = plan.apply(members.formations)
+    verdict = flattened_persistence(meta, dim, seed=seed, trials=trials)
     flat = meta.flatten()
     optimal = False
     if verdict.persistent:
-        if dim == 3 and len(flat.vertices) < 3 and len(collection) == 2:
-            # Below three vertices the meta counting formula does not
-            # apply; minimality comes from the pairwise size table.
-            compliant, _ = local_dof_compliance(meta, dim)
-            required = _required_pair_edges(
-                len(collection[0].vertices), len(collection[1].vertices), 3
-            )
-            optimal = compliant and len(plan.edges) == required
+        if dim == 3 and len(flat.vertices) < 3 and len(members.formations) == 2:
+            # Two singletons: below three vertices the meta counting formula
+            # does not apply; minimality comes from the pairwise size table.
+            bound = _required_pair_edges(1, 1, 3)
         else:
-            optimal = edge_optimal_persistent(
-                meta, meta_rigid(meta, dim, seed=seed, trials=trials)
-            )
-    member_missing = sum(
-        missing_dof(f, dim, check=False).value for f in collection
-    )
-    merged_missing = missing_dof(flat, dim, check=False).value
+            bound = merge_bound(size_classes(meta, dim))
+        # A persistent merge is rigid, so it is edge-optimal when it meets
+        # the bound, and edge-optimal persistent when it is also compliant.
+        compliant, _ = local_dof_compliance(meta, dim)
+        optimal = compliant and len(plan.edges) == bound
     return PlanReport(
         persistent=verdict.persistent,
         structurally_persistent=verdict.structurally_persistent,
         edge_optimal_persistent=optimal,
-        missing_dof_conserved=merged_missing == member_missing,
+        missing_dof_conserved=_missing(flat, verdict.ledger) == sum(members.missing),
         ledger=verdict.ledger,
     )

@@ -534,12 +534,12 @@ class IncrementalRank:
 class FixedBaseRank:
     """Rank oracle for one fixed base edge set plus a few extra edges.
 
-    ``full_rank(extra)`` equals ``generic_rank_oracle(g + extra, dim,
-    seed, trials) == required_rank(dim, n)`` for the graph g on the same
-    vertices: trial t places the vertices exactly as that oracle's trial t
-    does (``trial_placements`` over g's vertex order), and both ranks are
-    exact over GF(p).  The base rows are reduced into an
-    ``IncrementalRank`` once per trial, and each extra edge's row is
+    ``first_full_rank([extra]) == 0`` equals ``generic_rank_oracle(g +
+    extra, dim, seed, trials) == required_rank(dim, n)`` for the graph g
+    on the same vertices: trial t places the vertices exactly as that
+    oracle's trial t does (``trial_placements`` over g's vertex order),
+    and both ranks are exact over GF(p).  The base rows are reduced into
+    an ``IncrementalRank`` once per trial, and each extra edge's row is
     reduced against them once per trial, so a query only eliminates its
     own few rows, restricted to the columns that hold no base pivot.
     ``first_full_rank`` answers that question for many extra edge sets at
@@ -577,10 +577,6 @@ class FixedBaseRank:
             )
             self._trials.append((positions, base, free, {}))
         return self._trials[t]
-
-    def full_rank(self, extra) -> bool:
-        """Does the base plus the extra edges (new vertex pairs) reach full rank?"""
-        return self.first_full_rank([extra]) == 0
 
     def first_full_rank(self, leaves) -> int | None:
         """Index of the first extra edge set that reaches full rank, or None.

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metaform import cli, meta, persistence, planner, rigidity
 from metaform.cli import main
 from metaform.errors import InputError
 from metaform.graph import (
@@ -18,7 +19,7 @@ from metaform.graph import (
     parse_meta_formation,
 )
 
-from conftest import complete, lone_leader_3d, shift, triangle
+from conftest import complete, lone_leader_3d, pair, shift, singleton, triangle
 
 
 def write(tmp_path, name, f):
@@ -31,6 +32,21 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def count_calls(monkeypatch, fn):
+    """Arguments of every call to ``fn``, under each name metaform binds it to."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in (meta, persistence, planner, rigidity, cli):
+        for name, value in vars(module).items():
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 class TestCheckCommands:
@@ -225,6 +241,18 @@ class TestDocumentShape:
         assert "vertex 3 appears in meta-vertices 0 and 1" in err
         assert err.endswith("(at collection[1])\n")
 
+    def test_verify_plan_of_one_singleton_in_2d_exits_two(self, tmp_path, capsys):
+        err = self.verify_plan_error(tmp_path, capsys, [singleton(1)], [])
+        assert err == "error: merged graph needs at least two vertices\n"
+
+    def test_verify_plan_of_one_pair_in_3d_exits_two(self, tmp_path, capsys):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({
+            "collection": [pair(1, 2).to_dict()], "plan": {"edges": []}, "dim": 3,
+        }))
+        assert main(["verify-plan", str(p)]) == 2
+        assert capsys.readouterr().err == "error: merged graph needs at least three vertices\n"
+
 
 FUZZ_KEYS = (
     "vertices", "edges", "metaVertices", "interEdges", "collection",
@@ -307,6 +335,38 @@ class TestPlanCommands:
         assert main(["plan-merge", a, b, c, "--dim", "3"]) == 2
         err = capsys.readouterr().err
         assert err == f"error: vertex 4 is also a vertex of {a} (at {c}, vertices[3])\n"
+
+    def test_parse_error_is_located_in_its_member_file(self, tmp_path, capsys):
+        good = write(tmp_path, "good.json", complete(4, 1))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"vertices": [5, 6.0]}')
+        assert main(["plan-merge", good, str(bad), "--dim", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: expected an integer, got 6.0 (at {bad}, vertices[1])\n"
+
+    def test_malformed_member_file_is_named(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{")
+        assert main(["plan-merge", str(bad), "--dim", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON") and err.endswith(f"(at {bad})\n")
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_each_member_is_proved_persistent_once(self, tmp_path, capsys, monkeypatch, dim):
+        members = [complete(4, 1), pair(8, 9), singleton(12)]
+        files = [write(tmp_path, f"m{i}.json", f) for i, f in enumerate(members)]
+        proved = count_calls(monkeypatch, persistence.is_persistent)
+        forbidden = [
+            count_calls(monkeypatch, fn)
+            for fn in (meta.meta_rigid, meta.meta_rigid_2d, meta.meta_rigid_3d,
+                       rigidity.minimally_rigid_spanning)
+        ]
+        code, out = run(capsys, ["plan-merge", *files, "--dim", str(dim)])
+        assert code == 0
+        assert json.loads(out)["verification"]["edgeOptimalPersistent"] is True
+        assert [args[0].vertices for args in proved] == [f.vertices for f in members]
+        assert forbidden == [[], [], [], []]
 
     def test_infeasible_pair_exits_one_with_reason(self, tmp_path, capsys):
         a = write(tmp_path, "a.json", lone_leader_3d(1))

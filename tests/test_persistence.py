@@ -61,10 +61,6 @@ class TestTerminalSubgraphs:
         )
         assert len(terminal_subgraphs(f, 2)) == 6  # C(4, 2)
 
-    def test_trace_only_removes_excess_tails(self):
-        for t in terminal_subgraphs(complete(4), 2):
-            assert all(e[0] == 4 for e in t.trace)
-
 
 class TestIsPersistent:
     def test_rigid_but_not_persistent(self):

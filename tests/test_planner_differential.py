@@ -1,4 +1,4 @@
-"""3D head search against the per-leaf rank-oracle reference.
+"""3D head search and plan verification against their earlier references.
 
 3D head-search leaves are validated a chunk at a time by
 ``FixedBaseRank.first_full_rank``: the members' internal rows are reduced
@@ -7,6 +7,11 @@ eliminated, in one batch.  The reference below is the earlier search,
 which built the merged formation and ran ``generic_rank_oracle`` on it at
 every leaf; both must emit the same plans, after using the same number
 of leaves from the search budget.
+
+``verify_plan`` takes its members as proved persistent once and decides
+edge-optimality from the persistence verdict and the size classes.  Its
+reference is the earlier body, which re-proved every member and asked a
+gadget-substituted ``meta_rigid`` verdict; both must give the same report.
 """
 import importlib.util
 import random
@@ -19,8 +24,24 @@ from metaform import planner, rigidity
 from metaform.errors import InfeasibleMergeError
 from metaform.generate import gen
 from metaform.graph import Formation, UndirectedView
-from metaform.planner import HEAD_SEARCH_LEAF_CAP, plan_collection, plan_pair
-from metaform.rigidity import FixedBaseRank, generic_rank_oracle, required_rank
+from metaform.meta import edge_optimal_persistent, meta_rigid
+from metaform.persistence import ledger, local_dof_compliance, merged_persistence
+from metaform.planner import (
+    HEAD_SEARCH_LEAF_CAP,
+    MergePlan,
+    PlanEdge,
+    PlanReport,
+    plan_collection,
+    plan_pair,
+    prove_members,
+    verify_plan,
+)
+from metaform.rigidity import (
+    FixedBaseRank,
+    dof_constant,
+    generic_rank_oracle,
+    required_rank,
+)
 
 from conftest import (
     complete,
@@ -28,6 +49,7 @@ from conftest import (
     pair,
     shift,
     singleton,
+    triangle,
     zero_dof_3d,
 )
 
@@ -139,13 +161,13 @@ def both(monkeypatch, plan, *args, seed, trials, **kwargs):
     return new, old, sum(leaves), len(ref_leaves)
 
 
-def survey_collections(count):
+def survey_collections(count, dim=3):
     """Collections drawn by ``scripts/merge_survey.py``'s generator."""
     spec = importlib.util.spec_from_file_location("merge_survey", SCRIPTS / "merge_survey.py")
     survey = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(survey)
     rng = random.Random(20070703)
-    return [survey.random_collection(rng, 3) for _ in range(count)]
+    return [survey.random_collection(rng, dim) for _ in range(count)]
 
 
 def five(seed, base):
@@ -262,7 +284,7 @@ def test_full_rank_equals_the_rank_oracle(case, seed, trials):
     for extra in queries:
         merged = UndirectedView(vertices, tuple(base) + tuple(extra))
         expected.append(generic_rank_oracle(merged, dim, seed=seed, trials=trials) == target)
-        assert oracle.full_rank(extra) == expected[-1]
+        assert (oracle.first_full_rank([extra]) == 0) == expected[-1]
     first = FixedBaseRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
     assert first.first_full_rank(queries) == next(
         (i for i, ok in enumerate(expected) if ok), None
@@ -319,5 +341,114 @@ def test_full_rank_on_named_cases(base, extra, expected):
     g = UndirectedView(vertices, base)
     oracle = FixedBaseRank(g, 3)
     merged = UndirectedView(vertices, base + extra)
-    assert oracle.full_rank(extra) == expected
+    assert (oracle.first_full_rank([extra]) == 0) == expected
     assert (generic_rank_oracle(merged, 3) == required_rank(3, len(vertices))) == expected
+
+
+def reference_verify_plan(collection, plan, dim, seed, trials):
+    """``verify_plan`` as it was: ``merged_persistence`` re-proves every
+    member, and edge-optimality comes from a ``meta_rigid`` verdict."""
+    meta = plan.apply(collection)
+    verdict = merged_persistence(meta, dim, seed=seed, trials=trials)
+    flat = meta.flatten()
+    optimal = False
+    if verdict.persistent:
+        if dim == 3 and len(flat.vertices) < 3 and len(collection) == 2:
+            compliant, _ = local_dof_compliance(meta, dim)
+            required = planner._required_pair_edges(
+                len(collection[0].vertices), len(collection[1].vertices), 3
+            )
+            optimal = compliant and len(plan.edges) == required
+        else:
+            optimal = edge_optimal_persistent(
+                meta, meta_rigid(meta, dim, seed=seed, trials=trials)
+            )
+
+    def missing(f):
+        return dof_constant(dim, len(f.vertices)) - ledger(f, dim).total_dof
+
+    return PlanReport(
+        persistent=verdict.persistent,
+        structurally_persistent=verdict.structurally_persistent,
+        edge_optimal_persistent=optimal,
+        missing_dof_conserved=missing(flat) == sum(missing(f) for f in collection),
+        ledger=verdict.ledger,
+    )
+
+
+def widened(plan, collection, dim):
+    """The plan plus one new inter-edge from a vertex with a spare local
+    DOF, or None when no vertex has one."""
+    spare = {}
+    for f in collection:
+        spare.update(ledger(f, dim).dof)
+    for e in plan.edges:
+        spare[e.tail] -= 1
+    present = {frozenset(e.pair()) for e in plan.edges}
+    for t in sorted(v for v, d in spare.items() if d > 0):
+        owner = next(i for i, f in enumerate(collection) if t in f.vertex_set)
+        heads = [h for i, f in enumerate(collection) if i != owner for h in f.vertices]
+        for h in heads:
+            if frozenset((t, h)) not in present:
+                extra = PlanEdge(tail=t, head=h, rule="extra")
+                return MergePlan(edges=plan.edges + (extra,), merge_order=plan.merge_order)
+    return None
+
+
+COLLECTIONS_2D = {f"survey-2d-{i}": c for i, c in enumerate(survey_collections(4, dim=2))}
+COLLECTIONS_2D.update(
+    {
+        "triangle-triangle": [triangle(1), triangle(4)],
+        "K4-triangle-singleton": [complete(4, 1), triangle(5), singleton(8)],
+        "singleton-singleton": [singleton(1), singleton(2)],
+        "pair-singleton": [pair(1, 2), singleton(3)],
+        "triangles-and-pair": [triangle(1), triangle(4), triangle(7), pair(10, 11)],
+    }
+)
+VERIFY_CASES = [(3, name) for name in sorted(COLLECTIONS)] + [
+    (2, name) for name in sorted(COLLECTIONS_2D)
+]
+
+
+def plans_to_verify(coll, dim, seed=rigidity.DEFAULT_SEED, trials=rigidity.DEFAULT_TRIALS):
+    """The collection's plan, that plan widened by one compliant edge,
+    without its last edge, and with its last edge reversed (which may
+    break compliance).  A refused collection gets no edges, and one edge
+    between its first two members."""
+    try:
+        plan = plan_collection(coll, dim, seed=seed, trials=trials)
+    except InfeasibleMergeError:
+        bridge = (PlanEdge(coll[0].vertices[0], coll[1].vertices[0], "bridge"),)
+        return [MergePlan(edges=()), MergePlan(edges=bridge)]
+    plans = [plan, widened(plan, coll, dim)]
+    if plan.edges:
+        *rest, last = plan.edges
+        reversed_last = PlanEdge(tail=last.head, head=last.tail, rule="reversed")
+        plans += [MergePlan(edges=tuple(rest)), MergePlan(edges=(*rest, reversed_last))]
+    return [p for p in plans if p is not None]
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("dim, name", VERIFY_CASES)
+def test_verify_plan_matches_reference(dim, name, seed, trials):
+    coll = (COLLECTIONS if dim == 3 else COLLECTIONS_2D)[name]
+    members = prove_members(coll, dim, seed=seed, trials=trials)
+    for p in plans_to_verify(coll, dim, seed, trials):
+        expected = reference_verify_plan(coll, p, dim, seed, trials).to_dict()
+        assert verify_plan(coll, p, dim, seed=seed, trials=trials).to_dict() == expected
+        assert verify_plan(members, p, dim, seed=seed, trials=trials).to_dict() == expected
+
+
+def test_verify_corpus_reaches_every_verdict():
+    """Edge-optimal persistent, persistent but not edge-optimal, and not
+    persistent merges, with and without local-DOF compliance."""
+    seen = set()
+    for dim, name in VERIFY_CASES:
+        coll = (COLLECTIONS if dim == 3 else COLLECTIONS_2D)[name]
+        for p in plans_to_verify(coll, dim):
+            report = verify_plan(coll, p, dim)
+            compliant, _ = local_dof_compliance(p.apply(coll), dim)
+            seen.add((report.persistent, report.edge_optimal_persistent, compliant))
+    assert {(True, True, True), (True, False, True), (False, False, True)} <= seen
+    assert (False, False, False) in seen
