@@ -5,7 +5,19 @@ repeatedly deleting outgoing edges at vertices whose out-degree exceeds
 the dimension, is rigid.  A deletion changes only its tail's out-degree,
 so the terminal subgraphs are the product of independent per-vertex
 choices of which ``dim`` out-edges to keep, and their number is known
-before any is built.
+before any is built.  ``terminal_subgraphs`` returns that product as a
+lazy sequence; no list of terminals is built.
+
+In 2D one pebble game walks the product tree depth first, in product
+order: going down a level inserts one vertex's kept edges, going back up
+removes the edges that were accepted.  Removing an edge returns its
+pebble to whichever endpoint it now leaves, so every vertex keeps
+pebbles + out-degree = 2, and so does every vertex set in total.  The
+game's answers rest only on those counts (Lee & Streinu, *Pebble game
+algorithms and sparse graphs*, 2008), so after a removal they are those
+of a fresh game on the edges that remain.  A subtree whose rank plus the
+edges still to come is short of 2n - 3 fails in every terminal, and its
+first terminal is the witness.
 
 In 3D every terminal keeps the formation's vertices in the same order, so
 trial t of each terminal's rank oracle places them the same way, and a
@@ -17,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +39,7 @@ from .graph import Edge, Formation, MetaFormation, UndirectedView
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    PebbleGame2D,
     batch_rank_mod_p,
     check_rigidity,
     required_rank,
@@ -82,17 +96,50 @@ class TerminalSubgraph:
     retained: tuple[Edge, ...]
 
 
+class TerminalSubgraphs(Sequence):
+    """The terminal subgraphs of a formation, sorted by retained edge set.
+
+    ``blocks`` holds, per tail in sorted order, the combinations of
+    out-edges that tail may keep; a terminal is one choice per block,
+    concatenated.  Each block's choices come sorted and share one length,
+    so product order is sorted order, and terminal i is built from the
+    mixed-radix digits of i only when it is asked for.
+    """
+
+    def __init__(self, blocks: tuple[tuple[tuple[Edge, ...], ...], ...]):
+        self.blocks = blocks
+        self._count = math.prod(len(b) for b in blocks)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._count))]
+        if i < 0:
+            i += self._count
+        if not 0 <= i < self._count:
+            raise IndexError("terminal index out of range")
+        choice = []
+        for block in reversed(self.blocks):
+            i, digit = divmod(i, len(block))
+            choice.append(block[digit])
+        return TerminalSubgraph(retained=tuple(e for kept in reversed(choice) for e in kept))
+
+    def __iter__(self):
+        for choice in itertools.product(*self.blocks):
+            yield TerminalSubgraph(retained=tuple(e for kept in choice for e in kept))
+
+
 def terminal_subgraphs(
     f: Formation, dim: int, cap: int = TERMINAL_SET_CAP
-) -> list[TerminalSubgraph]:
-    """All terminal subgraphs, sorted by retained edge set.
+) -> TerminalSubgraphs:
+    """All terminal subgraphs, sorted by retained edge set, built on demand.
 
     A vertex with out-degree d > dim keeps one of the C(d, dim)
     combinations of its out-edges and drops the rest; every other vertex
-    keeps all of its out-edges.  Blocks are taken per tail in sorted
-    order and each has a fixed length, so the product comes out sorted.
-    Raises ResourceLimitError, before building any terminal, when their
-    number exceeds ``cap``.
+    keeps all of its out-edges.  Raises ResourceLimitError, before
+    building any block or terminal, when their number exceeds ``cap``.
     """
     out: dict[int, list[Edge]] = {}
     for e in sorted(f.edges):
@@ -102,11 +149,9 @@ def terminal_subgraphs(
         raise ResourceLimitError(
             f"formation has {count} terminal subgraphs, above the cap of {cap}"
         )
-    blocks = [itertools.combinations(es, min(len(es), dim)) for es in out.values()]
-    return [
-        TerminalSubgraph(retained=tuple(e for kept in choice for e in kept))
-        for choice in itertools.product(*blocks)
-    ]
+    return TerminalSubgraphs(
+        tuple(tuple(itertools.combinations(es, min(len(es), dim))) for es in out.values())
+    )
 
 
 @dataclass(frozen=True)
@@ -154,8 +199,62 @@ def _verdict(led: DofLedger, minimally: bool, seed: int, witness=None) -> Persis
     )
 
 
+def _first_nonrigid_terminal_2d(f: Formation, terminals: TerminalSubgraphs) -> int | None:
+    """Index of the first terminal the pebble game finds not rigid, or None.
+
+    Needs three or more vertices.  One game walks the product tree depth
+    first, in product order: going down a level inserts that block's
+    choice, going back up removes the edges it accepted.  Levels come off
+    in reverse order, so the edges an insert rejected stay dependent on
+    edges still in the game, and the game's rank is always that of the
+    prefix's edge set.  Blocks with a single choice are in every terminal
+    and are inserted once, before the walk.  A prefix whose rank plus the
+    edges still to come falls short of 2n - 3 fails in every terminal
+    below it, so the first of those is the first failing terminal; a
+    prefix already at full rank passes in every terminal below it.
+    """
+    target = 2 * len(f.vertices) - 3
+    game = PebbleGame2D(f.vertices)
+    levels = []
+    for b, block in enumerate(terminals.blocks):
+        if len(block) == 1:
+            for e in block[0]:
+                game.insert(e)
+        else:
+            levels.append(b)
+    # to_come[k]: edges that levels k and below add to every terminal.
+    to_come = [0] * (len(levels) + 1)
+    for k in reversed(range(len(levels))):
+        to_come[k] = to_come[k + 1] + len(terminals.blocks[levels[k]][0])
+    digits = [0] * len(terminals.blocks)
+    added: list[list[Edge]] = []
+    while True:
+        k = len(added)
+        rank = game.rank()
+        if rank + to_come[k] < target:
+            index = 0
+            for block, digit in zip(terminals.blocks, digits):
+                index = index * len(block) + digit
+            return index
+        if k < len(levels) and rank < target:
+            kept = terminals.blocks[levels[k]][digits[levels[k]]]
+            added.append([e for e in kept if game.insert(e)])
+            continue
+        # Every terminal below this prefix is rigid: go to the next one.
+        while added:
+            for e in added.pop():
+                game.remove(e)
+            b = levels[len(added)]
+            digits[b] += 1
+            if digits[b] < len(terminals.blocks[b]):
+                break
+            digits[b] = 0
+        else:
+            return None
+
+
 def _first_nonrigid_terminal_3d(
-    f: Formation, terminals: list[TerminalSubgraph], seed: int, trials: int
+    f: Formation, terminals: TerminalSubgraphs, seed: int, trials: int
 ) -> int | None:
     """Index of the first terminal ``rigid_3d_check`` finds not rigid, or None.
 
@@ -180,8 +279,9 @@ def _first_nonrigid_terminal_3d(
     placements = trial_placements(g.vertices, 3, seed)
     matrices: list[np.ndarray] = []
     size = max(1, TERMINAL_BATCH_CELLS // (width * 3 * len(g.vertices)))
-    for start in range(0, len(terminals), size):
-        batch = terminals[start : start + size]
+    pending = iter(terminals)
+    start = 0
+    while batch := list(itertools.islice(pending, size)):
         rows = np.array([[row_of[e] for e in t.retained] for t in batch], dtype=np.intp)
         short = np.arange(len(batch))
         for t in range(trials):
@@ -192,6 +292,7 @@ def _first_nonrigid_terminal_3d(
                 break
         if short.size:
             return start + int(short[0])
+        start += len(batch)
     return None
 
 
@@ -212,8 +313,11 @@ def is_persistent(
     # Terminals come sorted by retained edge set, so the first non-rigid
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
+    n = len(f.vertices)
     first = None
-    if dim == 3 and len(f.vertices) > 2:
+    if n > 2 and dim == 2:
+        first = _first_nonrigid_terminal_2d(f, terminals)
+    elif n > 2 and dim == 3:
         first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
     else:
         for i, term in enumerate(terminals):
@@ -223,8 +327,14 @@ def is_persistent(
                 break
     if first is not None:
         return _verdict(led, False, seed, witness=terminals[first].retained)
-    full = check_rigidity(f.underlying(), dim, seed=seed, trials=trials)
-    return _verdict(led, full.minimally_rigid, seed)
+    # Every terminal is rigid, and so is the whole formation: a terminal
+    # has the same vertices and a subset of its edges, and in 3D trial t
+    # places the vertices the same way for both, so the whole graph
+    # reaches full rank at the first trial where a terminal did.  A
+    # Formation has one edge per unordered pair, so it is minimally rigid
+    # exactly when it has required_rank edges (0 and 1 for n = 1 and 2,
+    # as laman_check_2d and rigid_3d_check say).
+    return _verdict(led, len(f.edges) == required_rank(dim, n), seed)
 
 
 def local_dof_compliance(

@@ -112,7 +112,10 @@ class PebbleGame2D:
 
     Each vertex carries 2 pebbles; inserting an edge requires gathering 4
     pebbles on its endpoints, reversing oriented paths to free them.  The
-    number of accepted edges equals the rank of the edge set.
+    number of accepted edges equals the rank of the edge set.  Every
+    vertex keeps pebbles + out-degree = 2, which is all that the
+    accept/reject answers rely on, so ``remove`` can take an accepted edge
+    back out in place.
     """
 
     def __init__(self, vertices):
@@ -160,6 +163,23 @@ class PebbleGame2D:
         self.out[u].add(v)
         self.accepted.append(edge)
         return True
+
+    def remove(self, edge: Edge) -> None:
+        """Delete an accepted edge, returning its pebble to its current tail.
+
+        Path reversals may have turned the edge around, so it is taken out
+        in whichever direction it now points.  Pebbles + out-degree stays 2
+        at every vertex, so later answers are those of a fresh game on the
+        accepted edges that remain (Lee & Streinu 2008).
+        """
+        self.accepted.remove(edge)
+        u, v = edge
+        if v in self.out[u]:
+            self.out[u].remove(v)
+            self.pebbles[u] += 1
+        else:
+            self.out[v].remove(u)
+            self.pebbles[v] += 1
 
     def rank(self) -> int:
         return len(self.accepted)

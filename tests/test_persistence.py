@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from metaform import rigidity
 from metaform.errors import NotPersistentError
 from metaform.graph import Formation, MetaFormation
 from metaform.persistence import (
@@ -179,6 +180,29 @@ def digraphs(draw):
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     edges = tuple((b, a) if f else (a, b) for (a, b), f in zip(chosen, flips))
     return Formation(vertices=vertices, edges=edges)
+
+
+class TestNoWholeFormationCheck:
+    @pytest.mark.parametrize(
+        "f, dim, minimally",
+        [
+            (complete(6), 2, False),
+            (triangle(), 2, True),
+            (complete(6), 3, False),
+            (complete(4), 3, True),
+        ],
+    )
+    def test_persistent_verdict_rests_on_terminals_only(self, monkeypatch, f, dim, minimally):
+        # Rigid terminals make the formation rigid, so minimal persistence
+        # is its edge count; only 3D terminals are ranked, in batches.
+        def whole_graph_check(*args, **kwargs):
+            raise AssertionError("whole-graph rigidity check")
+
+        monkeypatch.setattr(rigidity, "generic_rank_oracle", whole_graph_check)
+        monkeypatch.setattr(rigidity, "laman_check_2d", whole_graph_check)
+        v = is_persistent(f, dim)
+        assert v.persistent
+        assert v.minimally_persistent is minimally
 
 
 class TestPersistenceProperties:

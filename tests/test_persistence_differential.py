@@ -90,7 +90,7 @@ class TestAgainstReference:
 
     def test_no_edges(self):
         f = Formation(vertices=(1, 2))
-        assert terminal_subgraphs(f, 2) == [TerminalSubgraph(retained=())]
+        assert list(terminal_subgraphs(f, 2)) == [TerminalSubgraph(retained=())]
         assert_same_as_reference(f, 2)
 
 
@@ -117,6 +117,7 @@ class TestCap:
         with pytest.raises(ResourceLimitError, match="1587600"):
             persistence.is_persistent(complete(9), 2)
         assert built == []
-        # The counter does see terminals when the cap is not hit.
-        persistence.terminal_subgraphs(complete(4), 2)
+        # The counter does see terminals when the cap is not hit and
+        # they are asked for.
+        list(persistence.terminal_subgraphs(complete(4), 2))
         assert len(built) == 3

@@ -91,6 +91,43 @@ class TestLaman2D:
             assert game.rank() == generic_rank_oracle(g, 2, seed=5, trials=3)
 
 
+class TestPebbleGameRemove:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_remove_leaves_the_game_of_the_remaining_edges(self, data):
+        n = data.draw(st.integers(min_value=2, max_value=8))
+        vertices = tuple(range(1, n + 1))
+        pairs = list(itertools.combinations(vertices, 2))
+        game = PebbleGame2D(vertices)
+
+        def fresh():
+            other = PebbleGame2D(vertices)
+            assert all(other.insert(e) for e in game.accepted)
+            return other
+
+        for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+            if game.accepted and data.draw(st.integers(0, 2)) == 0:
+                game.remove(data.draw(st.sampled_from(tuple(game.accepted))))
+            else:
+                a, b = data.draw(st.sampled_from(pairs))
+                edge = (b, a) if data.draw(st.booleans()) else (a, b)
+                expected = fresh().insert(edge)
+                assert game.insert(edge) == expected
+            assert all(game.pebbles[v] + len(game.out[v]) == 2 for v in vertices)
+            assert game.rank() == fresh().rank() == len(game.accepted)
+
+    def test_remove_a_reversed_edge(self):
+        game = PebbleGame2D((1, 2, 3, 4))
+        for e in ((1, 2), (1, 3), (1, 4)):
+            assert game.insert(e)
+        # Freeing pebbles at 1 turned (1, 2) around.
+        assert game.out[2] == {1}
+        game.remove((1, 2))
+        assert game.out[2] == set() and 2 not in game.out[1]
+        assert game.pebbles[2] == 2
+        assert game.accepted == [(1, 3), (1, 4)]
+
+
 class TestSparsity:
     def test_banana_has_no_36_violation(self):
         assert sparsity_violation(banana().underlying()) is None
