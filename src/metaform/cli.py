@@ -7,6 +7,7 @@ input or resource errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -237,7 +238,13 @@ def _cmd_export(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process.
+
+    ``parse_args`` leaves the parser as it was, so in-process callers that
+    run ``main`` many times share one parser instead of rebuilding it.
+    """
     parser = argparse.ArgumentParser(
         prog="metaform",
         description="Rigidity, persistence and merging of directed formation graphs.",

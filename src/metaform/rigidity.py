@@ -5,9 +5,13 @@
 count, a randomized exact-rank oracle on the rigidity matrix decides;
 the necessary screens (3-connectivity, then (3,6)-sparsity when the
 edge count is tight) run only on a not-rigid verdict, to name its
-witness.  Rank arithmetic is modular over a large prime, never floating
-point, so the only possible error is one-sided (a generic graph can be
-reported non-rigid with negligible probability, never the converse).
+witness.  The 3-connectivity screen is one cut-vertex search of G - a
+per vertex a, O(n(n + m)).  The (3,6) search stays exponential, but
+only over the 4-core, where every smallest violating set lies, and only
+up to ``SPARSITY_3D_VERTEX_CAP`` vertices.  Rank arithmetic is modular
+over a large prime, never floating point, so the only possible error is
+one-sided (a generic graph can be reported non-rigid with negligible
+probability, never the converse).
 
 Persistence and the merge planner ask the oracle about thousands of
 small graphs on one vertex set: terminal subgraphs, or the members plus
@@ -257,26 +261,50 @@ def sparsity_violation(
 ) -> tuple[Edge, ...] | None:
     """Some edge subset E'' with |E''| > 3|V(E'')| - 6, or None.
 
-    The count is only meaningful for subsets spanning at least 3
-    vertices; smaller subsets are skipped.  (3,6) lies outside the
-    matroidal pebble-game regime, so the search is exhaustive over
-    induced vertex subsets: a violating edge set implies a violating
-    induced set on the same vertices.  ``params`` admits only (3, 6); a
-    caller may pass it to name the counts it asks for.
+    A violating edge set implies a violating induced set on the same
+    vertices, so the search runs over induced vertex subsets, smallest
+    first, each size in ``combinations`` order.  No set of 3 or 4
+    vertices violates the count (at most 3 and 6 edges).  In a smallest
+    violating set every vertex has at least 4 neighbours inside it, since
+    dropping one with 3 or fewer leaves a smaller violating set; so every
+    smallest violating set lies in the 4-core, and the search over the
+    core's vertices, in ``g.vertices`` order from size 5, returns the
+    same first witness as one over all vertices from size 3.  It stays
+    exponential in the core size, so the cap on n still applies.
+    ``params`` admits only (3, 6); a caller may pass it to name the
+    counts it asks for.
     """
     n = len(g.vertices)
     if n > cap:
         raise ResourceLimitError(
             f"(3,6) sparsity search capped at {cap} vertices, got {n}"
         )
-    verts = list(g.vertices)
-    for size in range(3, n + 1):
+    core = _four_core(g.adjacency())
+    verts = [v for v in g.vertices if v in core]
+    edges = [e for e in g.edges if e[0] in core and e[1] in core]
+    for size in range(5, len(verts) + 1):
         for subset in itertools.combinations(verts, size):
             sub = set(subset)
-            induced = [e for e in g.edges if e[0] in sub and e[1] in sub]
+            induced = [e for e in edges if e[0] in sub and e[1] in sub]
             if len(induced) > 3 * size - 6:
                 return tuple(induced)
     return None
+
+
+def _four_core(adj: dict[int, set[int]]) -> set[int]:
+    """Vertices of the largest subgraph of minimum degree 4 (peeling)."""
+    degree = {v: len(ws) for v, ws in adj.items()}
+    core = set(adj)
+    low = [v for v, d in degree.items() if d < 4]
+    while low:
+        v = low.pop()
+        core.discard(v)
+        for w in adj[v]:
+            if w in core:
+                degree[w] -= 1
+                if degree[w] == 3:
+                    low.append(w)
+    return core
 
 
 def _positions(vertices, dim: int, rng: random.Random) -> dict[int, tuple[int, ...]]:
@@ -427,34 +455,74 @@ def generic_rank_oracle(
     return best
 
 
+def _cut_vertices(adj: dict[int, set[int]], verts, removed: int) -> tuple[set[int], int]:
+    """Cut vertices of G - removed, and its number of components.
+
+    One iterative depth-first search per component (Hopcroft & Tarjan
+    1973): a non-root v is a cut vertex when some DFS child's subtree has
+    no back edge above v (low[child] >= depth[v]); a root is one when it
+    has two or more DFS children.
+    """
+    depth: dict[int, int] = {}
+    low: dict[int, int] = {}
+    cuts: set[int] = set()
+    components = 0
+    for root in verts:
+        if root == removed or root in depth:
+            continue
+        components += 1
+        depth[root] = low[root] = 0
+        root_children = 0
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, parent, it = stack[-1]
+            for w in it:
+                if w == removed:
+                    continue
+                if w not in depth:
+                    depth[w] = low[w] = depth[v] + 1
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent:
+                    low[v] = min(low[v], depth[w])
+            else:
+                stack.pop()
+                if parent is None:
+                    continue
+                low[parent] = min(low[parent], low[v])
+                if parent == root:
+                    root_children += 1
+                elif low[v] >= depth[parent]:
+                    cuts.add(parent)
+        if root_children >= 2:
+            cuts.add(root)
+    return cuts, components
+
+
 def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]:
-    """Whole-graph 3-connectivity by vertex-pair removal + reachability.
+    """Whole-graph 3-connectivity from the cut vertices of each G - a.
 
     Graphs on fewer than 4 vertices report vacuously true; the witness
     pair, if any, is the lexicographically smallest in ascending order.
+    For each a in ascending order, one cut-vertex search over G - a
+    decides every pair (a, b): G - {a, b} is disconnected when G - a has
+    3 or more components, or 2 and b is not one of them by itself, or 1
+    and b is a cut vertex of it.  O(n(n + m)) in total.
     """
     verts = sorted(g.vertices)
     n = len(verts)
     if n < 4:
         return True, None
     adj = g.adjacency()
-
-    def connected_without(removed: set[int]) -> bool:
-        remaining = [v for v in verts if v not in removed]
-        start = remaining[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for w in adj[x]:
-                if w not in removed and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(remaining)
-
-    for a, b in itertools.combinations(verts, 2):
-        if not connected_without({a, b}):
-            return False, (a, b)
+    for i, a in enumerate(verts[:-1]):
+        cuts, components = _cut_vertices(adj, verts, a)
+        for b in verts[i + 1 :]:
+            if (
+                components >= 3
+                or (components == 2 and not adj[b] <= {a})
+                or b in cuts
+            ):
+                return False, (a, b)
     return True, None
 
 
@@ -660,12 +728,13 @@ def minimally_rigid_spanning(
     under-estimate rank).
     """
     n = len(g.vertices)
+    edges = set(g.edges)
     fixed_edges = []
     fixed_set = set()
     for group in fixed:
         for e in group:
             ne = (min(e), max(e))
-            if ne not in set(g.edges):
+            if ne not in edges:
                 raise InputError(f"fixed edge {e} not in graph")
             fixed_edges.append(ne)
             fixed_set.add(ne)

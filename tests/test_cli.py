@@ -402,3 +402,39 @@ class TestGenAndExport:
         )
         assert code == 0
         assert "criterion:" in out and "rigid: true" in out
+
+
+class TestRepeatedCalls:
+    """``main`` reuses one parser; repeated calls in one process must agree."""
+
+    def call(self, capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_match_the_first(self, tmp_path, capsys):
+        tri = write(tmp_path, "t.json", triangle())
+        k5 = write(tmp_path, "k5.json", complete(5))
+        argvs = [
+            ["check-rigidity", tri, "--dim", "2"],
+            ["check-persistence", k5, "--dim", "3", "--seed", "4"],
+            ["check-rigidity", tri, "--dim", "7"],
+            ["check-rigidity", tri, "--dim", "3", "--trials", "0"],
+            ["gen", "tetra", "--format", "text"],
+            ["no-such-command"],
+            ["check-persistence", tri, "--dim", "2", "--cap", "1"],
+            ["export", tri],
+            ["check-rigidity", k5, "--dim", "3", "--format", "text"],
+        ]
+        first = [self.call(capsys, argv) for argv in argvs]
+        assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 2, 0, 0, 0]
+        assert "--trials" in first[3][2]
+        assert "invalid choice" in first[2][2] and "invalid choice" in first[5][2]
+        for _ in range(2):
+            assert [self.call(capsys, argv) for argv in argvs] == first
+        for argv, expected in reversed(list(zip(argvs, first))):
+            assert self.call(capsys, argv) == expected
+        assert cli.build_parser() is cli.build_parser()

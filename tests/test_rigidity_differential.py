@@ -4,7 +4,10 @@
 screens only to name the witness of a not-rigid verdict, and
 ``generic_rank_oracle`` stops once a trial reaches the rank ceiling.
 The reference implementations below are the earlier screen-first check
-and the all-trials oracle; both must give the same reports.
+and the all-trials oracle; both must give the same reports.  The
+reference check runs the earlier screens too, from
+``test_screens_differential.py``, so it never compares the module's
+screens with themselves.
 """
 import itertools
 import random
@@ -21,8 +24,11 @@ from metaform.rigidity import (
     generic_rank_oracle,
     rigid_3d_check,
     rigidity_rank_once,
-    sparsity_violation,
-    three_connectivity,
+)
+
+from test_screens_differential import (
+    reference_sparsity_violation,
+    reference_three_connectivity,
 )
 
 
@@ -48,11 +54,11 @@ def reference_rigid_3d_check(g, seed=0, trials=3):
             minimally_rigid=False,
             rank_deficit=(min(len(g.edges), target), target),
         )
-    ok3, pair = three_connectivity(g)
+    ok3, pair = reference_three_connectivity(g)
     if not ok3:
         return RigidityVerdict(rigid=False, minimally_rigid=False, separating_pair=pair)
     if len(g.edges) == target and n <= SPARSITY_3D_VERTEX_CAP:
-        violation = sparsity_violation(g, SparsityParams(3, 6))
+        violation = reference_sparsity_violation(g, SparsityParams(3, 6))
         if violation is not None:
             return RigidityVerdict(
                 rigid=False, minimally_rigid=False, violating_edges=violation
