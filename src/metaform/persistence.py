@@ -264,25 +264,32 @@ def _first_nonrigid_terminal_3d(
     trial's rank reaches 3n - 6.  Terminal rows are rows of the
     formation's matrix for the trial (up to sign, which leaves the rank
     alone), and that matrix is built once per trial, at first use.  Each
-    batch of terminals goes on to the next trial with only the terminals
-    still short of full rank.
+    block's choices are mapped to row indices once, and a terminal's rows
+    are one choice per block, taken in product order.  Each batch of
+    terminals goes on to the next trial with only the terminals still
+    short of full rank.
     """
     g = f.underlying()
     target = required_rank(3, len(g.vertices))
-    width = len(terminals[0].retained)
+    width = sum(len(block[0]) for block in terminals.blocks)
     if width < target:
         return 0
-    if trials < 1:
-        raise InputError("trials must be >= 1")
     row_of = {e: i for i, e in enumerate(f.edges)}
+    blocks = [
+        tuple(tuple(row_of[e] for e in kept) for kept in block) for block in terminals.blocks
+    ]
     col_of = {v: i for i, v in enumerate(g.vertices)}
     placements = trial_placements(g.vertices, 3, seed)
     matrices: list[np.ndarray] = []
     size = max(1, TERMINAL_BATCH_CELLS // (width * 3 * len(g.vertices)))
-    pending = iter(terminals)
+    pending = itertools.product(*blocks)
     start = 0
     while batch := list(itertools.islice(pending, size)):
-        rows = np.array([[row_of[e] for e in t.retained] for t in batch], dtype=np.intp)
+        rows = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(batch)),
+            dtype=np.intp,
+            count=len(batch) * width,
+        ).reshape(len(batch), width)
         short = np.arange(len(batch))
         for t in range(trials):
             if t == len(matrices):
@@ -307,8 +314,11 @@ def is_persistent(
 
     3D rigidity verdicts come from the randomized rank oracle, so a
     persistence verdict inherits its one-sided error toward "not
-    persistent"; the seed used is recorded in the verdict.
+    persistent"; the seed used is recorded in the verdict.  ``trials``
+    below 1 raises InputError, whatever the formation.
     """
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     led = ledger(f, dim)
     # Terminals come sorted by retained edge set, so the first non-rigid
     # one is the lexicographically smallest witness.

@@ -13,6 +13,13 @@ over a large prime, never floating point, so the only possible error is
 one-sided (a generic graph can be reported non-rigid with negligible
 probability, never the converse).
 
+Each oracle trial peels before it eliminates.  A vertex with at most dim
+remaining edges whose rows are independent on its own columns adds their
+number to the rank and leaves with its edges (vertex addition in
+reverse, Tay & Whiteley 1985); only the rest of the matrix is reduced.
+The rank at the trial's placement is exact either way, so peeling
+changes no verdict.
+
 Persistence and the merge planner ask the oracle about thousands of
 small graphs on one vertex set: terminal subgraphs, or the members plus
 one head assignment.  Trial t of each of those oracles places the
@@ -422,12 +429,69 @@ def _eliminate_stack(a: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
     return rank
 
 
+def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
+    """Are these at most 3 integer rows of length 2 or 3 independent over GF(p)?
+
+    No rows always are; one row when it is nonzero; two rows when some
+    2x2 minor is nonzero (the 2D determinant or a cross-product entry);
+    three rows when their 3x3 determinant is nonzero.  Closed forms on
+    Python ints, because this runs once per peeled vertex per trial.
+    """
+    if not rows:
+        return True
+    if len(rows) == 1:
+        return any(x % p for x in rows[0])
+    if len(rows) == 2:
+        a, b = rows
+        return any(
+            (a[i] * b[j] - a[j] * b[i]) % p
+            for i, j in itertools.combinations(range(len(a)), 2)
+        )
+    a, b, c = rows
+    det = (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
+    return det % p != 0
+
+
 def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
+    """Rigidity-matrix rank over GF(p) at the trial's placement drawn from rng.
+
+    Every vertex is placed first, in vertex order, so the draws do not
+    depend on the edges.  Then a vertex v with d <= dim remaining edges
+    whose d rows, restricted to v's own columns, are independent mod p is
+    peeled: ordering v's rows and columns first gives [A B; 0 C] with A of
+    full row rank d, so the rank is d plus the rank of C, the matrix of
+    G - v at the same positions.  Peeling repeats on the neighbours whose
+    degree drops, and ``rank_mod_p`` ranks what is left.  A
+    vertex-addition graph peels away completely; a vertex whose block is
+    singular at this placement stays in the remainder.
+    """
     positions = _positions(g.vertices, dim, rng)
-    col_of = {v: i for i, v in enumerate(g.vertices)}
-    if not g.edges:
-        return 0
-    return rank_mod_p(rigidity_matrix_rows(g.edges, positions, col_of, dim))
+    adj = g.adjacency()
+    rank = 0
+    stack = [v for v in g.vertices if len(adj[v]) <= dim]
+    while stack:
+        v = stack.pop()
+        if v not in adj:
+            continue
+        pv = positions[v]
+        ws = adj[v]
+        if not _independent_mod_p([[a - b for a, b in zip(pv, positions[w])] for w in ws]):
+            continue
+        rank += len(ws)
+        del adj[v]
+        for w in ws:
+            adj[w].discard(v)
+            if len(adj[w]) <= dim:
+                stack.append(w)
+    edges = [e for e in g.edges if e[0] in adj and e[1] in adj]
+    if not edges:
+        return rank
+    col_of = {v: i for i, v in enumerate(v for v in g.vertices if v in adj)}
+    return rank + rank_mod_p(rigidity_matrix_rows(edges, positions, col_of, dim))
 
 
 def generic_rank_oracle(
@@ -441,7 +505,10 @@ def generic_rank_oracle(
     Deterministic given seed; the max over trials cannot exceed the
     generic rank, so the verdict errs only toward non-rigid.  Trials stop
     early once one reaches min(|E|, required rank), which no placement
-    can exceed, so the result equals the max over all trials.
+    can exceed, so the result equals the max over all trials.  Each
+    trial's rank is exact at its placement: ``rigidity_rank_once`` peels
+    low-degree vertices and eliminates only the rest, which gives the
+    rank of the whole matrix.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -536,8 +603,11 @@ def rigid_3d_check(
     A full-rank placement proves generic rigidity, which implies
     3-connectivity and, at a tight edge count, (3,6)-sparsity.  So the
     screens run only after a rank deficit, in that order, to replace the
-    deficit with a separating pair or a violating edge set.
+    deficit with a separating pair or a violating edge set.  ``trials``
+    below 1 raises InputError, whatever the graph.
     """
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     n = len(g.vertices)
     if n == 0:
         raise InputError("empty vertex set")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from metaform import rigidity
-from metaform.errors import NotPersistentError
+from metaform.errors import InputError, NotPersistentError
 from metaform.graph import Formation, MetaFormation
 from metaform.persistence import (
     is_persistent,
@@ -106,6 +106,20 @@ class TestIsPersistent:
         v = is_persistent(complete(4), 3)
         assert v.persistent
         assert check_rigidity(complete(4).underlying(), 3).rigid
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            complete(5),
+            Formation(vertices=(1, 2, 3, 4), edges=((2, 1), (4, 3))),
+            singleton(1),
+        ],
+        ids=["k5", "four-vertices-two-edges", "singleton"],
+    )
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_trials_below_one_rejected_on_every_path(self, f, dim):
+        with pytest.raises(InputError, match="trials must be >= 1"):
+            is_persistent(f, dim, trials=0)
 
 
 class TestLocalDofCompliance:

@@ -225,6 +225,21 @@ class TestRigid3D:
         assert check_rigidity(undirected((1, 2), [(1, 2)]), 3).minimally_rigid
         assert not check_rigidity(undirected((1, 2, 3), [(1, 2), (1, 3)]), 3).rigid
 
+    @pytest.mark.parametrize(
+        "g",
+        [
+            undirected(range(1, 6), itertools.combinations(range(1, 6), 2)),
+            undirected(range(1, 5), [(1, 2), (3, 4)]),
+            undirected((1, 2), [(1, 2)]),
+            undirected((1,), []),
+        ],
+        ids=["k5", "edge-count-exit", "pair", "singleton"],
+    )
+    def test_trials_below_one_rejected_on_every_path(self, g):
+        for trials in (0, -1):
+            with pytest.raises(InputError, match="trials must be >= 1"):
+                rigid_3d_check(g, trials=trials)
+
 
 class TestMinimallyRigidSpanning:
     def test_2d_extracts_laman_basis(self):

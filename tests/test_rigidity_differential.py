@@ -6,8 +6,9 @@ screens only to name the witness of a not-rigid verdict, and
 The reference implementations below are the earlier screen-first check
 and the all-trials oracle; both must give the same reports.  The
 reference check runs the earlier screens too, from
-``test_screens_differential.py``, so it never compares the module's
-screens with themselves.
+``test_screens_differential.py``, and the reference oracle ranks the
+whole matrix of each trial, so neither compares the module's screens or
+its peeling with themselves.
 """
 import itertools
 import random
@@ -22,8 +23,11 @@ from metaform.rigidity import (
     RigidityVerdict,
     SparsityParams,
     generic_rank_oracle,
+    rank_mod_p,
     rigid_3d_check,
+    rigidity_matrix_rows,
     rigidity_rank_once,
+    trial_placements,
 )
 
 from test_screens_differential import (
@@ -33,9 +37,14 @@ from test_screens_differential import (
 
 
 def reference_oracle(g, dim, seed=0, trials=3):
-    """Max rank over every trial, with no early stop."""
-    rng = random.Random(seed)
-    return max(rigidity_rank_once(g, dim, rng) for _ in range(trials))
+    """Max rank over every trial, with no early stop and no peeling: the
+    whole rigidity matrix at each trial's placement."""
+    col_of = {v: i for i, v in enumerate(g.vertices)}
+    placements = itertools.islice(trial_placements(g.vertices, dim, seed), trials)
+    return max(
+        rank_mod_p(rigidity_matrix_rows(g.edges, positions, col_of, dim))
+        for positions in placements
+    )
 
 
 def reference_rigid_3d_check(g, seed=0, trials=3):
