@@ -89,9 +89,7 @@ def _cmd_check_persistence(args) -> int:
 def _cmd_check_meta(args) -> int:
     meta = parse_meta_formation(_read(args.file))
     verdict = meta_rigid(meta, args.dim, seed=args.seed, trials=args.trials)
-    persistence = merged_persistence(
-        meta, args.dim, seed=args.seed, trials=args.trials
-    )
+    persistence = merged_persistence(meta, verdict, seed=args.seed, trials=args.trials)
     doc = {
         "criterion": (
             "meta edge-count characterization via substitution"

@@ -43,9 +43,9 @@ def _json_edges(edges, name: str) -> tuple[Edge, ...]:
 class Formation:
     """Directed formation graph.
 
-    Invariants enforced at construction: no self-loops, at most one edge
-    per unordered vertex pair (one distance constraint, one responsible
-    agent), every endpoint declared.
+    Invariants enforced at construction: at least one vertex, no
+    self-loops, at most one edge per unordered vertex pair (one distance
+    constraint, one responsible agent), every endpoint declared.
     """
 
     vertices: tuple[int, ...]
@@ -56,6 +56,8 @@ class Formation:
         object.__setattr__(
             self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
         )
+        if not self.vertices:
+            raise InputError("empty vertex set", "vertices")
         seen_v = set()
         for i, v in enumerate(self.vertices):
             if v < 0:

@@ -1,14 +1,16 @@
 """Meta-level analysis: classification, counting conditions, rigidity and
 edge-optimality of merged graphs.
 
-The 2D decision substitutes each multi-vertex meta-vertex by a canonical
-minimally rigid spanning subgraph and runs the (2,3)-pebble game once on
-the flattened graph; this is licensed by the fact that merged rigidity
-does not depend on meta-vertex internals beyond their rigidity.  In 3D
-the counting condition is only necessary, so the rank oracle on the
-substituted graph decides; every rigid merge meets the count, and the
-exponential counting search runs only to name the witness of a
-not-rigid verdict.
+One pass over the meta-vertices proves each one rigid by building its
+gadget, a canonical minimally rigid spanning subgraph of its edges; the
+size classes follow.  Merged rigidity does not depend on meta-vertex
+internals beyond their rigidity, so one rigidity check of the
+substituted graph (the gadgets plus the inter-edges) decides the merge
+in both dimensions: the pebble game in 2D, exactly, and the rank oracle
+in 3D.  Only the witness of a not-rigid verdict depends on the
+dimension.  In 3D the counting condition is only necessary; every rigid
+merge meets the count, and the exponential counting search runs only to
+name the witness of a not-rigid verdict.
 """
 from __future__ import annotations
 
@@ -16,18 +18,51 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import InputError, NotRigidError
-from .graph import Edge, Formation, MetaClass, MetaFormation
+from .graph import Edge, MetaClass, MetaFormation, UndirectedView
 from .persistence import local_dof_compliance
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    PebbleGame2D,
-    laman_check_2d,
+    check_rigidity,
     minimally_rigid_spanning,
-    rigid_3d_check,
 )
 
 SUBSET_SEARCH_CAP = 18
+
+
+def _member_gadgets(
+    meta: MetaFormation, dim: int, seed: int, trials: int
+) -> tuple[MetaClass, tuple[tuple[Edge, ...], ...]]:
+    """The size classes, and the edges each meta-vertex keeps in the merge.
+
+    A meta-vertex of at least ``dim`` vertices keeps a minimally rigid
+    spanning subgraph of its edges, filtered in declared order by the
+    pebble game (2D) or by exact-rank tests (3D).  Building it is the
+    proof that the meta-vertex is rigid.  The filter reaches the rank of
+    the whole edge set: the pebble game's exactly, and in 3D the rank at
+    the same ``random.Random(seed)`` placements, trial by trial, as
+    ``rigid_3d_check``.  So it succeeds exactly when ``laman_check_2d``
+    or ``rigid_3d_check`` says rigid.  A smaller meta-vertex keeps its
+    edges; in 3D a two-vertex one is rigid when it contains its edge.
+    """
+    if dim not in (2, 3):
+        raise InputError(f"dimension must be 2 or 3, got {dim}")
+    kept = []
+    for i, mv in enumerate(meta.meta_vertices):
+        size = len(mv.vertices)
+        if dim == 3 and size == 2 and not mv.edges:
+            raise NotRigidError(
+                f"meta-vertex {i} has two vertices but no edge; not rigid in 3D"
+            )
+        view = mv.underlying()
+        if size < dim:
+            kept.append(view.edges)
+            continue
+        try:
+            kept.append(minimally_rigid_spanning(view, dim, seed=seed, trials=trials))
+        except NotRigidError:
+            raise NotRigidError(f"meta-vertex {i} is not rigid in {dim}D") from None
+    return size_classes(meta, dim), tuple(kept)
 
 
 def classify(
@@ -36,29 +71,8 @@ def classify(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> MetaClass:
-    """``size_classes``, once every multi-vertex meta-vertex is proved rigid.
-
-    In 3D a two-vertex meta-vertex is rigid when it contains its edge.
-    """
-    if dim not in (2, 3):
-        raise InputError(f"dimension must be 2 or 3, got {dim}")
-    for i, mv in enumerate(meta.meta_vertices):
-        size = len(mv.vertices)
-        if dim == 3 and size == 2 and not mv.edges:
-            raise NotRigidError(
-                f"meta-vertex {i} has two vertices but no edge; not rigid in 3D"
-            )
-        if size == 1 or (dim == 3 and size == 2):
-            continue
-        view = mv.underlying()
-        verdict = (
-            laman_check_2d(view)
-            if dim == 2
-            else rigid_3d_check(view, seed=seed, trials=trials)
-        )
-        if not verdict.rigid:
-            raise NotRigidError(f"meta-vertex {i} is not rigid in {dim}D")
-    return size_classes(meta, dim)
+    """``size_classes``, once every multi-vertex meta-vertex is proved rigid."""
+    return _member_gadgets(meta, dim, seed, trials)[0]
 
 
 def size_classes(meta: MetaFormation, dim: int) -> MetaClass:
@@ -201,33 +215,6 @@ class MetaVerdict:
         return d
 
 
-def _gadget_substitute(
-    meta: MetaFormation, dim: int, seed: int, trials: int
-) -> tuple[MetaFormation, tuple[tuple[Edge, ...], ...]]:
-    """Replace multi-vertex internals by canonical minimally rigid subgraphs.
-
-    Pebble-game (or rank) filtering of each meta-vertex's own edges in
-    declared order keeps substitution deterministic.
-    """
-    gadgets = []
-    fixed = []
-    for mv in meta.meta_vertices:
-        if len(mv.vertices) == 1 or (dim == 3 and len(mv.vertices) == 2):
-            gadgets.append(mv)
-            if mv.edges:
-                fixed.append(tuple((min(e), max(e)) for e in mv.edges))
-            continue
-        spanning = minimally_rigid_spanning(
-            mv.underlying(), dim, seed=seed, trials=trials
-        )
-        gadgets.append(Formation(vertices=mv.vertices, edges=spanning))
-        fixed.append(spanning)
-    return (
-        MetaFormation(meta_vertices=tuple(gadgets), inter_edges=meta.inter_edges),
-        tuple(fixed),
-    )
-
-
 def _smallest_violating_subset(
     meta: MetaFormation, dim: int, cap: int = SUBSET_SEARCH_CAP
 ) -> tuple[Edge, ...] | None:
@@ -239,54 +226,6 @@ def _smallest_violating_subset(
             if meta_count_violation(meta, subset, dim) is not None:
                 return subset
     return None
-
-
-def meta_rigid_2d(
-    meta: MetaFormation,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-) -> MetaVerdict:
-    """2D merged-rigidity via gadget substitution and one pebble game run.
-
-    The independent inter-edges retained by the pebble game form the
-    selected subset E_M', which has exactly the counting-bound size
-    whenever the merge is rigid.
-    """
-    cls = classify(meta, 2, seed=seed, trials=trials)
-    flat = meta.flatten()
-    n = len(flat.vertices)
-    bound = merge_bound(cls)
-    _, fixed = _gadget_substitute(meta, 2, seed, trials)
-    game = PebbleGame2D(flat.vertices)
-    for group in fixed:
-        for e in group:
-            if not game.insert(e):
-                raise AssertionError("disjoint minimally rigid gadgets must be independent")
-    selected = []
-    for e in meta.inter_edges:
-        if game.insert((min(e), max(e))):
-            selected.append(e)
-    target = 2 * n - 3 if n > 2 else 1
-    rigid = game.rank() == target
-    if rigid:
-        return MetaVerdict(
-            rigid=True,
-            edge_optimal=len(meta.inter_edges) == bound,
-            dim=2,
-            classes=cls,
-            bound=bound,
-            selected_subset=tuple(selected),
-        )
-    witness = _smallest_violating_subset(meta, 2)
-    return MetaVerdict(
-        rigid=False,
-        edge_optimal=False,
-        dim=2,
-        classes=cls,
-        bound=bound,
-        witness_subset=witness,
-        rank_deficit=(game.rank(), target),
-    )
 
 
 def _counting_screen_3d(
@@ -321,69 +260,75 @@ def _counting_screen_3d(
     return False, first_violation
 
 
-def meta_rigid_3d(
-    meta: MetaFormation,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-) -> MetaVerdict:
-    """3D merged-rigidity: the rank oracle decides, the count names a witness.
-
-    Counting success alone never implies rigidity (the double banana
-    satisfies every count), so the verdict rests on the rank oracle
-    applied to the gadget-substituted flattened graph.  A rigid merge
-    holds a bound-sized independent inter-edge subset, and every subset
-    of it meets the count, so a rigid verdict reports the counting
-    screen as passed without searching.  The bitmask search runs only
-    after a not-rigid verdict, to report the screen and a violating
-    subset.  Both are marked skipped when the inter-edge set exceeds the
-    subset-search cap.
-    """
-    cls = classify(meta, 3, seed=seed, trials=trials)
-    bound = merge_bound(cls)
-    substituted, fixed = _gadget_substitute(meta, 3, seed, trials)
-    sub_flat = substituted.flatten().underlying()
-    verdict = rigid_3d_check(sub_flat, seed=seed, trials=trials)
-    if verdict.rigid:
-        spanning = minimally_rigid_spanning(
-            sub_flat, 3, fixed=fixed, seed=seed, trials=trials
-        )
-        inter_pairs = {(min(e), max(e)): e for e in meta.inter_edges}
-        return MetaVerdict(
-            rigid=True,
-            edge_optimal=len(meta.inter_edges) == bound,
-            dim=3,
-            classes=cls,
-            bound=bound,
-            selected_subset=tuple(
-                inter_pairs[e] for e in spanning if e in inter_pairs
-            ),
-            counting_ok=True if len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None,
-        )
-    counting_ok, count_witness = _counting_screen_3d(meta, bound)
-    return MetaVerdict(
-        rigid=False,
-        edge_optimal=False,
-        dim=3,
-        classes=cls,
-        bound=bound,
-        witness_subset=count_witness,
-        rank_deficit=verdict.rank_deficit,
-        separating_pair=verdict.separating_pair,
-        counting_ok=counting_ok,
-    )
-
-
 def meta_rigid(
     meta: MetaFormation,
     dim: int,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> MetaVerdict:
+    """Merged rigidity: one rigidity check of the gadget-substituted graph.
+
+    The substituted graph keeps each meta-vertex's gadget edges plus the
+    inter-edges, on the flattened graph's vertices in order.  A rigid
+    verdict selects the independent inter-edges that extend the gadgets
+    to a minimally rigid spanning set, the subset E_M', which has
+    exactly the counting-bound size.  Only the not-rigid witness
+    depends on the dimension.  In 2D it is the smallest subset that
+    violates the count.  In 3D counting success alone never implies
+    rigidity (the double banana satisfies every count), so the bitmask
+    search runs only after a not-rigid verdict, to report the screen
+    and a violating subset.  A rigid 3D merge holds a bound-sized
+    independent inter-edge subset, every subset of which meets the
+    count, so its screen is reported passed without searching.  Both
+    are marked skipped when the inter-edge set exceeds the subset-search
+    cap.
+    """
+    cls, kept = _member_gadgets(meta, dim, seed, trials)
+    bound = merge_bound(cls)
+    g = UndirectedView(
+        vertices=tuple(v for mv in meta.meta_vertices for v in mv.vertices),
+        edges=tuple(itertools.chain(*kept, meta.inter_edges)),
+    )
+    verdict = check_rigidity(g, dim, seed=seed, trials=trials)
+    if verdict.rigid:
+        spanning = set(minimally_rigid_spanning(g, dim, fixed=kept, seed=seed, trials=trials))
+        return MetaVerdict(
+            rigid=True,
+            edge_optimal=len(meta.inter_edges) == bound,
+            dim=dim,
+            classes=cls,
+            bound=bound,
+            selected_subset=tuple(
+                e for e in meta.inter_edges if (min(e), max(e)) in spanning
+            ),
+            counting_ok=(
+                True if dim == 3 and len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None
+            ),
+        )
     if dim == 2:
-        return meta_rigid_2d(meta, seed=seed, trials=trials)
-    if dim == 3:
-        return meta_rigid_3d(meta, seed=seed, trials=trials)
-    raise InputError(f"dimension must be 2 or 3, got {dim}")
+        counting_ok, witness = None, _smallest_violating_subset(meta, 2)
+    else:
+        counting_ok, witness = _counting_screen_3d(meta, bound)
+    return MetaVerdict(
+        rigid=False,
+        edge_optimal=False,
+        dim=dim,
+        classes=cls,
+        bound=bound,
+        witness_subset=witness,
+        rank_deficit=verdict.rank_deficit,
+        separating_pair=verdict.separating_pair,
+        counting_ok=counting_ok,
+    )
+
+
+# Per-dimension names of ``meta_rigid``, kept for callers that import them.
+def meta_rigid_2d(meta: MetaFormation, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS) -> MetaVerdict:
+    return meta_rigid(meta, 2, seed=seed, trials=trials)
+
+
+def meta_rigid_3d(meta: MetaFormation, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS) -> MetaVerdict:
+    return meta_rigid(meta, 3, seed=seed, trials=trials)
 
 
 def edge_optimal_persistent(meta: MetaFormation, verdict: MetaVerdict) -> bool:
@@ -392,6 +337,7 @@ def edge_optimal_persistent(meta: MetaFormation, verdict: MetaVerdict) -> bool:
     ``verdict`` is the merge's ``meta_rigid`` verdict.  Edge-optimal
     rigid means rigid with no removable inter-edge, i.e. |E_M| equals
     the counting bound.  Members must be persistent, which
-    ``merged_persistence`` checks.
+    ``merged_persistence`` checks after ``meta_rigid`` has proved them
+    rigid.
     """
     return verdict.edge_optimal and local_dof_compliance(meta, verdict.dim)[0]

@@ -31,11 +31,12 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError, NotPersistentError, ResourceLimitError
-from .graph import Edge, Formation, MetaFormation, UndirectedView
+from .graph import Edge, Formation, MetaFormation
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -46,6 +47,9 @@ from .rigidity import (
     rigidity_matrix_rows,
     trial_placements,
 )
+
+if TYPE_CHECKING:
+    from .meta import MetaVerdict
 
 TERMINAL_SET_CAP = 10**6
 # Most matrix cells in one batch of 3D terminals (256 KiB of int64); a
@@ -324,17 +328,14 @@ def is_persistent(
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
     n = len(f.vertices)
-    first = None
     if n > 2 and dim == 2:
         first = _first_nonrigid_terminal_2d(f, terminals)
-    elif n > 2 and dim == 3:
+    elif n > 2:
         first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
     else:
-        for i, term in enumerate(terminals):
-            view = UndirectedView(vertices=f.vertices, edges=term.retained)
-            if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
-                first = i
-                break
+        # At most one edge, so the one terminal keeps every edge.
+        rigid = check_rigidity(f.underlying(), dim, seed=seed, trials=trials).rigid
+        first = None if rigid else 0
     if first is not None:
         return _verdict(led, False, seed, witness=terminals[first].retained)
     # Every terminal is rigid, and so is the whole formation: a terminal
@@ -370,16 +371,30 @@ def local_dof_compliance(
 
 def merged_persistence(
     meta: MetaFormation,
-    dim: int,
+    verdict: MetaVerdict,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> PersistenceVerdict:
-    """``flattened_persistence``, after checking every meta-vertex is persistent."""
+    """Persistence of a merge, after checking every meta-vertex is persistent.
+
+    ``verdict`` is the merge's ``meta_rigid`` verdict.  Its substituted
+    graph has the flattened graph's vertices, in order, and a subset of
+    its edges, so a rigid merge has a rigid flattened graph (in 3D at
+    the same trial, which places both alike).  When the merge is rigid
+    and all inter-edges leave local DOFs, it is persistent, and
+    minimally so when the flattened graph has exactly the required rank
+    of edges.  Otherwise the full criterion runs on the flattened graph,
+    as in ``flattened_persistence``.
+    """
+    dim = verdict.dim
     for i, mv in enumerate(meta.meta_vertices):
-        sub = is_persistent(mv, dim, seed=seed, trials=trials)
-        if not sub.persistent:
+        if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
             raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
-    return flattened_persistence(meta, dim, seed=seed, trials=trials)
+    flat = meta.flatten()
+    if verdict.rigid and local_dof_compliance(meta, dim)[0]:
+        minimally = len(flat.edges) == required_rank(dim, len(flat.vertices))
+        return _verdict(ledger(flat, dim), minimally, seed)
+    return is_persistent(flat, dim, seed=seed, trials=trials)
 
 
 def flattened_persistence(

@@ -795,7 +795,10 @@ def minimally_rigid_spanning(
     declared edge order reaches the full generic rank.  2D uses the
     pebble game, 3D exact-rank independence tests at random positions
     (retried across trials since a single unlucky placement can only
-    under-estimate rank).
+    under-estimate rank).  The 3D placements are those of
+    ``generic_rank_oracle``, trial by trial, so with no fixed edges this
+    succeeds exactly when ``rigid_3d_check`` says g is rigid.  In 3D,
+    ``trials`` below 1 raises InputError, as in ``rigid_3d_check``.
     """
     n = len(g.vertices)
     edges = set(g.edges)
@@ -826,6 +829,8 @@ def minimally_rigid_spanning(
             raise NotRigidError("graph is not rigid in 2D")
         return tuple(chosen)
 
+    if trials < 1:
+        raise InputError("trials must be >= 1")
     col_of = {v: i for i, v in enumerate(g.vertices)}
     rng = random.Random(seed)
     last_error: str | None = None

@@ -1,0 +1,154 @@
+"""``check-meta``'s earlier path, kept as the differential reference.
+
+Each multi-vertex meta-vertex was proved rigid by ``laman_check_2d`` or
+``rigid_3d_check`` in ``classify``, then rebuilt as a gadget by
+``minimally_rigid_spanning`` in ``_gadget_substitute``; 2D and 3D each
+had their own merge decision; and ``merged_persistence`` decided the
+merge's rigidity again on the flattened graph.
+"""
+from metaform.errors import InputError, NotPersistentError, NotRigidError
+from metaform.graph import Formation, MetaFormation
+from metaform.meta import (
+    MetaVerdict,
+    SUBSET_SEARCH_CAP,
+    _counting_screen_3d,
+    _smallest_violating_subset,
+    merge_bound,
+    size_classes,
+)
+from metaform.persistence import flattened_persistence, is_persistent
+from metaform.rigidity import (
+    PebbleGame2D,
+    laman_check_2d,
+    minimally_rigid_spanning,
+    rigid_3d_check,
+)
+
+
+def classify(meta, dim, seed=0, trials=3):
+    if dim not in (2, 3):
+        raise InputError(f"dimension must be 2 or 3, got {dim}")
+    for i, mv in enumerate(meta.meta_vertices):
+        size = len(mv.vertices)
+        if dim == 3 and size == 2 and not mv.edges:
+            raise NotRigidError(
+                f"meta-vertex {i} has two vertices but no edge; not rigid in 3D"
+            )
+        if size == 1 or (dim == 3 and size == 2):
+            continue
+        view = mv.underlying()
+        verdict = (
+            laman_check_2d(view)
+            if dim == 2
+            else rigid_3d_check(view, seed=seed, trials=trials)
+        )
+        if not verdict.rigid:
+            raise NotRigidError(f"meta-vertex {i} is not rigid in {dim}D")
+    return size_classes(meta, dim)
+
+
+def _gadget_substitute(meta, dim, seed, trials):
+    gadgets = []
+    fixed = []
+    for mv in meta.meta_vertices:
+        if len(mv.vertices) == 1 or (dim == 3 and len(mv.vertices) == 2):
+            gadgets.append(mv)
+            if mv.edges:
+                fixed.append(tuple((min(e), max(e)) for e in mv.edges))
+            continue
+        spanning = minimally_rigid_spanning(
+            mv.underlying(), dim, seed=seed, trials=trials
+        )
+        gadgets.append(Formation(vertices=mv.vertices, edges=spanning))
+        fixed.append(spanning)
+    return (
+        MetaFormation(meta_vertices=tuple(gadgets), inter_edges=meta.inter_edges),
+        tuple(fixed),
+    )
+
+
+def meta_rigid_2d(meta, seed=0, trials=3):
+    cls = classify(meta, 2, seed=seed, trials=trials)
+    flat = meta.flatten()
+    n = len(flat.vertices)
+    bound = merge_bound(cls)
+    _, fixed = _gadget_substitute(meta, 2, seed, trials)
+    game = PebbleGame2D(flat.vertices)
+    for group in fixed:
+        for e in group:
+            if not game.insert(e):
+                raise AssertionError("disjoint minimally rigid gadgets must be independent")
+    selected = []
+    for e in meta.inter_edges:
+        if game.insert((min(e), max(e))):
+            selected.append(e)
+    target = 2 * n - 3 if n > 2 else 1
+    if game.rank() == target:
+        return MetaVerdict(
+            rigid=True,
+            edge_optimal=len(meta.inter_edges) == bound,
+            dim=2,
+            classes=cls,
+            bound=bound,
+            selected_subset=tuple(selected),
+        )
+    return MetaVerdict(
+        rigid=False,
+        edge_optimal=False,
+        dim=2,
+        classes=cls,
+        bound=bound,
+        witness_subset=_smallest_violating_subset(meta, 2),
+        rank_deficit=(game.rank(), target),
+    )
+
+
+def meta_rigid_3d(meta, seed=0, trials=3):
+    cls = classify(meta, 3, seed=seed, trials=trials)
+    bound = merge_bound(cls)
+    substituted, fixed = _gadget_substitute(meta, 3, seed, trials)
+    sub_flat = substituted.flatten().underlying()
+    verdict = rigid_3d_check(sub_flat, seed=seed, trials=trials)
+    if verdict.rigid:
+        spanning = minimally_rigid_spanning(
+            sub_flat, 3, fixed=fixed, seed=seed, trials=trials
+        )
+        inter_pairs = {(min(e), max(e)): e for e in meta.inter_edges}
+        return MetaVerdict(
+            rigid=True,
+            edge_optimal=len(meta.inter_edges) == bound,
+            dim=3,
+            classes=cls,
+            bound=bound,
+            selected_subset=tuple(
+                inter_pairs[e] for e in spanning if e in inter_pairs
+            ),
+            counting_ok=True if len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None,
+        )
+    counting_ok, count_witness = _counting_screen_3d(meta, bound)
+    return MetaVerdict(
+        rigid=False,
+        edge_optimal=False,
+        dim=3,
+        classes=cls,
+        bound=bound,
+        witness_subset=count_witness,
+        rank_deficit=verdict.rank_deficit,
+        separating_pair=verdict.separating_pair,
+        counting_ok=counting_ok,
+    )
+
+
+def meta_rigid(meta, dim, seed=0, trials=3):
+    if dim == 2:
+        return meta_rigid_2d(meta, seed=seed, trials=trials)
+    if dim == 3:
+        return meta_rigid_3d(meta, seed=seed, trials=trials)
+    raise InputError(f"dimension must be 2 or 3, got {dim}")
+
+
+def merged_persistence(meta, dim, seed=0, trials=3):
+    for i, mv in enumerate(meta.meta_vertices):
+        if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
+            raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
+    return flattened_persistence(meta, dim, seed=seed, trials=trials)

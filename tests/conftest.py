@@ -2,8 +2,24 @@
 from __future__ import annotations
 
 import itertools
+import sys
 
 from metaform.graph import Formation
+
+
+def count_calls(monkeypatch, name, original):
+    """Count calls of ``original`` through every ``metaform.*`` reference to it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        in_package = mod_name == "metaform" or mod_name.startswith("metaform.")
+        if in_package and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def shift(f: Formation, offset: int) -> Formation:

@@ -142,6 +142,49 @@ class TestTrialsValidation:
         assert "(at --trials)" in capsys.readouterr().err
 
 
+class TestEmptyVertexSet:
+    """An empty formation or member exits 2, located at its vertex list."""
+
+    EMPTY = {"vertices": [], "edges": []}
+
+    @pytest.mark.parametrize("command", ["check-rigidity", "check-persistence"])
+    def test_formation(self, tmp_path, capsys, command):
+        p = tmp_path / "empty.json"
+        p.write_text(json.dumps(self.EMPTY))
+        assert main([command, str(p), "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty vertex set (at vertices)\n"
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_check_meta_member(self, tmp_path, capsys, dim):
+        p = tmp_path / "meta.json"
+        doc = {"metaVertices": [complete(4).to_dict(), self.EMPTY], "interEdges": []}
+        p.write_text(json.dumps(doc))
+        assert main(["check-meta", str(p), "--dim", str(dim)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty vertex set (at metaVertices[1].vertices)\n"
+
+    def test_verify_plan_member(self, tmp_path, capsys):
+        p = tmp_path / "plan.json"
+        doc = {"dim": 2, "collection": [triangle().to_dict(), self.EMPTY], "plan": {"edges": []}}
+        p.write_text(json.dumps(doc))
+        assert main(["verify-plan", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: empty vertex set (at collection[1].vertices)\n"
+
+    def test_plan_merge_member_file(self, tmp_path, capsys):
+        good = write(tmp_path, "good.json", triangle())
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps(self.EMPTY))
+        assert main(["plan-merge", good, str(empty), "--dim", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: empty vertex set (at {empty}, vertices)\n"
+
+
 class TestCapValidation:
     @pytest.mark.parametrize("cap", ["0", "-1"])
     def test_cap_below_one_exits_two(self, tmp_path, capsys, cap):

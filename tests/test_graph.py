@@ -40,6 +40,11 @@ class TestFormationValidation:
         with pytest.raises(InputError):
             Formation(vertices=(1, 1), edges=())
 
+    def test_empty_vertex_set_rejected_at_vertices(self):
+        with pytest.raises(InputError) as exc:
+            Formation(vertices=())
+        assert str(exc.value) == "empty vertex set (at vertices)"
+
     def test_out_degrees_count_tails_only(self):
         f = triangle()
         assert f.out_degrees() == {1: 0, 2: 1, 3: 2}

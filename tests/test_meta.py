@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from metaform.errors import NotRigidError
+from metaform.errors import InputError, NotRigidError
 from metaform.graph import Formation, MetaFormation
 from metaform.meta import (
     classify,
@@ -67,6 +67,19 @@ class TestClassify:
         meta = MetaFormation(meta_vertices=(complete(4, 1), loose), inter_edges=())
         with pytest.raises(NotRigidError):
             classify(meta, 3)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_non_rigid_message_names_the_meta_vertex(self, dim):
+        path = Formation(vertices=(5, 6, 7, 8), edges=((6, 5), (7, 6), (8, 7)))
+        meta = MetaFormation(meta_vertices=(complete(4, 1), path), inter_edges=((1, 5),))
+        with pytest.raises(NotRigidError, match=f"^meta-vertex 1 is not rigid in {dim}D$"):
+            meta_rigid(meta, dim)
+
+    def test_zero_trials_rejected_in_3d(self):
+        meta = MetaFormation(meta_vertices=(complete(4, 1), complete(4, 5)), inter_edges=())
+        for trials in (0, -1):
+            with pytest.raises(InputError, match="trials must be >= 1"):
+                meta_rigid(meta, 3, trials=trials)
 
     def test_merge_bounds(self):
         meta2 = MetaFormation(
@@ -224,6 +237,9 @@ class TestMetaRigid3D:
     def test_dispatch(self):
         assert meta_rigid(two_tetrahedra(GOOD_6), 3).rigid
         assert meta_rigid(two_triangles(((1, 4), (1, 5), (2, 4))), 2).rigid
+        for dim in (1, 4):
+            with pytest.raises(InputError, match=f"dimension must be 2 or 3, got {dim}"):
+                meta_rigid(two_triangles(((1, 4), (1, 5), (2, 4))), dim)
 
 
 class TestEdgeOptimal:

@@ -9,7 +9,6 @@ the search first on every call; both must give the same reports.
 """
 import json
 import random
-import sys
 
 import pytest
 
@@ -28,7 +27,8 @@ from metaform.meta import (
 from metaform.planner import MergePlan, PlanEdge, plan_collection, verify_plan
 from metaform.rigidity import minimally_rigid_spanning, rigid_3d_check
 
-from conftest import complete, pair, shift, singleton, triangle, zero_dof_3d
+import check_meta_reference
+from conftest import complete, count_calls, pair, shift, singleton, triangle, zero_dof_3d
 
 
 def reference_counting_screen(m_meta, bound):
@@ -64,7 +64,7 @@ def reference_meta_rigid_3d(m_meta, seed=0, trials=3):
         raise AssertionError("corpus metas have at least three vertices")
     bound = merge_bound(cls)
     counting_ok, count_witness = reference_counting_screen(m_meta, bound)
-    substituted, fixed = meta._gadget_substitute(m_meta, 3, seed, trials)
+    substituted, fixed = check_meta_reference._gadget_substitute(m_meta, 3, seed, trials)
     sub_flat = substituted.flatten()
     verdict = rigid_3d_check(sub_flat.underlying(), seed=seed, trials=trials)
     rigid = verdict.rigid
@@ -239,21 +239,6 @@ def test_rigid_verdict_runs_no_counting_search(monkeypatch):
     assert len(rigid) >= 10
     for m_meta in rigid:
         assert meta_rigid_3d(m_meta).rigid
-
-
-def count_calls(monkeypatch, name, original):
-    """Count calls of ``original`` through every ``metaform.*`` reference to it."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
-
-    for mod_name, mod in list(sys.modules.items()):
-        in_package = mod_name == "metaform" or mod_name.startswith("metaform.")
-        if in_package and getattr(mod, name, None) is original:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 def test_check_meta_builds_the_verdict_once(tmp_path, monkeypatch, capsys):

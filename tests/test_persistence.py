@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from metaform import rigidity
 from metaform.errors import InputError, NotPersistentError
 from metaform.graph import Formation, MetaFormation
+from metaform.meta import meta_rigid
 from metaform.persistence import (
     is_persistent,
     ledger,
@@ -17,6 +18,7 @@ from metaform.persistence import (
 )
 from metaform.rigidity import check_rigidity
 
+from check_meta_reference import merged_persistence as reference_merged_persistence
 from conftest import complete, singleton, triangle
 
 
@@ -152,21 +154,31 @@ class TestMergedPersistence:
             meta_vertices=(triangle(1), triangle(4)), inter_edges=inter
         )
 
+    def _merged(self, meta):
+        return merged_persistence(meta, meta_rigid(meta, 2))
+
     def test_compliant_rigid_merge_is_persistent(self):
-        v = merged_persistence(self._pair(((1, 4), (1, 5), (2, 4))), 2)
+        v = self._merged(self._pair(((1, 4), (1, 5), (2, 4))))
         assert v.persistent and v.minimally_persistent
 
     def test_single_contact_vertex_not_persistent(self):
-        v = merged_persistence(self._pair(((1, 4), (2, 4))), 2)
+        v = self._merged(self._pair(((1, 4), (2, 4))))
         assert not v.persistent
 
     def test_non_persistent_meta_vertex_raises(self):
-        loose = Formation(vertices=(7, 8, 9), edges=((8, 7),))
-        meta = MetaFormation(
-            meta_vertices=(triangle(1), loose), inter_edges=()
+        # Rigid, but vertex 9 may drop 9 -> 10 and leave 10 on one edge.
+        dangler = Formation(
+            vertices=(7, 8, 9, 10), edges=((8, 7), (9, 7), (9, 8), (10, 7), (9, 10))
         )
-        with pytest.raises(NotPersistentError):
-            merged_persistence(meta, 2)
+        meta = MetaFormation(
+            meta_vertices=(triangle(1), dangler), inter_edges=((1, 7), (1, 8), (2, 7))
+        )
+        verdict = meta_rigid(meta, 2)
+        assert verdict.rigid
+        with pytest.raises(NotPersistentError, match="meta-vertex 1 is not persistent"):
+            merged_persistence(meta, verdict)
+        with pytest.raises(NotPersistentError, match="meta-vertex 1 is not persistent"):
+            reference_merged_persistence(meta, 2)
 
     def test_fast_path_agrees_with_full_criterion(self):
         rng = random.Random(2)
@@ -179,10 +191,9 @@ class TestMergedPersistence:
             )
             meta = self._pair(inter)
             flat = meta.flatten()
-            assert (
-                merged_persistence(meta, 2).persistent
-                == is_persistent(flat, 2).persistent
-            )
+            v = self._merged(meta)
+            assert v.persistent == is_persistent(flat, 2).persistent
+            assert v.to_dict() == reference_merged_persistence(meta, 2).to_dict()
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 
 from metaform.errors import InfeasibleMergeError, NotPersistentError
 from metaform.graph import Formation
-from metaform.persistence import is_persistent, merged_persistence
+from metaform.persistence import is_persistent
 from metaform.planner import (
     REASON_MISSING_DOF,
     REASON_NONSTRUCTURAL_ZERO,

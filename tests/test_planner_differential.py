@@ -24,8 +24,8 @@ from metaform import planner, rigidity
 from metaform.errors import InfeasibleMergeError
 from metaform.generate import gen
 from metaform.graph import Formation, UndirectedView
-from metaform.meta import edge_optimal_persistent, meta_rigid
-from metaform.persistence import ledger, local_dof_compliance, merged_persistence
+from metaform.meta import edge_optimal_persistent
+from metaform.persistence import ledger, local_dof_compliance
 from metaform.planner import (
     HEAD_SEARCH_LEAF_CAP,
     MergePlan,
@@ -43,6 +43,7 @@ from metaform.rigidity import (
     required_rank,
 )
 
+from check_meta_reference import merged_persistence, meta_rigid
 from conftest import (
     complete,
     lone_leader_3d,

@@ -258,6 +258,13 @@ class TestMinimallyRigidSpanning:
         sub = minimally_rigid_spanning(K4_2D, 2, fixed=(fixed,))
         assert set(fixed) <= set(sub)
 
+    def test_3d_trials_below_one_rejected(self):
+        # A rigid graph, so "not rigid" would be a wrong verdict.
+        g = undirected(range(1, 5), itertools.combinations(range(1, 5), 2))
+        for trials in (0, -1):
+            with pytest.raises(InputError, match="trials must be >= 1"):
+                minimally_rigid_spanning(g, 3, trials=trials)
+
 
 class TestIncrementalRank:
     def test_matches_batch_rank(self):
