@@ -19,11 +19,12 @@ from .graph import (
     export_dot,
     formation_at,
     json_int,
+    load_json,
     parse_formation,
     parse_meta_formation,
 )
-from .meta import edge_optimal_persistent, meta_rigid
-from .persistence import TERMINAL_SET_CAP, is_persistent, merged_persistence
+from .meta import check_meta, edge_optimal_persistent
+from .persistence import TERMINAL_SET_CAP, is_persistent
 from .planner import (
     MergePlan,
     PlanEdge,
@@ -88,8 +89,7 @@ def _cmd_check_persistence(args) -> int:
 
 def _cmd_check_meta(args) -> int:
     meta = parse_meta_formation(_read(args.file))
-    verdict = meta_rigid(meta, args.dim, seed=args.seed, trials=args.trials)
-    persistence = merged_persistence(meta, verdict, seed=args.seed, trials=args.trials)
+    verdict, persistence = check_meta(meta, args.dim, args.seed, args.trials)
     doc = {
         "criterion": (
             "meta edge-count characterization via substitution"
@@ -169,7 +169,7 @@ def _plan_edge(e, location: str) -> PlanEdge:
 
 
 def _cmd_verify_plan(args) -> int:
-    doc = json.loads(_read(args.file))
+    doc = load_json(_read(args.file), args.file)
     if not isinstance(doc, dict):
         raise InputError("plan report must be a JSON object", args.file)
     members = doc.get("collection")
@@ -193,6 +193,8 @@ def _cmd_verify_plan(args) -> int:
     dim = args.dim if args.dim is not None else json_int(doc.get("dim"), "dim")
     if dim not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {dim}", "dim")
+    if not collection:
+        raise InputError("empty collection", "collection")
     try:
         plan.apply(collection)
     except InputError as exc:
@@ -221,7 +223,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    doc = json.loads(_read(args.file))
+    doc = load_json(_read(args.file), args.file)
     if not isinstance(doc, dict):
         raise InputError("document must be a JSON object", args.file)
     obj = (
@@ -316,7 +318,7 @@ def main(argv=None) -> int:
     except MetaformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

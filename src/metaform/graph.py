@@ -240,22 +240,22 @@ class MetaClass:
     dim: int = 2
 
 
+def load_json(text: str, location: str | None = None):
+    """The decoded document; malformed JSON raises InputError at ``location``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"malformed JSON: {exc}", location) from exc
+
+
 def parse_formation(text: str) -> Formation:
     """Parse a formation JSON document, validating all invariants."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
-    return Formation.from_dict(doc)
+    return Formation.from_dict(load_json(text))
 
 
 def parse_meta_formation(text: str) -> MetaFormation:
     """Parse a meta-formation JSON document, validating all invariants."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed JSON: {exc}") from exc
-    return MetaFormation.from_dict(doc)
+    return MetaFormation.from_dict(load_json(text))
 
 
 def export_formation(f: Formation) -> str:

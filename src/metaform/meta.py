@@ -10,16 +10,22 @@ in both dimensions: the pebble game in 2D, exactly, and the rank oracle
 in 3D.  Only the witness of a not-rigid verdict depends on the
 dimension.  In 3D the counting condition is only necessary; every rigid
 merge meets the count, and the exponential counting search runs only to
-name the witness of a not-rigid verdict.
+name the witness of a not-rigid verdict.  ``check_meta`` proves each
+member persistent between the member pass and the merge decision.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 
-from .errors import InputError, NotRigidError
+from .errors import InputError, NotPersistentError, NotRigidError
 from .graph import Edge, MetaClass, MetaFormation, UndirectedView
-from .persistence import local_dof_compliance
+from .persistence import (
+    PersistenceVerdict,
+    is_persistent,
+    local_dof_compliance,
+    merged_persistence,
+)
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
@@ -246,10 +252,10 @@ def _counting_screen_3d(
     bad = [False] * (1 << m)
     first_violation = None
     for mask in range(1, 1 << m):
-        subset = tuple(edges[i] for i in range(m) if mask >> i & 1)
         if any(bad[mask & ~(1 << i)] for i in range(m) if mask >> i & 1):
             bad[mask] = True
             continue
+        subset = tuple(edges[i] for i in range(m) if mask >> i & 1)
         if meta_count_violation(meta, subset, 3) is not None:
             bad[mask] = True
             if first_violation is None:
@@ -266,13 +272,41 @@ def meta_rigid(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> MetaVerdict:
+    """Merged rigidity: the member pass, then ``_decide_merge``."""
+    return _decide_merge(meta, *_member_gadgets(meta, dim, seed, trials), seed, trials)
+
+
+def check_meta(
+    meta: MetaFormation, dim: int, seed: int, trials: int
+) -> tuple[MetaVerdict, PersistenceVerdict]:
+    """``meta_rigid``'s verdict and the merge's ``merged_persistence``.
+
+    Each member is proved persistent between the member pass and the
+    merge decision, so a member that is not fails before any not-rigid
+    witness search.  A rigid merge has a rigid flattened graph, which
+    has the substituted graph's vertices, in order, and a superset of
+    its edges (in 3D at the same trial, which places both alike).
+    """
+    cls, kept = _member_gadgets(meta, dim, seed, trials)
+    for i, mv in enumerate(meta.meta_vertices):
+        if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
+            raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
+    verdict = _decide_merge(meta, cls, kept, seed, trials)
+    compliant = local_dof_compliance(meta, dim)[0]
+    flat = meta.flatten()
+    return verdict, merged_persistence(flat, dim, verdict.rigid, compliant, seed, trials)
+
+
+def _decide_merge(
+    meta: MetaFormation, cls: MetaClass, kept, seed: int, trials: int
+) -> MetaVerdict:
     """Merged rigidity: one rigidity check of the gadget-substituted graph.
 
-    The substituted graph keeps each meta-vertex's gadget edges plus the
-    inter-edges, on the flattened graph's vertices in order.  A rigid
-    verdict selects the independent inter-edges that extend the gadgets
-    to a minimally rigid spanning set, the subset E_M', which has
-    exactly the counting-bound size.  Only the not-rigid witness
+    The substituted graph keeps each meta-vertex's gadget edges ``kept``
+    plus the inter-edges, on the flattened graph's vertices in order.  A
+    rigid verdict selects the independent inter-edges that extend the
+    gadgets to a minimally rigid spanning set, the subset E_M', which
+    has exactly the counting-bound size.  Only the not-rigid witness
     depends on the dimension.  In 2D it is the smallest subset that
     violates the count.  In 3D counting success alone never implies
     rigidity (the double banana satisfies every count), so the bitmask
@@ -283,7 +317,7 @@ def meta_rigid(
     are marked skipped when the inter-edge set exceeds the subset-search
     cap.
     """
-    cls, kept = _member_gadgets(meta, dim, seed, trials)
+    dim = cls.dim
     bound = merge_bound(cls)
     g = UndirectedView(
         vertices=tuple(v for mv in meta.meta_vertices for v in mv.vertices),
@@ -337,7 +371,6 @@ def edge_optimal_persistent(meta: MetaFormation, verdict: MetaVerdict) -> bool:
     ``verdict`` is the merge's ``meta_rigid`` verdict.  Edge-optimal
     rigid means rigid with no removable inter-edge, i.e. |E_M| equals
     the counting bound.  Members must be persistent, which
-    ``merged_persistence`` checks after ``meta_rigid`` has proved them
-    rigid.
+    ``check_meta`` proves before it decides the merge.
     """
     return verdict.edge_optimal and local_dof_compliance(meta, verdict.dim)[0]

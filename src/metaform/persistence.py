@@ -31,11 +31,10 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InputError, NotPersistentError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .graph import Edge, Formation, MetaFormation
 from .rigidity import (
     DEFAULT_SEED,
@@ -47,9 +46,6 @@ from .rigidity import (
     rigidity_matrix_rows,
     trial_placements,
 )
-
-if TYPE_CHECKING:
-    from .meta import MetaVerdict
 
 TERMINAL_SET_CAP = 10**6
 # Most matrix cells in one batch of 3D terminals (256 KiB of int64); a
@@ -370,54 +366,17 @@ def local_dof_compliance(
 
 
 def merged_persistence(
-    meta: MetaFormation,
-    verdict: MetaVerdict,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
+    flat: Formation, dim: int, rigid: bool, compliant: bool, seed: int, trials: int
 ) -> PersistenceVerdict:
-    """Persistence of a merge, after checking every meta-vertex is persistent.
+    """Persistence of a merge of persistent members, from its flattened graph.
 
-    ``verdict`` is the merge's ``meta_rigid`` verdict.  Its substituted
-    graph has the flattened graph's vertices, in order, and a subset of
-    its edges, so a rigid merge has a rigid flattened graph (in 3D at
-    the same trial, which places both alike).  When the merge is rigid
-    and all inter-edges leave local DOFs, it is persistent, and
-    minimally so when the flattened graph has exactly the required rank
-    of edges.  Otherwise the full criterion runs on the flattened graph,
-    as in ``flattened_persistence``.
+    ``compliant`` says all inter-edges leave local DOFs, and ``rigid``,
+    read only for a compliant merge, that the merge is rigid.  A rigid
+    compliant merge is persistent, and minimally so when ``flat`` has
+    the required rank of edges.  Otherwise the full criterion runs on
+    ``flat``, which also names a not-rigid merge's witness terminal.
     """
-    dim = verdict.dim
-    for i, mv in enumerate(meta.meta_vertices):
-        if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
-            raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
-    flat = meta.flatten()
-    if verdict.rigid and local_dof_compliance(meta, dim)[0]:
+    if rigid and compliant:
         minimally = len(flat.edges) == required_rank(dim, len(flat.vertices))
         return _verdict(ledger(flat, dim), minimally, seed)
     return is_persistent(flat, dim, seed=seed, trials=trials)
-
-
-def flattened_persistence(
-    meta: MetaFormation,
-    dim: int,
-    seed: int = DEFAULT_SEED,
-    trials: int = DEFAULT_TRIALS,
-) -> PersistenceVerdict:
-    """Persistence of a flattened meta-formation whose members are persistent.
-
-    When all inter-edges leave local DOFs, persistence of the merge
-    reduces to rigidity of the flattened graph, skipping terminal
-    enumeration.  Otherwise no merge-aware criterion is known and the
-    full persistence criterion is applied to the flattened graph (an
-    implementation fallback, not a shortcut the theory provides).
-    """
-    flat = meta.flatten()
-    compliant, _ = local_dof_compliance(meta, dim)
-    if not compliant:
-        return is_persistent(flat, dim, seed=seed, trials=trials)
-    verdict = check_rigidity(flat.underlying(), dim, seed=seed, trials=trials)
-    if not verdict.rigid:
-        # Not rigid implies not persistent; run the full criterion to
-        # produce a proper terminal-subgraph witness.
-        return is_persistent(flat, dim, seed=seed, trials=trials)
-    return _verdict(ledger(flat, dim), verdict.minimally_rigid, seed)

@@ -28,15 +28,16 @@ from .graph import Edge, Formation, MetaFormation
 from .meta import merge_bound, size_classes
 from .persistence import (
     DofLedger,
-    flattened_persistence,
     is_persistent,
     ledger,
     local_dof_compliance,
+    merged_persistence,
 )
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     FixedBaseRank,
+    check_rigidity,
     dof_constant,
     laman_check_2d,
 )
@@ -498,8 +499,11 @@ def verify_plan(
     """Closed-loop check of a plan against its collection."""
     members = prove_members(collection, dim, seed=seed, trials=trials)
     meta = plan.apply(members.formations)
-    verdict = flattened_persistence(meta, dim, seed=seed, trials=trials)
     flat = meta.flatten()
+    # Rigidity decides persistence only for a compliant merge.
+    compliant, _ = local_dof_compliance(meta, dim)
+    rigid = compliant and check_rigidity(flat.underlying(), dim, seed=seed, trials=trials).rigid
+    verdict = merged_persistence(flat, dim, rigid, compliant, seed=seed, trials=trials)
     optimal = False
     if verdict.persistent:
         if dim == 3 and len(flat.vertices) < 3 and len(members.formations) == 2:
@@ -510,7 +514,6 @@ def verify_plan(
             bound = merge_bound(size_classes(meta, dim))
         # A persistent merge is rigid, so it is edge-optimal when it meets
         # the bound, and edge-optimal persistent when it is also compliant.
-        compliant, _ = local_dof_compliance(meta, dim)
         optimal = compliant and len(plan.edges) == bound
     return PlanReport(
         persistent=verdict.persistent,

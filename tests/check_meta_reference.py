@@ -4,7 +4,9 @@ Each multi-vertex meta-vertex was proved rigid by ``laman_check_2d`` or
 ``rigid_3d_check`` in ``classify``, then rebuilt as a gadget by
 ``minimally_rigid_spanning`` in ``_gadget_substitute``; 2D and 3D each
 had their own merge decision; and ``merged_persistence`` decided the
-merge's rigidity again on the flattened graph.
+merge's rigidity again on the flattened graph, in ``flattened_persistence``,
+copied here as it was.  ``check_meta`` decided the merge before it proved
+the members persistent.
 """
 from metaform.errors import InputError, NotPersistentError, NotRigidError
 from metaform.graph import Formation, MetaFormation
@@ -16,9 +18,10 @@ from metaform.meta import (
     merge_bound,
     size_classes,
 )
-from metaform.persistence import flattened_persistence, is_persistent
+from metaform.persistence import _verdict, is_persistent, ledger, local_dof_compliance
 from metaform.rigidity import (
     PebbleGame2D,
+    check_rigidity,
     laman_check_2d,
     minimally_rigid_spanning,
     rigid_3d_check,
@@ -152,3 +155,29 @@ def merged_persistence(meta, dim, seed=0, trials=3):
         if not is_persistent(mv, dim, seed=seed, trials=trials).persistent:
             raise NotPersistentError(f"meta-vertex {i} is not persistent in {dim}D")
     return flattened_persistence(meta, dim, seed=seed, trials=trials)
+
+
+def flattened_persistence(meta, dim, seed=0, trials=3):
+    """Persistence of a flattened meta-formation whose members are persistent.
+
+    When all inter-edges leave local DOFs, persistence of the merge
+    reduces to rigidity of the flattened graph, skipping terminal
+    enumeration.  Otherwise no merge-aware criterion is known and the
+    full persistence criterion is applied to the flattened graph (an
+    implementation fallback, not a shortcut the theory provides).
+    """
+    flat = meta.flatten()
+    compliant, _ = local_dof_compliance(meta, dim)
+    if not compliant:
+        return is_persistent(flat, dim, seed=seed, trials=trials)
+    verdict = check_rigidity(flat.underlying(), dim, seed=seed, trials=trials)
+    if not verdict.rigid:
+        # Not rigid implies not persistent; run the full criterion to
+        # produce a proper terminal-subgraph witness.
+        return is_persistent(flat, dim, seed=seed, trials=trials)
+    return _verdict(ledger(flat, dim), verdict.minimally_rigid, seed)
+
+
+def check_meta(meta, dim, seed, trials):
+    verdict = meta_rigid(meta, dim, seed=seed, trials=trials)
+    return verdict, merged_persistence(meta, dim, seed=seed, trials=trials)

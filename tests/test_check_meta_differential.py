@@ -1,12 +1,13 @@
 """``check-meta`` against its earlier path, kept in ``check_meta_reference``.
 
 ``check-meta`` now builds each meta-vertex's gadget once, and that build
-is the member's rigidity proof; one ``meta_rigid`` decides the merge in
-both dimensions on the substituted graph; and ``merged_persistence``
-reads the merge's rigidity from that verdict.  The reference proved each
-member rigid, rebuilt it as a gadget, and decided the merge's rigidity
-again on the flattened graph.  Both must print the same stdout and
-stderr and exit with the same code.
+is the member's rigidity proof; it proves each member persistent before
+one rigidity check of the substituted graph decides the merge in both
+dimensions; and ``merged_persistence`` reads the merge's rigidity from
+that verdict.  The reference proved each member rigid, rebuilt it as a
+gadget, decided the merge, proved the members persistent only then, and
+decided the merge's rigidity again on the flattened graph.  Both must
+print the same stdout and stderr and exit with the same code.
 """
 import contextlib
 import io
@@ -18,12 +19,13 @@ import random
 import pytest
 
 import check_meta_reference as reference
-from metaform import cli, persistence, rigidity
+from metaform import cli, meta, persistence, rigidity
 from metaform.cli import main
 from metaform.errors import NotRigidError
 from metaform.generate import gen
 from metaform.graph import Formation, MetaFormation
 from metaform.meta import merge_bound, size_classes
+from metaform.planner import MergePlan, PlanEdge, verify_plan
 from metaform.persistence import ledger
 
 from conftest import complete, count_calls, pair, shift, singleton, triangle
@@ -125,10 +127,29 @@ def random_meta(rng, dim: int) -> MetaFormation:
             return m
 
 
+def rigid_non_persistent_5() -> Formation:
+    """Rigid in 3D, not persistent: 13 may drop 13 -> 14 and leave 14 on two edges."""
+    edges = ((11, 10), (12, 10), (12, 11), (13, 10), (13, 11), (13, 12), (13, 14),
+             (14, 10), (14, 11))
+    return Formation(vertices=(10, 11, 12, 13, 14), edges=edges)
+
+
+def middle_not_persistent(middle: Formation) -> MetaFormation:
+    """Two K4s joined by all 16 pairs, and ``middle`` hung on two inter-edges:
+    a not-rigid merge whose 3D counting search runs for seconds."""
+    k4s = (complete(4, 0), complete(4, 20))
+    inter = tuple((a, b) for a in k4s[0].vertices for b in k4s[1].vertices)
+    return MetaFormation(
+        meta_vertices=(k4s[0], middle, k4s[1]), inter_edges=inter + ((0, 10), (1, 11))
+    )
+
+
 def named_metas():
     k4 = [complete(4, 1 + 4 * i) for i in range(3)]
     good_6 = ((1, 5), (1, 6), (1, 7), (2, 5), (2, 6), (3, 5))
     return {
+        ("not-persistent-middle", 3): middle_not_persistent(rigid_non_persistent_5()),
+        ("not-persistent-middle", 2): middle_not_persistent(dangler(2, 10)),
         ("two-K4-good-6", 3): MetaFormation(meta_vertices=tuple(k4[:2]), inter_edges=good_6),
         ("two-K4-five", 3): MetaFormation(meta_vertices=tuple(k4[:2]), inter_edges=good_6[:5]),
         ("two-triangles-3", 2): MetaFormation(
@@ -199,14 +220,7 @@ def check_meta(tmp_path, m, dim, seed):
 
 def reference_check_meta(tmp_path, monkeypatch, m, dim, seed):
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "meta_rigid", reference.meta_rigid)
-        patch.setattr(
-            cli,
-            "merged_persistence",
-            lambda m, verdict, seed, trials: reference.merged_persistence(
-                m, verdict.dim, seed=seed, trials=trials
-            ),
-        )
+        patch.setattr(cli, "check_meta", reference.check_meta)
         return check_meta(tmp_path, m, dim, seed)
 
 
@@ -292,3 +306,27 @@ def test_member_gadget_is_the_rigidity_proof():
                 except NotRigidError:
                     built = False
                 assert built == rigid
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_non_persistent_member_fails_before_the_witness_search(dim, tmp_path, monkeypatch):
+    m, _ = CORPUS[f"not-persistent-middle-{dim}d"]
+    screens = count_calls(monkeypatch, "_counting_screen_3d", meta._counting_screen_3d)
+    subsets = count_calls(
+        monkeypatch, "_smallest_violating_subset", meta._smallest_violating_subset
+    )
+    out, err, code = check_meta(tmp_path, m, dim, 0)
+    assert (out, err, code) == ("", f"error: meta-vertex 1 is not persistent in {dim}D\n", 2)
+    assert (screens, subsets) == ([], [])
+
+
+def test_verify_plan_ranks_only_a_compliant_merge(monkeypatch):
+    checks = count_calls(monkeypatch, "check_rigidity", rigidity.check_rigidity)
+    seen = []
+    for edges in (((3, 4), (3, 5), (2, 4)), ((1, 4), (1, 5), (2, 4))):
+        plan = MergePlan(edges=tuple(PlanEdge(t, h, "op") for t, h in edges))
+        report = verify_plan([triangle(1), triangle(4)], plan, 2)
+        seen.append((report.persistent, len(checks)))
+    # Vertex 3 has no local DOF, so the first plan is decided by the full
+    # criterion alone; the compliant one by one check of the flattened graph.
+    assert seen == [(False, 0), (True, 1)]

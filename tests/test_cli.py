@@ -245,6 +245,21 @@ class TestDocumentShape:
         assert main(["export", str(p)]) == 2
         assert "document must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["export", "verify-plan"])
+    def test_malformed_json_is_located_at_the_file(self, tmp_path, capsys, command):
+        p = tmp_path / "doc.json"
+        p.write_text('{"collection": [, "plan"}')
+        assert main([command, str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed JSON: Expecting value")
+        assert err.endswith(f"(at {p})\n")
+
+    def test_verify_plan_of_empty_collection_is_located_at_collection(self, tmp_path, capsys):
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps({"collection": [], "plan": {"edges": []}, "dim": 2}))
+        assert main(["verify-plan", str(p)]) == 2
+        assert capsys.readouterr().err == "error: empty collection (at collection)\n"
+
     def test_verify_plan_with_list_plan_exits_two(self, tmp_path, capsys):
         p = tmp_path / "plan.json"
         p.write_text(json.dumps({"collection": [], "plan": [], "dim": 3}))

@@ -244,10 +244,11 @@ def test_rigid_verdict_runs_no_counting_search(monkeypatch):
 def test_check_meta_builds_the_verdict_once(tmp_path, monkeypatch, capsys):
     p = tmp_path / "meta.json"
     p.write_text(json.dumps(CORPUS["two-tetrahedra-good-6"].to_dict()))
-    calls = count_calls(monkeypatch, "meta_rigid", meta.meta_rigid)
+    members = count_calls(monkeypatch, "_member_gadgets", meta._member_gadgets)
+    merges = count_calls(monkeypatch, "_decide_merge", meta._decide_merge)
     assert main(["check-meta", str(p), "--dim", "3"]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    assert (len(members), len(merges)) == (1, 1)
 
 
 def test_verify_plan_checks_each_member_once(monkeypatch):

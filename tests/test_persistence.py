@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from metaform import rigidity
 from metaform.errors import InputError, NotPersistentError
 from metaform.graph import Formation, MetaFormation
-from metaform.meta import meta_rigid
+from metaform.meta import check_meta, meta_rigid
 from metaform.persistence import (
     is_persistent,
     ledger,
@@ -155,7 +155,9 @@ class TestMergedPersistence:
         )
 
     def _merged(self, meta):
-        return merged_persistence(meta, meta_rigid(meta, 2))
+        rigid = meta_rigid(meta, 2).rigid
+        compliant = local_dof_compliance(meta, 2)[0]
+        return merged_persistence(meta.flatten(), 2, rigid, compliant, 0, 3)
 
     def test_compliant_rigid_merge_is_persistent(self):
         v = self._merged(self._pair(((1, 4), (1, 5), (2, 4))))
@@ -173,10 +175,9 @@ class TestMergedPersistence:
         meta = MetaFormation(
             meta_vertices=(triangle(1), dangler), inter_edges=((1, 7), (1, 8), (2, 7))
         )
-        verdict = meta_rigid(meta, 2)
-        assert verdict.rigid
+        assert meta_rigid(meta, 2).rigid
         with pytest.raises(NotPersistentError, match="meta-vertex 1 is not persistent"):
-            merged_persistence(meta, verdict)
+            check_meta(meta, 2, 0, 3)
         with pytest.raises(NotPersistentError, match="meta-vertex 1 is not persistent"):
             reference_merged_persistence(meta, 2)
 
