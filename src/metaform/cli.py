@@ -23,7 +23,7 @@ from .graph import (
     parse_formation,
     parse_meta_formation,
 )
-from .meta import check_meta, edge_optimal_persistent
+from .meta import check_meta
 from .persistence import TERMINAL_SET_CAP, is_persistent
 from .planner import (
     MergePlan,
@@ -89,7 +89,7 @@ def _cmd_check_persistence(args) -> int:
 
 def _cmd_check_meta(args) -> int:
     meta = parse_meta_formation(_read(args.file))
-    verdict, persistence = check_meta(meta, args.dim, args.seed, args.trials)
+    verdict, persistence, optimal = check_meta(meta, args.dim, args.seed, args.trials)
     doc = {
         "criterion": (
             "meta edge-count characterization via substitution"
@@ -99,7 +99,7 @@ def _cmd_check_meta(args) -> int:
         "dim": args.dim,
         "seed": args.seed,
         "trials": args.trials,
-        "edgeOptimalPersistent": edge_optimal_persistent(meta, verdict),
+        "edgeOptimalPersistent": optimal,
         "mergedPersistence": persistence.to_dict(),
     }
     doc.update(verdict.to_dict())

@@ -278,8 +278,9 @@ def meta_rigid(
 
 def check_meta(
     meta: MetaFormation, dim: int, seed: int, trials: int
-) -> tuple[MetaVerdict, PersistenceVerdict]:
-    """``meta_rigid``'s verdict and the merge's ``merged_persistence``.
+) -> tuple[MetaVerdict, PersistenceVerdict, bool]:
+    """``meta_rigid``'s verdict, the merge's ``merged_persistence``, and
+    ``edge_optimal_persistent``, from one local-DOF compliance check.
 
     Each member is proved persistent between the member pass and the
     merge decision, so a member that is not fails before any not-rigid
@@ -294,7 +295,8 @@ def check_meta(
     verdict = _decide_merge(meta, cls, kept, seed, trials)
     compliant = local_dof_compliance(meta, dim)[0]
     flat = meta.flatten()
-    return verdict, merged_persistence(flat, dim, verdict.rigid, compliant, seed, trials)
+    persistence = merged_persistence(flat, dim, verdict.rigid, compliant, seed, trials)
+    return verdict, persistence, verdict.edge_optimal and compliant
 
 
 def _decide_merge(

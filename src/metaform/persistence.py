@@ -20,10 +20,12 @@ edges still to come is short of 2n - 3 fails in every terminal, and its
 first terminal is the witness.
 
 In 3D every terminal keeps the formation's vertices in the same order, so
-trial t of each terminal's rank oracle places them the same way, and a
-terminal's rigidity matrix is a row subset of the whole formation's
-matrix for that trial.  Terminals are therefore ranked in batches over
-rows drawn from one matrix per trial.
+trial t of each terminal's rank oracle places them the same way.  Every
+terminal holds the edges of the single-choice blocks, so those form the
+base of one ``FixedBaseRank``; a terminal adds one choice per other
+block, and terminals are ranked in batches of these extra edges.  A
+formation with one terminal is that terminal, and the rank oracle
+decides it.
 """
 from __future__ import annotations
 
@@ -35,22 +37,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, ResourceLimitError
-from .graph import Edge, Formation, MetaFormation
+from .graph import Edge, Formation, MetaFormation, UndirectedView
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    FixedBaseRank,
     PebbleGame2D,
-    batch_rank_mod_p,
-    check_rigidity,
+    generic_rank_oracle,
     required_rank,
-    rigidity_matrix_rows,
-    trial_placements,
 )
 
 TERMINAL_SET_CAP = 10**6
-# Most matrix cells in one batch of 3D terminals (256 KiB of int64); a
-# batch holds at least one terminal.
-TERMINAL_BATCH_CELLS = 1 << 15
+# 3D terminals ranked together, one batch per trial.  On the persist-3d
+# corpus (2-core host) 1,024 ran no faster than 512 and took 1 MB more
+# peak memory.
+TERMINAL_BATCH_SIZE = 512
 
 
 @dataclass(frozen=True)
@@ -202,16 +203,17 @@ def _verdict(led: DofLedger, minimally: bool, seed: int, witness=None) -> Persis
 def _first_nonrigid_terminal_2d(f: Formation, terminals: TerminalSubgraphs) -> int | None:
     """Index of the first terminal the pebble game finds not rigid, or None.
 
-    Needs three or more vertices.  One game walks the product tree depth
-    first, in product order: going down a level inserts that block's
-    choice, going back up removes the edges it accepted.  Levels come off
-    in reverse order, so the edges an insert rejected stay dependent on
-    edges still in the game, and the game's rank is always that of the
-    prefix's edge set.  Blocks with a single choice are in every terminal
-    and are inserted once, before the walk.  A prefix whose rank plus the
-    edges still to come falls short of 2n - 3 fails in every terminal
-    below it, so the first of those is the first failing terminal; a
-    prefix already at full rank passes in every terminal below it.
+    One game walks the product tree depth first, in product order: going
+    down a level inserts that block's choice, going back up removes the
+    edges it accepted.  Levels come off in reverse order, so the edges an
+    insert rejected stay dependent on edges still in the game, and the
+    game's rank is always that of the prefix's edge set.  Blocks with a
+    single choice are in every terminal and are inserted once, before the
+    walk.  A prefix whose rank plus the edges still to come falls short
+    of 2n - 3 fails in every terminal below it, so the first of those is
+    the first failing terminal; a prefix already at full rank passes in
+    every terminal below it.  With one vertex the target is -1 and
+    nothing fails; with two, the one edge, if there, reaches 1.
     """
     target = 2 * len(f.vertices) - 3
     game = PebbleGame2D(f.vertices)
@@ -258,43 +260,36 @@ def _first_nonrigid_terminal_3d(
 ) -> int | None:
     """Index of the first terminal ``rigid_3d_check`` finds not rigid, or None.
 
-    Needs three or more vertices.  Every terminal keeps min(d+, 3) edges
-    per vertex, so all share one edge count and the edge-count exit
-    decides all of them at once.  Otherwise a terminal is rigid when some
-    trial's rank reaches 3n - 6.  Terminal rows are rows of the
-    formation's matrix for the trial (up to sign, which leaves the rank
-    alone), and that matrix is built once per trial, at first use.  Each
-    block's choices are mapped to row indices once, and a terminal's rows
-    are one choice per block, taken in product order.  Each batch of
-    terminals goes on to the next trial with only the terminals still
-    short of full rank.
+    Every terminal keeps min(d+, 3) edges per vertex, so all share one
+    edge count and the edge-count exit decides all of them at once.  One
+    terminal is decided by the rank oracle, as ``rigid_3d_check`` decides
+    it from three vertices on; on two, the oracle also says not rigid
+    when both share a placement in every trial, the same one-sided error
+    as any rank verdict.  Otherwise a terminal is rigid when some trial's rank reaches
+    3n - 6: the base's rank at that trial plus the rank its extra edges
+    add.  Each batch of terminals goes on to the next trial with only the
+    terminals still short of full rank.
     """
     g = f.underlying()
     target = required_rank(3, len(g.vertices))
-    width = sum(len(block[0]) for block in terminals.blocks)
-    if width < target:
+    if sum(len(block[0]) for block in terminals.blocks) < target:
         return 0
-    row_of = {e: i for i, e in enumerate(f.edges)}
-    blocks = [
-        tuple(tuple(row_of[e] for e in kept) for kept in block) for block in terminals.blocks
-    ]
-    col_of = {v: i for i, v in enumerate(g.vertices)}
-    placements = trial_placements(g.vertices, 3, seed)
-    matrices: list[np.ndarray] = []
-    size = max(1, TERMINAL_BATCH_CELLS // (width * 3 * len(g.vertices)))
-    pending = itertools.product(*blocks)
+    if len(terminals) == 1:
+        return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else 0
+    fixed = [e for block in terminals.blocks if len(block) == 1 for e in block[0]]
+    ranker = FixedBaseRank(UndirectedView(g.vertices, tuple(fixed)), 3, seed=seed, trials=trials)
+    # Single-choice blocks add digit 0 only, so product order over the
+    # other blocks is terminal order.
+    pending = itertools.product(*(block for block in terminals.blocks if len(block) > 1))
     start = 0
-    while batch := list(itertools.islice(pending, size)):
-        rows = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(batch)),
-            dtype=np.intp,
-            count=len(batch) * width,
-        ).reshape(len(batch), width)
+    while batch := [
+        tuple(itertools.chain(*choice))
+        for choice in itertools.islice(pending, TERMINAL_BATCH_SIZE)
+    ]:
         short = np.arange(len(batch))
         for t in range(trials):
-            if t == len(matrices):
-                matrices.append(rigidity_matrix_rows(g.edges, next(placements), col_of, 3))
-            short = short[batch_rank_mod_p(matrices[t][rows[short]]) < target]
+            need = target - ranker.trial(t).basis.rank
+            short = short[ranker.extra_ranks(t, [batch[i] for i in short]) < need]
             if not short.size:
                 break
         if short.size:
@@ -323,15 +318,10 @@ def is_persistent(
     # Terminals come sorted by retained edge set, so the first non-rigid
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
-    n = len(f.vertices)
-    if n > 2 and dim == 2:
+    if dim == 2:
         first = _first_nonrigid_terminal_2d(f, terminals)
-    elif n > 2:
-        first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
     else:
-        # At most one edge, so the one terminal keeps every edge.
-        rigid = check_rigidity(f.underlying(), dim, seed=seed, trials=trials).rigid
-        first = None if rigid else 0
+        first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
     if first is not None:
         return _verdict(led, False, seed, witness=terminals[first].retained)
     # Every terminal is rigid, and so is the whole formation: a terminal
@@ -341,7 +331,7 @@ def is_persistent(
     # Formation has one edge per unordered pair, so it is minimally rigid
     # exactly when it has required_rank edges (0 and 1 for n = 1 and 2,
     # as laman_check_2d and rigid_3d_check say).
-    return _verdict(led, len(f.edges) == required_rank(dim, n), seed)
+    return _verdict(led, len(f.edges) == required_rank(dim, len(f.vertices)), seed)
 
 
 def local_dof_compliance(

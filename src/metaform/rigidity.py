@@ -20,20 +20,20 @@ reverse, Tay & Whiteley 1985); only the rest of the matrix is reduced.
 The rank at the trial's placement is exact either way, so peeling
 changes no verdict.
 
-Persistence and the merge planner ask the oracle about thousands of
-small graphs on one vertex set: terminal subgraphs, or the members plus
-one head assignment.  Trial t of each of those oracles places the
-vertices the same way, so their matrices share the trial's placement
-and are ranked together, one ``batch_rank_mod_p`` call per chunk.  That
-call runs one vectorized elimination over a stack of small matrices,
-and ``rank_mod_p`` per matrix on a short stack or on large matrices,
-where the vectorized one is slower.
+Persistence, the merge planner and the 3D spanning set ask about many
+graphs that share one fixed edge set on one vertex set: a terminal
+subgraph is the single-choice blocks plus one choice per other block, a
+head-search leaf is the members plus one head assignment.  Trial t of
+each of those oracles places the vertices the same way, so a
+``FixedBaseRank`` reduces the fixed rows once per trial and ranks only
+each graph's few extra rows, all graphs of a chunk in one
+``batch_rank_mod_p`` call: one vectorized elimination over the stack.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,17 +52,6 @@ COORD_RANGE = 2**20
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
 SPARSITY_3D_VERTEX_CAP = 20
-
-# ``batch_rank_mod_p`` eliminates a stack in one vectorized pass only when
-# it holds at least this many matrices of at most this many cells each.
-# One pass costs its numpy calls per column plus every cell of every
-# matrix per column; ``rank_mod_p`` costs its Python loop per column and
-# touches only rows with a nonzero entry.  On sparse rigidity matrices
-# (2-core host) one pass beat ``rank_mod_p`` per matrix from 4 matrices
-# up to about 2,000 cells, tied at 8 or more of about 4,300, and lost at
-# every stack size from about 5,600 cells up (2.5x at 234 x 240).
-BATCH_RANK_MIN_MATRICES = 4
-BATCH_RANK_MAX_CELLS = 2048
 
 
 @dataclass(frozen=True)
@@ -374,21 +363,7 @@ def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
 
 
 def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
-    """Exact rank over GF(p) of every matrix in a (B, r, c) stack.
-
-    Stacks of fewer than ``BATCH_RANK_MIN_MATRICES`` matrices, or of
-    matrices over ``BATCH_RANK_MAX_CELLS`` cells, are ranked one matrix
-    at a time by ``rank_mod_p``; the rest in one vectorized elimination.
-    """
-    a = np.asarray(stack, dtype=np.int64)
-    batch, rows, cols = a.shape
-    if batch < BATCH_RANK_MIN_MATRICES or rows * cols > BATCH_RANK_MAX_CELLS:
-        return np.array([rank_mod_p(m, p) for m in a], dtype=np.intp)
-    return _eliminate_stack(a, p)
-
-
-def _eliminate_stack(a: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
-    """Ranks of a (B, r, c) int64 stack, all B eliminations in one pass.
+    """Exact rank over GF(p) of every matrix in a (B, r, c) stack, in one pass.
 
     The eliminations advance together, one column per step.  Each
     matrix takes the first unused row with a nonzero entry as its pivot
@@ -396,8 +371,9 @@ def _eliminate_stack(a: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
     row * pivot - entry * pivot_row.  Both products are below p^2 < 2^62,
     so int64 holds them and no modular inverse is needed.  A matrix with
     no pivot in the column uses pivot 1 and entries 0, which leaves it as
-    it was.
+    it was.  The input stack is left as it was.
     """
+    a = np.asarray(stack, dtype=np.int64)
     if a.shape[1] < a.shape[2]:
         # rank(A) = rank(A^T): step over the shorter side.
         a = a.transpose(0, 2, 1)
@@ -689,6 +665,20 @@ class IncrementalRank:
         return len(self.basis)
 
 
+@dataclass
+class BaseTrial:
+    """A ``FixedBaseRank``'s base edge set, reduced at one trial's placement."""
+
+    positions: dict[int, tuple[int, ...]]
+    basis: IncrementalRank
+    # Base edges whose rows entered the basis, in base order.
+    kept: tuple[Edge, ...]
+    # Columns that hold no basis pivot: reduced rows are zero elsewhere.
+    free: np.ndarray
+    # Extra edge -> its row reduced against the basis, on the free columns.
+    reduced: dict[Edge, np.ndarray] = field(default_factory=dict)
+
+
 class FixedBaseRank:
     """Rank oracle for one fixed base edge set plus a few extra edges.
 
@@ -697,11 +687,11 @@ class FixedBaseRank:
     on the same vertices: trial t places the vertices exactly as that
     oracle's trial t does (``trial_placements`` over g's vertex order),
     and both ranks are exact over GF(p).  The base rows are reduced into
-    an ``IncrementalRank`` once per trial, and each extra edge's row is
-    reduced against them once per trial, so a query only eliminates its
-    own few rows, restricted to the columns that hold no base pivot.
-    ``first_full_rank`` answers that question for many extra edge sets at
-    once, ranking their reduced rows in one batch per trial.
+    an ``IncrementalRank`` once per trial, in base order, until they reach
+    full rank, and each extra edge's row is reduced against them once per
+    trial, so a query only eliminates its own few rows, restricted to the
+    columns that hold no base pivot.  ``extra_ranks`` ranks many extra
+    edge sets at one trial in one batch.
     """
 
     def __init__(
@@ -719,22 +709,53 @@ class FixedBaseRank:
         self.target = required_rank(dim, len(g.vertices))
         self._col_of = {v: i for i, v in enumerate(g.vertices)}
         self._placements = trial_placements(g.vertices, dim, seed)
-        # Per trial: positions, reduced base, free columns, reduced extra rows.
-        self._trials: list[tuple[dict, IncrementalRank, np.ndarray, dict]] = []
+        self._trials: list[BaseTrial] = []
 
-    def _trial(self, t: int):
+    def trial(self, t: int) -> BaseTrial:
+        """Trial t's reduced base, built at first use.
+
+        No placement's rank exceeds the target, so once the basis reaches
+        it no later base row is independent, and none is reduced.
+        """
         while len(self._trials) <= t:
             positions = next(self._placements)
-            base = IncrementalRank(self.dim * len(self.g.vertices))
-            for row in rigidity_matrix_rows(self.g.edges, positions, self._col_of, self.dim):
-                base.try_add(row)
-            # Reduced rows are zero in every pivot column, so only the
-            # other columns can add rank.
+            basis = IncrementalRank(self.dim * len(self.g.vertices))
+            kept = []
+            rows = rigidity_matrix_rows(self.g.edges, positions, self._col_of, self.dim)
+            for e, row in zip(self.g.edges, rows):
+                if basis.rank == self.target:
+                    break
+                if basis.try_add(row):
+                    kept.append(e)
             free = np.array(
-                [c for c in range(base.ncols) if c not in base.basis], dtype=np.intp
+                [c for c in range(basis.ncols) if c not in basis.basis], dtype=np.intp
             )
-            self._trials.append((positions, base, free, {}))
+            self._trials.append(BaseTrial(positions, basis, tuple(kept), free))
         return self._trials[t]
+
+    def extra_ranks(self, t: int, extras) -> np.ndarray:
+        """The rank each extra edge set adds to the base at trial t.
+
+        Each set's reduced rows are ranked, all sets in one
+        ``batch_rank_mod_p`` call; shorter sets are padded with zero rows,
+        which add no rank.
+        """
+        trial = self.trial(t)
+        slot = {}
+        for extra in extras:
+            for e in extra:
+                if e not in trial.reduced:
+                    row = rigidity_matrix_rows([e], trial.positions, self._col_of, self.dim)[0]
+                    trial.reduced[e] = trial.basis.reduce(row)[trial.free]
+                slot.setdefault(e, len(slot))
+        # Row len(slot) of the table is the zero padding row.
+        table = np.stack(
+            [trial.reduced[e] for e in slot] + [np.zeros(trial.free.size, dtype=np.int64)]
+        )
+        index = np.full((len(extras), max(map(len, extras), default=0)), len(slot), dtype=np.intp)
+        for k, extra in enumerate(extras):
+            index[k, : len(extra)] = [slot[e] for e in extra]
+        return batch_rank_mod_p(table[index])
 
     def first_full_rank(self, leaves) -> int | None:
         """Index of the first extra edge set that reaches full rank, or None.
@@ -742,8 +763,7 @@ class FixedBaseRank:
         A set reaches full rank when some trial does.  Trial t can find a
         set before the one an earlier trial found, so each trial ranks
         every set still ahead of the best index so far.  Sets shorter than
-        a trial's missing rank cannot close it and are not ranked; shorter
-        sets are padded with zero rows, which add no rank.
+        a trial's missing rank cannot close it and are not ranked.
         """
         leaves = [[(min(e), max(e)) for e in extra] for extra in leaves]
         ahead = [
@@ -754,27 +774,13 @@ class FixedBaseRank:
         for t in range(self.trials):
             if not ahead:
                 break
-            positions, base, free, reduced = self._trial(t)
-            need = self.target - base.rank
+            need = self.target - self.trial(t).basis.rank
             if need == 0:
                 return ahead[0]
             ranked = [i for i in ahead if len(leaves[i]) >= need]
             if not ranked:
                 continue
-            slot = {}
-            for i in ranked:
-                for e in leaves[i]:
-                    if e not in reduced:
-                        row = rigidity_matrix_rows([e], positions, self._col_of, self.dim)[0]
-                        reduced[e] = base.reduce(row)[free]
-                    slot.setdefault(e, len(slot))
-            # Row len(slot) of the table is the zero padding row.
-            table = np.stack([reduced[e] for e in slot] + [np.zeros(free.size, dtype=np.int64)])
-            width = max(len(leaves[i]) for i in ranked)
-            index = np.full((len(ranked), width), len(slot), dtype=np.intp)
-            for k, i in enumerate(ranked):
-                index[k, : len(leaves[i])] = [slot[e] for e in leaves[i]]
-            hits = np.flatnonzero(batch_rank_mod_p(table[index]) == need)
+            hits = np.flatnonzero(self.extra_ranks(t, [leaves[i] for i in ranked]) == need)
             if hits.size:
                 best = ranked[hits[0]]
                 ahead = [i for i in ahead if i < best]
@@ -793,12 +799,14 @@ def minimally_rigid_spanning(
     The fixed sets must be edge sets of minimally rigid vertex-disjoint
     subgraphs of g; their rows are independent, so greedy extension in
     declared edge order reaches the full generic rank.  2D uses the
-    pebble game, 3D exact-rank independence tests at random positions
-    (retried across trials since a single unlucky placement can only
-    under-estimate rank).  The 3D placements are those of
-    ``generic_rank_oracle``, trial by trial, so with no fixed edges this
-    succeeds exactly when ``rigid_3d_check`` says g is rigid.  In 3D,
-    ``trials`` below 1 raises InputError, as in ``rigid_3d_check``.
+    pebble game.  3D reads the edges each trial's ``FixedBaseRank`` basis
+    kept from the fixed edges followed by the rest, and returns those of
+    the first trial that kept every fixed edge and reached full rank (a
+    single unlucky placement can only under-estimate rank).  Its
+    placements are those of ``generic_rank_oracle``, trial by trial, so
+    with no fixed edges this succeeds exactly when ``rigid_3d_check``
+    says g is rigid.  In 3D, ``trials`` below 1 raises InputError, as in
+    ``rigid_3d_check``.
     """
     n = len(g.vertices)
     edges = set(g.edges)
@@ -829,34 +837,18 @@ def minimally_rigid_spanning(
             raise NotRigidError("graph is not rigid in 2D")
         return tuple(chosen)
 
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    col_of = {v: i for i, v in enumerate(g.vertices)}
-    rng = random.Random(seed)
-    last_error: str | None = None
-    for _ in range(trials):
-        positions = _positions(g.vertices, 3, rng)
-        inc = IncrementalRank(3 * n)
-        chosen = []
-        ok = True
-        for e in fixed_edges:
-            row = rigidity_matrix_rows([e], positions, col_of, 3)[0]
-            if not inc.try_add(row):
-                ok = False
-                last_error = f"fixed edge sets are not independent (at {e})"
-                break
-            chosen.append(e)
-        if not ok:
-            continue
-        for e in rest:
-            if inc.rank == target:
-                break
-            row = rigidity_matrix_rows([e], positions, col_of, 3)[0]
-            if inc.try_add(row):
-                chosen.append(e)
-        if inc.rank == target:
-            return tuple(chosen)
-        last_error = "graph is not rigid in 3D"
-    if last_error and "independent" in last_error:
-        raise InputError(last_error)
-    raise NotRigidError(last_error or "graph is not rigid in 3D")
+    base = UndirectedView(g.vertices, tuple(dict.fromkeys(fixed_edges)) + tuple(rest))
+    ranker = FixedBaseRank(base, dim, seed=seed, trials=trials)
+    for t in range(trials):
+        kept = ranker.trial(t).kept
+        # The fixed edges lead the base, each once, so the first position
+        # where the kept edges differ from the fixed list holds its first
+        # edge that depends on those before it; a repeat never matches.
+        dependent = next(
+            (e for i, e in enumerate(fixed_edges) if i >= len(kept) or kept[i] != e), None
+        )
+        if dependent is None and len(kept) == target:
+            return kept
+    if dependent is not None:
+        raise InputError(f"fixed edge sets are not independent (at {dependent})")
+    raise NotRigidError("graph is not rigid in 3D")

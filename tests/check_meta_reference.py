@@ -6,7 +6,8 @@ Each multi-vertex meta-vertex was proved rigid by ``laman_check_2d`` or
 had their own merge decision; and ``merged_persistence`` decided the
 merge's rigidity again on the flattened graph, in ``flattened_persistence``,
 copied here as it was.  ``check_meta`` decided the merge before it proved
-the members persistent.
+the members persistent, and the CLI computed ``edgeOptimalPersistent``
+with its own local-DOF compliance check.
 """
 from metaform.errors import InputError, NotPersistentError, NotRigidError
 from metaform.graph import Formation, MetaFormation
@@ -15,6 +16,7 @@ from metaform.meta import (
     SUBSET_SEARCH_CAP,
     _counting_screen_3d,
     _smallest_violating_subset,
+    edge_optimal_persistent,
     merge_bound,
     size_classes,
 )
@@ -180,4 +182,5 @@ def flattened_persistence(meta, dim, seed=0, trials=3):
 
 def check_meta(meta, dim, seed, trials):
     verdict = meta_rigid(meta, dim, seed=seed, trials=trials)
-    return verdict, merged_persistence(meta, dim, seed=seed, trials=trials)
+    merged = merged_persistence(meta, dim, seed=seed, trials=trials)
+    return verdict, merged, edge_optimal_persistent(meta, verdict)

@@ -1,11 +1,12 @@
 """Batched GF(p) rank tests against one elimination per matrix.
 
-``batch_rank_mod_p`` ranks a whole (B, r, c) stack, by one vectorized
-elimination or, for short stacks and large matrices, by ``rank_mod_p``
-per matrix; the reference is ``rank_mod_p`` on each matrix.  3D ``is_persistent`` ranks
-terminals in batches of rows taken from one matrix per trial; the
-reference is the earlier loop, one ``check_rigidity`` per terminal in
-product order, stopping at the first that is not rigid.
+``batch_rank_mod_p`` ranks a whole (B, r, c) stack in one vectorized
+elimination; the reference is ``rank_mod_p`` on each matrix.  3D
+``is_persistent`` ranks terminals in batches, as one ``FixedBaseRank``
+base (the single-choice blocks) plus each terminal's other edges, and a
+formation with one terminal by the rank oracle; the reference is the
+earlier loop, one ``check_rigidity`` per terminal in product order,
+stopping at the first that is not rigid.
 """
 import random
 
@@ -22,16 +23,13 @@ from metaform.persistence import (
     terminal_subgraphs,
 )
 from metaform.rigidity import (
-    BATCH_RANK_MAX_CELLS,
-    BATCH_RANK_MIN_MATRICES,
     RANK_MODULUS,
-    _eliminate_stack,
     batch_rank_mod_p,
     check_rigidity,
     rank_mod_p,
 )
 
-from conftest import complete, pair, singleton
+from conftest import complete, count_calls, pair, singleton
 
 P = RANK_MODULUS
 
@@ -64,11 +62,9 @@ def stacks(draw):
 @settings(max_examples=200, deadline=None)
 @given(stacks())
 def test_batch_rank_equals_rank_mod_p(a):
-    expected = [rank_mod_p(m) for m in a]
-    for ranks in (batch_rank_mod_p, _eliminate_stack):
-        got = ranks(a)
-        assert got.shape == (a.shape[0],)
-        assert list(got) == expected
+    got = batch_rank_mod_p(a)
+    assert got.shape == (a.shape[0],)
+    assert list(got) == [rank_mod_p(m) for m in a]
 
 
 @pytest.mark.parametrize(
@@ -86,42 +82,25 @@ def test_batch_rank_equals_rank_mod_p(a):
     ],
 )
 def test_batch_rank_on_named_stacks(a):
-    expected = [rank_mod_p(m) for m in a]
-    assert list(batch_rank_mod_p(a)) == expected
-    assert list(_eliminate_stack(a)) == expected
+    assert list(batch_rank_mod_p(a)) == [rank_mod_p(m) for m in a]
 
 
-@pytest.mark.parametrize("ranks", [batch_rank_mod_p, _eliminate_stack])
-def test_batch_rank_leaves_its_input_alone(ranks):
-    a = np.arange(48, dtype=np.int64).reshape(4, 3, 4)
+@pytest.mark.parametrize("shape", [(4, 3, 4), (4, 4, 3)])
+def test_batch_rank_leaves_its_input_alone(shape):
+    a = np.arange(48, dtype=np.int64).reshape(shape)
     before = a.copy()
-    ranks(a)
+    batch_rank_mod_p(a)
     assert (a == before).all()
 
 
-@pytest.mark.parametrize(
-    "shape, vectorized",
-    [
-        ((BATCH_RANK_MIN_MATRICES, 6, 6), True),
-        ((64, 6, 12), True),
-        ((16, 32, BATCH_RANK_MAX_CELLS // 32), True),
-        ((BATCH_RANK_MIN_MATRICES - 1, 6, 6), False),
-        ((1, 234, 240), False),
-        ((16, 32, BATCH_RANK_MAX_CELLS // 32 + 1), False),
-        ((0, 6, 6), False),
-    ],
-)
-def test_short_stacks_and_large_matrices_are_ranked_one_by_one(monkeypatch, shape, vectorized):
-    calls = []
-
-    def counted(a, p=RANK_MODULUS):
-        calls.append(a.shape)
-        return _eliminate_stack(a, p)
-
-    monkeypatch.setattr(rigidity, "_eliminate_stack", counted)
-    a = np.random.default_rng(0).integers(-5, 5, size=shape)
-    assert list(batch_rank_mod_p(a)) == [rank_mod_p(m) for m in a]
-    assert calls == ([shape] if vectorized else [])
+def test_batch_rank_on_short_stacks_and_large_matrices():
+    # One vectorized pass also ranks stacks of one matrix, and matrices
+    # the size of an n = 80 rigidity matrix.
+    rng = np.random.default_rng(0)
+    for shape in ((1, 6, 6), (3, 6, 6), (2, 234, 240), (1, 240, 234)):
+        a = rng.integers(-5, 5, size=shape)
+        a[:, -1] = a[:, 0] + a[:, 1]
+        assert list(batch_rank_mod_p(a)) == [rank_mod_p(m) for m in a]
 
 
 def reference_is_persistent(f, dim, seed=0, trials=3):
@@ -205,7 +184,8 @@ CASES = {
     "singleton": (singleton(1), None, None),
     "pair": (pair(1, 2), None, None),
     "two-apart": (Formation(vertices=(1, 2)), None, 0),
-    # Terminal matrices above BATCH_RANK_MAX_CELLS: ranked one by one.
+    # Large terminals: the one goes to the rank oracle, the sixteen share
+    # one base.
     "one-terminal-n30": (vertex_addition(30, 0, 1), None, None),
     "sixteen-terminals-n24": (vertex_addition(24, 2, 2), None, None),
 }
@@ -218,8 +198,7 @@ def test_is_persistent_3d_matches_per_terminal_loop(monkeypatch, name, seed, tri
     f, per_batch, witness = CASES[name]
     terminals = terminal_subgraphs(f, 3)
     if per_batch is not None:
-        cells = len(terminals[0].retained) * 3 * len(f.vertices)
-        monkeypatch.setattr(persistence, "TERMINAL_BATCH_CELLS", per_batch * cells)
+        monkeypatch.setattr(persistence, "TERMINAL_BATCH_SIZE", per_batch)
     expected = reference_is_persistent(f, 3, seed=seed, trials=trials)
     index = None
     if expected.witness_terminal is not None:
@@ -228,26 +207,23 @@ def test_is_persistent_3d_matches_per_terminal_loop(monkeypatch, name, seed, tri
     assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
 
 
-def test_large_terminals_skip_the_vectorized_elimination(monkeypatch):
+def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):
     f = vertex_addition(30, 0, 1)
     assert len(terminal_subgraphs(f, 3)) == 1
+    expected = reference_is_persistent(f, 3).to_dict()
+    oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
 
     def refuse(a, p=RANK_MODULUS):
-        raise AssertionError("vectorized elimination of a large terminal")
+        raise AssertionError("batched elimination of a lone terminal")
 
-    monkeypatch.setattr(rigidity, "_eliminate_stack", refuse)
-    assert is_persistent(f, 3).to_dict() == reference_is_persistent(f, 3).to_dict()
+    monkeypatch.setattr(rigidity, "batch_rank_mod_p", refuse)
+    assert is_persistent(f, 3).to_dict() == expected
+    assert len(oracle) == 1
 
 
 def test_3d_terminals_are_not_checked_one_by_one(monkeypatch):
-    checked = []
-    original = persistence.check_rigidity
-
-    def counted(g, dim, **kwargs):
-        checked.append(g)
-        return original(g, dim, **kwargs)
-
-    monkeypatch.setattr(persistence, "check_rigidity", counted)
+    checked = count_calls(monkeypatch, "check_rigidity", rigidity.check_rigidity)
+    oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
     assert is_persistent(complete(6), 3).persistent
     # Not even the whole formation: minimal persistence is its edge count.
-    assert checked == []
+    assert (checked, oracle) == ([], [])

@@ -1,0 +1,53 @@
+"""Every op of the benchmark corpora gets its known answer from the CLI.
+
+``perfbench/corpus.py`` builds each workload's ops with the answer known
+by construction, and ``corpus.check`` reads a report against it.  A
+benchmark run that finds a wrong answer fails as ``outputs_incorrect``;
+this runs the same check on the seed-1 corpora, so such a change fails
+here first.  Only ``corpus.py`` is imported from ``perfbench``.
+"""
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from metaform.cli import main
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+
+
+def load_corpus():
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", CORPUS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up by name while they are built.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+corpus = load_corpus()
+
+
+@pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
+def test_every_corpus_op_gets_its_known_answer(workload, tmp_path):
+    wrong = []
+    for i, op in enumerate(corpus.build(workload, 1)):
+        op.paths = []
+        for j, doc in enumerate(op.files):
+            path = tmp_path / f"op{i:03d}-{j}.json"
+            path.write_text(json.dumps(doc))
+            op.paths.append(str(path))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(op.argv())
+        try:
+            report = json.loads(out.getvalue())
+        except ValueError:
+            report = None
+        if not corpus.check(op, code, report):
+            wrong.append(f"{i}: {op.label}")
+    assert wrong == []

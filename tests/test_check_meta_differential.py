@@ -279,13 +279,17 @@ def test_three_k4_proves_each_fact_once(tmp_path, monkeypatch):
         monkeypatch, "minimally_rigid_spanning", rigidity.minimally_rigid_spanning
     )
     proved = count_calls(monkeypatch, "is_persistent", persistence.is_persistent)
+    compliance = count_calls(
+        monkeypatch, "local_dof_compliance", persistence.local_dof_compliance
+    )
     out, err, code = check_meta(tmp_path, m, 3, 0)
     doc = json.loads(out)
     assert (code, err) == (0, "")
     assert doc["edgeOptimalPersistent"] and doc["mergedPersistence"]["persistent"]
     # The substituted graph's check; each K4's gadget and the selected
-    # subset; each member's persistence.
-    assert (len(checks), len(spans), len(proved)) == (1, 4, 3)
+    # subset; each member's persistence; one compliance check for both
+    # the merge's persistence and edgeOptimalPersistent.
+    assert (len(checks), len(spans), len(proved), len(compliance)) == (1, 4, 3, 1)
     assert [args[0] for args in proved] == list(m.meta_vertices)
 
 

@@ -19,7 +19,7 @@ from metaform.persistence import (
 from metaform.rigidity import check_rigidity
 
 from check_meta_reference import merged_persistence as reference_merged_persistence
-from conftest import complete, singleton, triangle
+from conftest import complete, count_calls, singleton, triangle
 
 
 class TestLedger:
@@ -210,25 +210,28 @@ def digraphs(draw):
 
 class TestNoWholeFormationCheck:
     @pytest.mark.parametrize(
-        "f, dim, minimally",
+        "f, dim, minimally, oracle_calls",
         [
-            (complete(6), 2, False),
-            (triangle(), 2, True),
-            (complete(6), 3, False),
-            (complete(4), 3, True),
+            (complete(6), 2, False, 0),
+            (triangle(), 2, True, 0),
+            (complete(6), 3, False, 0),
+            (complete(4), 3, True, 1),
         ],
     )
-    def test_persistent_verdict_rests_on_terminals_only(self, monkeypatch, f, dim, minimally):
+    def test_persistent_verdict_rests_on_terminals_only(
+        self, monkeypatch, f, dim, minimally, oracle_calls
+    ):
         # Rigid terminals make the formation rigid, so minimal persistence
-        # is its edge count; only 3D terminals are ranked, in batches.
-        def whole_graph_check(*args, **kwargs):
-            raise AssertionError("whole-graph rigidity check")
-
-        monkeypatch.setattr(rigidity, "generic_rank_oracle", whole_graph_check)
-        monkeypatch.setattr(rigidity, "laman_check_2d", whole_graph_check)
+        # is its edge count.  Several 3D terminals are ranked in batches;
+        # K4 has one terminal, itself, which the rank oracle decides once.
+        # The calls are counted through every name bound to each check,
+        # ``persistence``'s imports included.
+        oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
+        laman = count_calls(monkeypatch, "laman_check_2d", rigidity.laman_check_2d)
         v = is_persistent(f, dim)
         assert v.persistent
         assert v.minimally_persistent is minimally
+        assert (len(oracle), len(laman)) == (oracle_calls, 0)
 
 
 class TestPersistenceProperties:

@@ -26,7 +26,7 @@ from metaform.persistence import (
 )
 from metaform.rigidity import PebbleGame2D, check_rigidity
 
-from conftest import complete
+from conftest import complete, count_calls
 
 REFERENCE_TERMINALS = 3000
 
@@ -205,8 +205,19 @@ class TestBoundaries:
         cases = [complete(6), with_dangler(complete(5)), Formation(vertices=(1, 2, 3))]
         expected = [reference_is_persistent(f).to_dict() for f in cases]
 
-        def no_laman(g):
-            raise AssertionError("laman_check_2d called")
-
-        monkeypatch.setattr(rigidity, "laman_check_2d", no_laman)
+        # Counted through every name bound to each check, ``persistence``'s
+        # imports included.
+        laman = count_calls(monkeypatch, "laman_check_2d", rigidity.laman_check_2d)
+        oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
         assert [is_persistent(f, 2).to_dict() for f in cases] == expected
+        assert (laman, oracle) == ([], [])
+
+    def test_verdict_needs_no_laman_check_below_three_vertices(self, monkeypatch):
+        # The walk's target 2n - 3 is -1 and 1 here: one vertex is rigid,
+        # two are rigid exactly when joined.
+        cases = [Formation(vertices=(1,)), Formation(vertices=(1, 2)), complete(2)]
+        expected = [reference_is_persistent(f).to_dict() for f in cases]
+        laman = count_calls(monkeypatch, "laman_check_2d", rigidity.laman_check_2d)
+        assert [is_persistent(f, 2).to_dict() for f in cases] == expected
+        assert [v["persistent"] for v in expected] == [True, False, True]
+        assert laman == []
