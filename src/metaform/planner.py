@@ -4,7 +4,8 @@ Pairwise plans place directed inter-edges whose tails consume local DOFs.
 2D placement follows the three-edge rule (each side incident to at least
 two vertices); correctness is then guaranteed combinatorially.  In 3D the
 construction catalog is realized as a deterministic bounded search over
-DOF-consumption vectors and head assignments, subject to the incidence
+DOF-consumption vectors and, for each, the sets of inter-edges whose
+tails consume it (each set tried once), subject to the incidence
 constraints the theory imposes (at least three incident vertices per
 side, no vertex carrying more than three of the six edges), with every
 candidate validated before being emitted: its few inter-edge rows are
@@ -42,7 +43,7 @@ from .rigidity import (
     laman_check_2d,
 )
 
-# Rank evaluations tried per DOF-consumption vector before moving on.
+# Distinct inter-edge sets tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
 # 3D head-search leaves ranked together in one batch.  On `merge-3d`
 # (2-core host), chunks of 32 to 128 ran within the runs' spread of each
@@ -227,16 +228,9 @@ class MergePlan:
 
 
 def _required_pair_edges(na: int, nb: int, dim: int) -> int:
-    """Minimal inter-edge count for a rigid pairwise merge."""
-    if dim == 2:
-        if na == 1 and nb == 1:
-            return 1
-        if na == 1 or nb == 1:
-            return 2
-        return 3
-    small = sorted((min(na, 3), min(nb, 3)))
-    table = {(1, 1): 1, (1, 2): 2, (1, 3): 3, (2, 2): 4, (2, 3): 5, (3, 3): 6}
-    return table[tuple(small)]
+    """Minimal inter-edge count for a rigid pairwise merge: the DOFs the
+    two bodies lose by becoming one."""
+    return dof_constant(dim, na) + dof_constant(dim, nb) - dof_constant(dim, na + nb)
 
 
 def _consumption_vectors(ga, gb, led_a, led_b, required):
@@ -275,9 +269,11 @@ def _consumption_vectors(ga, gb, led_a, led_b, required):
 
     recurse(0, required, {})
 
+    sides = ((ga, ga.vertex_set, led_a), (gb, gb.vertex_set, led_b))
+
     def residual_bad(cand):
-        for f, led in ((ga, led_a), (gb, led_b)):
-            consumed = sum(c for v, c in cand.items() if v in f.vertex_set)
+        for f, verts, led in sides:
+            consumed = sum(c for v, c in cand.items() if v in verts)
             residual = led.total_dof - consumed
             if residual not in (3, 6):
                 continue
@@ -292,21 +288,24 @@ def _consumption_vectors(ga, gb, led_a, led_b, required):
     return candidates
 
 
-def _covered_leaves(ga, gb, tails, dim):
-    """Head assignments for ``tails``, in backtracking order.
+def _covered_leaves(ga, gb, cand, dim):
+    """Inter-edge sets for the consumption vector ``cand``, each once.
 
-    tails is a list of tail vertices (one entry per edge).  Constraints:
-    distinct unordered pairs, per-vertex incidence at most 3 in 3D, and
-    each side incident to at least min(|side|, dim) vertices.  Every
-    complete assignment that meets them is yielded, as a list of
-    (tail, head) pairs.
+    Tails go in ``(-cand[v], v)`` order, and tail v takes one combination
+    of ``cand[v]`` heads on the other side.  Constraints: distinct
+    unordered pairs, per-vertex incidence at most 3 in 3D, and each side
+    incident to at least min(|side|, dim) vertices.  Every set that meets
+    them is yielded once, as a list of (tail, head) pairs, in lexicographic
+    order of the heads' positions, tail by tail: the order in which a
+    search over head sequences (one tail per DOF) first meets each set.
     """
     side_of = {v: 0 for v in ga.vertices} | {v: 1 for v in gb.vertices}
     side_verts = (ga.vertices, gb.vertices)
     need_cover = (min(len(ga.vertices), dim), min(len(gb.vertices), dim))
-    cap = 3 if dim == 3 else len(tails)
+    cap = 3 if dim == 3 else sum(cand.values())
+    tails = sorted(cand, key=lambda v: (-cand[v], v))
 
-    def search(i, chosen, used_pairs, incidence):
+    def search(i, chosen, incidence):
         if i == len(tails):
             covered = (
                 len({v for e in chosen for v in e if side_of[v] == 0}),
@@ -315,34 +314,36 @@ def _covered_leaves(ga, gb, tails, dim):
             if covered[0] >= need_cover[0] and covered[1] >= need_cover[1]:
                 yield chosen
             return
-        t = tails[i]
-        for h in side_verts[1 - side_of[t]]:
-            pair = (min(t, h), max(t, h))
-            if pair in used_pairs:
-                continue
-            if incidence.get(h, 0) + 1 > cap or incidence.get(t, 0) + 1 > cap:
-                continue
-            used_pairs.add(pair)
-            incidence[h] = incidence.get(h, 0) + 1
-            incidence[t] = incidence.get(t, 0) + 1
-            yield from search(i + 1, chosen + [(t, h)], used_pairs, incidence)
-            used_pairs.discard(pair)
-            incidence[h] -= 1
-            incidence[t] -= 1
+        t, k = tails[i], cand[tails[i]]
+        if incidence.get(t, 0) + k > cap:
+            return
+        free = [
+            h
+            for h in side_verts[1 - side_of[t]]
+            if (h, t) not in chosen and incidence.get(h, 0) < cap
+        ]
+        for heads in itertools.combinations(free, k):
+            for h in heads:
+                incidence[h] = incidence.get(h, 0) + 1
+            incidence[t] = incidence.get(t, 0) + k
+            yield from search(i + 1, chosen + [(t, h) for h in heads], incidence)
+            for h in heads:
+                incidence[h] -= 1
+            incidence[t] -= k
 
-    return search(0, [], set(), {})
+    return search(0, [], {})
 
 
-def _assign_heads(ga, gb, tails, dim, member_rows):
-    """The first covered head assignment whose merged graph is rigid.
+def _assign_heads(ga, gb, cand, dim, member_rows):
+    """The first covered inter-edge set for ``cand`` whose merged graph is rigid.
 
-    At most ``HEAD_SEARCH_LEAF_CAP`` leaves of ``_covered_leaves`` are
+    At most ``HEAD_SEARCH_LEAF_CAP`` sets of ``_covered_leaves`` are
     tested, in order.  2D tests each by the pebble game.  3D tests
     ``HEAD_SEARCH_LEAF_CHUNK`` at a time against ``member_rows()``, the
     members' internal rows reduced once per rank-oracle trial, which gives
     exactly the rank oracle's verdict on each merged graph.
     """
-    leaves = itertools.islice(_covered_leaves(ga, gb, tails, dim), HEAD_SEARCH_LEAF_CAP)
+    leaves = itertools.islice(_covered_leaves(ga, gb, cand, dim), HEAD_SEARCH_LEAF_CAP)
     if dim == 2:
         internal_edges = tuple(ga.edges) + tuple(gb.edges)
         all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
@@ -396,23 +397,11 @@ def plan_pair(
         )
         return FixedBaseRank(members.underlying(), 3, seed=seed, trials=trials)
 
+    rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")
     for cand in _consumption_vectors(ga, gb, led_a, led_b, required):
-        tails = []
-        for v in sorted(cand, key=lambda v: (-cand[v], v)):
-            tails.extend([v] * cand[v])
-        assignment = _assign_heads(ga, gb, tails, dim, member_rows)
-        if assignment is None:
-            continue
-        rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")
-        counts: dict[int, int] = {}
-        edges = []
-        for t, h in assignment:
-            counts[t] = counts.get(t, 0) + 1
-            tag = rule
-            if dim == 3 and min(na, nb) >= 3 and counts[t] < cand[t]:
-                tag = "op-v"
-            edges.append(PlanEdge(tail=t, head=h, rule=tag))
-        return MergePlan(edges=tuple(edges))
+        assignment = _assign_heads(ga, gb, cand, dim, member_rows)
+        if assignment is not None:
+            return MergePlan(edges=tuple(PlanEdge(t, h, rule) for t, h in assignment))
     raise InfeasibleMergeError(
         "no rank-validated construction found for this DOF configuration",
         "catalog-miss",

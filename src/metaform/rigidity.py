@@ -23,7 +23,7 @@ changes no verdict.
 Persistence, the merge planner and the 3D spanning set ask about many
 graphs that share one fixed edge set on one vertex set: a terminal
 subgraph is the single-choice blocks plus one choice per other block, a
-head-search leaf is the members plus one head assignment.  Trial t of
+head-search leaf is the members plus one inter-edge set.  Trial t of
 each of those oracles places the vertices the same way, so a
 ``FixedBaseRank`` reduces the fixed rows once per trial and ranks only
 each graph's few extra rows, all graphs of a chunk in one

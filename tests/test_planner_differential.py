@@ -1,12 +1,14 @@
 """3D head search and plan verification against their earlier references.
 
-3D head-search leaves are validated a chunk at a time by
+The head search yields each inter-edge set of a consumption vector once,
+and validates 3D sets a chunk at a time by
 ``FixedBaseRank.first_full_rank``: the members' internal rows are reduced
-once per rank-oracle trial and only the leaves' few inter-edge rows are
+once per rank-oracle trial and only the sets' few inter-edge rows are
 eliminated, in one batch.  The reference below is the earlier search,
-which built the merged formation and ran ``generic_rank_oracle`` on it at
-every leaf; both must emit the same plans, after using the same number
-of leaves from the search budget.
+which walked head sequences (one set in every order of each tail's
+heads), built the merged formation and ran ``generic_rank_oracle`` on it
+at every leaf.  Both must emit the same plans, the new search after
+using at most as many leaves from the search budget.
 
 ``verify_plan`` takes its members as proved persistent once and decides
 edge-optimality from the persistence verdict and the size classes.  Its
@@ -15,6 +17,8 @@ gadget-substituted ``meta_rigid`` verdict; both must give the same report.
 """
 import importlib.util
 import random
+import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -116,6 +120,11 @@ def reference_assign_heads(ga, gb, tails, dim, seed, trials, leaves):
     return search(0, [], set(), {})
 
 
+def tails_of(cand):
+    """The reference's tails list: each tail once per DOF it consumes."""
+    return [v for v in sorted(cand, key=lambda v: (-cand[v], v)) for _ in range(cand[v])]
+
+
 def outcome(plan, *args, **kwargs):
     """A plan's report, or the reason and message it was refused with."""
     try:
@@ -154,8 +163,8 @@ def both(monkeypatch, plan, *args, seed, trials, **kwargs):
         m.setattr(
             planner,
             "_assign_heads",
-            lambda ga, gb, tails, dim, member_rows: reference_assign_heads(
-                ga, gb, tails, dim, seed, trials, ref_leaves
+            lambda ga, gb, cand, dim, member_rows: reference_assign_heads(
+                ga, gb, tails_of(cand), dim, seed, trials, ref_leaves
             ),
         )
         old = outcome(plan, *args, seed=seed, trials=trials, **kwargs)
@@ -214,7 +223,7 @@ def test_plan_pair_matches_reference(monkeypatch, name, seed, trials):
         monkeypatch, plan_pair, ga, gb, 3, seed=seed, trials=trials, check=False
     )
     assert new == old
-    assert leaves == ref_leaves
+    assert leaves <= ref_leaves
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -225,7 +234,95 @@ def test_plan_collection_matches_reference(monkeypatch, name, seed, trials):
         monkeypatch, plan_collection, COLLECTIONS[name], 3, seed=seed, trials=trials
     )
     assert new == old
-    assert leaves == ref_leaves
+    assert leaves <= ref_leaves
+
+
+def consumption_vectors(ga, gb, dim):
+    """The candidates ``plan_pair`` searches, in its order."""
+    required = planner._required_pair_edges(len(ga.vertices), len(gb.vertices), dim)
+    return planner._consumption_vectors(ga, gb, ledger(ga, dim), ledger(gb, dim), required)
+
+
+def reference_sequences(monkeypatch, ga, gb, cand, dim):
+    """Every head sequence the reference visits for ``cand``, with the leaf
+    cap lifted and no leaf found rigid."""
+    leaves = []
+    with monkeypatch.context() as m:
+        m.setattr(sys.modules[__name__], "HEAD_SEARCH_LEAF_CAP", 10**9)
+        m.setattr(sys.modules[__name__], "generic_rank_oracle", lambda *a, **k: -1)
+        m.setattr(rigidity, "laman_check_2d", lambda g: types.SimpleNamespace(rigid=False))
+        reference_assign_heads(ga, gb, tails_of(cand), dim, 0, 1, leaves)
+    return leaves
+
+
+def random_pair(rng, dim):
+    """Two small persistent formations on disjoint ids."""
+    members, base = [], 1
+    for _ in range(2):
+        size = rng.randint(1, 4)
+        if size == 1:
+            members.append(singleton(base))
+        elif size < dim:
+            members.append(pair(base, base + 1))
+        else:
+            kind = f"min-persistent-{dim}d"
+            members.append(shift(gen(kind, size, rng.randint(0, 10**6)), base - 1))
+        base += size
+    return members
+
+
+RANDOM_PAIRS = {
+    f"{dim}d-{i}": (dim, random_pair(random.Random(f"{dim}:{i}"), dim))
+    for dim in (2, 3)
+    for i in range(10)
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_PAIRS))
+def test_each_set_once_in_first_occurrence_order(monkeypatch, name):
+    """Over every consumption vector, the set search yields each inter-edge
+    set once, as the first head sequence of the reference that reaches it."""
+    dim, (ga, gb) = RANDOM_PAIRS[name]
+    for cand in consumption_vectors(ga, gb, dim):
+        sets = list(planner._covered_leaves(ga, gb, cand, dim))
+        assert len({frozenset(s) for s in sets}) == len(sets)
+        first = {}
+        for seq in reference_sequences(monkeypatch, ga, gb, cand, dim):
+            first.setdefault(frozenset(seq), seq)
+        assert sets == list(first.values())
+
+
+def test_random_pairs_reach_tails_with_several_heads():
+    """Some covered set gives one tail several heads, so the reference
+    meets that set in several orders."""
+    several = 0
+    for dim, (ga, gb) in RANDOM_PAIRS.values():
+        for cand in consumption_vectors(ga, gb, dim):
+            if max(cand.values()) > 1:
+                several += next(planner._covered_leaves(ga, gb, cand, dim), None) is not None
+    assert several >= 10
+
+
+@pytest.mark.parametrize("name", ["five-five", "K5-K5"])
+def test_plan_unchanged_where_the_reference_spends_its_leaf_cap(monkeypatch, name):
+    """On some consumption vector the reference ranks ``HEAD_SEARCH_LEAF_CAP``
+    head sequences without a hit.  Those hold fewer distinct sets, so the
+    set search ranks sets the reference never reached, and still emits the
+    same plan."""
+    ga, gb = (PAIRS | COLLECTIONS)[name]
+    seed, trials = rigidity.DEFAULT_SEED, rigidity.DEFAULT_TRIALS
+    capped = []
+    for cand in consumption_vectors(ga, gb, 3):
+        leaves = []
+        if reference_assign_heads(ga, gb, tails_of(cand), 3, seed, trials, leaves):
+            break
+        if len(leaves) == HEAD_SEARCH_LEAF_CAP:
+            capped.append(len({frozenset(x) for x in leaves}))
+    assert capped and all(n < HEAD_SEARCH_LEAF_CAP for n in capped)
+    new, old, _, _ = both(monkeypatch, plan_pair, ga, gb, 3, seed=seed, trials=trials, check=False)
+    assert "edges" in new and new == old
+    new, old, _, _ = both(monkeypatch, plan_collection, [ga, gb], 3, seed=seed, trials=trials)
+    assert "edges" in new and new == old
 
 
 def test_corpus_reaches_failing_leaves_and_refusals(monkeypatch):
