@@ -8,10 +8,21 @@ choices of which ``dim`` out-edges to keep, and their number is known
 before any is built.  ``terminal_subgraphs`` returns that product as a
 lazy sequence; no list of terminals is built.
 
-In 2D one pebble game walks the product tree depth first, in product
-order: going down a level inserts one vertex's kept edges, going back up
-removes the edges that were accepted.  Removing an edge returns its
-pebble to whichever endpoint it now leaves, so every vertex keeps
+Most of that product is decided by vertex addition (Tay & Whiteley,
+*Generating isostatic frameworks*, 1985; Hendrickx, Anderson, Delvenne
+& Blondel, 2007).  A vertex with in-degree 0 and out-degree >= dim
+keeps exactly ``dim`` out-edges, to distinct vertices, in every
+terminal and has no other edge there, so each terminal is rigid exactly
+when it is rigid without that vertex.  ``is_persistent`` peels such
+vertices repeatedly, and the verdict is that of the core left behind:
+its terminals are the product of the unpeeled tails' blocks.  The
+first failing terminal of the whole formation keeps the first choice of
+every peeled block and the core's first failing terminal elsewhere.
+
+In 2D one pebble game walks the core's product tree depth first, in
+product order: going down a level inserts one vertex's kept edges, going
+back up removes the edges that were accepted.  Removing an edge returns
+its pebble to whichever endpoint it now leaves, so every vertex keeps
 pebbles + out-degree = 2, and so does every vertex set in total.  The
 game's answers rest only on those counts (Lee & Streinu, *Pebble game
 algorithms and sparse graphs*, 2008), so after a removal they are those
@@ -19,13 +30,14 @@ of a fresh game on the edges that remain.  A subtree whose rank plus the
 edges still to come is short of 2n - 3 fails in every terminal, and its
 first terminal is the witness.
 
-In 3D every terminal keeps the formation's vertices in the same order, so
-trial t of each terminal's rank oracle places them the same way.  Every
-terminal holds the edges of the single-choice blocks, so those form the
-base of one ``FixedBaseRank``; a terminal adds one choice per other
-block, and terminals are ranked in batches of these extra edges.  A
-formation with one terminal is that terminal, and the rank oracle
-decides it.
+In 3D every core terminal keeps the core's vertices in the same order,
+so trial t of each terminal's rank oracle places them the same way; the
+peeled vertices are not placed, since their part of the verdict rests
+on the theorem above.  Every terminal holds the edges of the
+single-choice blocks, so those form the base of one ``FixedBaseRank``;
+a terminal adds one choice per other block, and terminals are ranked in
+batches of these extra edges.  A core with one terminal is that
+terminal, and the rank oracle decides it.
 """
 from __future__ import annotations
 
@@ -298,6 +310,31 @@ def _first_nonrigid_terminal_3d(
     return None
 
 
+def _peeled(f: Formation, dim: int) -> set[int]:
+    """Vertices removed by repeatedly peeling a vertex with in-degree 0 and
+    out-degree >= ``dim`` among the vertices left.
+
+    Removing such a vertex changes no out-degree of those left, only its
+    heads' in-degrees, so one worklist on in-degrees finds them all in
+    O(n + m).  Its heads are all still there when it goes, so at least
+    ``dim`` vertices stay whenever one is peeled.
+    """
+    heads: dict[int, list[int]] = {v: [] for v in f.vertices}
+    in_degree = dict.fromkeys(f.vertices, 0)
+    for t, h in f.edges:
+        heads[t].append(h)
+        in_degree[h] += 1
+    stack = [v for v in f.vertices if not in_degree[v] and len(heads[v]) >= dim]
+    peeled = set(stack)
+    while stack:
+        for h in heads[stack.pop()]:
+            in_degree[h] -= 1
+            if not in_degree[h] and len(heads[h]) >= dim:
+                stack.append(h)
+                peeled.add(h)
+    return peeled
+
+
 def is_persistent(
     f: Formation,
     dim: int,
@@ -307,10 +344,14 @@ def is_persistent(
 ) -> PersistenceVerdict:
     """Persistence: every terminal subgraph rigid in the given dimension.
 
-    3D rigidity verdicts come from the randomized rank oracle, so a
-    persistence verdict inherits its one-sided error toward "not
-    persistent"; the seed used is recorded in the verdict.  ``trials``
-    below 1 raises InputError, whatever the formation.
+    The cap counts the whole formation's terminals, before any work.
+    The terminals are then decided on the core left after peeling vertex
+    additions (module docstring): a whole terminal is rigid exactly when
+    its core part is.  3D rigidity verdicts come from the randomized rank
+    oracle on the core, so a persistence verdict inherits its one-sided
+    error toward "not persistent"; the seed used is recorded in the
+    verdict.  ``trials`` below 1 raises InputError, whatever the
+    formation.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -318,16 +359,31 @@ def is_persistent(
     # Terminals come sorted by retained edge set, so the first non-rigid
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
+    peeled = _peeled(f, dim)
+    core = Formation(
+        vertices=tuple(v for v in f.vertices if v not in peeled),
+        edges=tuple(e for e in f.edges if e[0] not in peeled),
+    )
+    # A block's choices all start with its tail's first out-edge.
+    in_core = [block[0][0][0] not in peeled for block in terminals.blocks]
+    core_terminals = TerminalSubgraphs(tuple(itertools.compress(terminals.blocks, in_core)))
     if dim == 2:
-        first = _first_nonrigid_terminal_2d(f, terminals)
+        first = _first_nonrigid_terminal_2d(core, core_terminals)
     else:
-        first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
+        first = _first_nonrigid_terminal_3d(core, core_terminals, seed, trials)
     if first is not None:
-        return _verdict(led, False, seed, witness=terminals[first].retained)
+        # Peeled digits are free, so the smallest failing index has 0 in
+        # each peeled block and the core's digits everywhere else.
+        index, place = 0, 1
+        for block, from_core in zip(reversed(terminals.blocks), reversed(in_core)):
+            if from_core:
+                first, digit = divmod(first, len(block))
+                index += digit * place
+            place *= len(block)
+        return _verdict(led, False, seed, witness=terminals[index].retained)
     # Every terminal is rigid, and so is the whole formation: a terminal
-    # has the same vertices and a subset of its edges, and in 3D trial t
-    # places the vertices the same way for both, so the whole graph
-    # reaches full rank at the first trial where a terminal did.  A
+    # has the same vertices and a subset of its edges, so the whole
+    # graph's generic rank is at least a terminal's.  A
     # Formation has one edge per unordered pair, so it is minimally rigid
     # exactly when it has required_rank edges (0 and 1 for n = 1 and 2,
     # as laman_check_2d and rigid_3d_check say).

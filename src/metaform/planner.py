@@ -239,35 +239,35 @@ def _consumption_vectors(ga, gb, led_a, led_b, required):
     Each candidate maps vertex -> consumed DOFs (sum = required, bounded
     by the vertex's local DOF and by the opposite side's vertex count).
     Candidates leaving a source with 3 or 6 residual DOFs all on leaders
-    are sorted last: such residues would make every remaining DOF sit on
-    a leader of the merged graph.
+    are yielded last, in greedy order: such residues would make every
+    remaining DOF sit on a leader of the merged graph.  A generator,
+    because ``plan_pair`` usually stops at one of the first candidates.
     """
     opp_size = (len(gb.vertices), len(ga.vertices))
     dofs = [
         (v, d, 0) for v, d in sorted(led_a.dof.items()) if d > 0
     ] + [(v, d, 1) for v, d in sorted(led_b.dof.items()) if d > 0]
     dofs.sort(key=lambda x: (-x[1], x[2], x[0]))
-
-    candidates = []
+    # reach[i]: the most that dofs[i:] can consume together.
+    reach = [0] * (len(dofs) + 1)
+    for i in reversed(range(len(dofs))):
+        _, d, s = dofs[i]
+        reach[i] = reach[i + 1] + min(d, opp_size[s])
 
     def recurse(i, remaining, current):
         if remaining == 0:
-            candidates.append(dict(current))
-            return
-        if i == len(dofs):
+            yield dict(current)
             return
         # Bound: the rest cannot cover what's left.
-        if sum(min(d, opp_size[s]) for _, d, s in dofs[i:]) < remaining:
+        if reach[i] < remaining:
             return
         v, d, s = dofs[i]
         top = min(d, remaining, opp_size[s])
         for take in range(top, -1, -1):
             if take:
                 current[v] = take
-            recurse(i + 1, remaining - take, current)
+            yield from recurse(i + 1, remaining - take, current)
             current.pop(v, None)
-
-    recurse(0, required, {})
 
     sides = ((ga, ga.vertex_set, led_a), (gb, gb.vertex_set, led_b))
 
@@ -284,8 +284,13 @@ def _consumption_vectors(ga, gb, led_a, led_b, required):
                 return True
         return False
 
-    candidates.sort(key=residual_bad)  # stable: greedy order preserved within
-    return candidates
+    deferred = []
+    for cand in recurse(0, required, {}):
+        if residual_bad(cand):
+            deferred.append(cand)
+        else:
+            yield cand
+    yield from deferred
 
 
 def _covered_leaves(ga, gb, cand, dim):

@@ -225,5 +225,9 @@ def test_3d_terminals_are_not_checked_one_by_one(monkeypatch):
     checked = count_calls(monkeypatch, "check_rigidity", rigidity.check_rigidity)
     oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
     assert is_persistent(complete(6), 3).persistent
-    # Not even the whole formation: minimal persistence is its edge count.
-    assert (checked, oracle) == ([], [])
+    # Vertices 6, 5 and 4 peel away as vertex additions, and the rank
+    # oracle decides the 3-vertex core's one terminal.  Not the whole
+    # formation: minimal persistence is its edge count.
+    assert checked == []
+    assert len(oracle) == 1
+    assert len(oracle[0][0].vertices) == 3

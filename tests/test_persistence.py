@@ -214,7 +214,7 @@ class TestNoWholeFormationCheck:
         [
             (complete(6), 2, False, 0),
             (triangle(), 2, True, 0),
-            (complete(6), 3, False, 0),
+            (complete(6), 3, False, 1),
             (complete(4), 3, True, 1),
         ],
     )
@@ -222,8 +222,8 @@ class TestNoWholeFormationCheck:
         self, monkeypatch, f, dim, minimally, oracle_calls
     ):
         # Rigid terminals make the formation rigid, so minimal persistence
-        # is its edge count.  Several 3D terminals are ranked in batches;
-        # K4 has one terminal, itself, which the rank oracle decides once.
+        # is its edge count.  In 3D, K6 and K4 peel down to the triangle
+        # on 1, 2, 3, whose one terminal the rank oracle decides once.
         # The calls are counted through every name bound to each check,
         # ``persistence``'s imports included.
         oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
@@ -232,6 +232,7 @@ class TestNoWholeFormationCheck:
         assert v.persistent
         assert v.minimally_persistent is minimally
         assert (len(oracle), len(laman)) == (oracle_calls, 0)
+        assert all(len(args[0].vertices) == 3 for args in oracle)
 
 
 class TestPersistenceProperties:

@@ -255,18 +255,21 @@ def reference_sequences(monkeypatch, ga, gb, cand, dim):
     return leaves
 
 
+def random_member(rng, dim, size, base):
+    """A persistent formation on ids base, base + 1, ..."""
+    if size == 1:
+        return singleton(base)
+    if size < dim:
+        return pair(base, base + 1)
+    return shift(gen(f"min-persistent-{dim}d", size, rng.randint(0, 10**6)), base - 1)
+
+
 def random_pair(rng, dim):
     """Two small persistent formations on disjoint ids."""
     members, base = [], 1
     for _ in range(2):
         size = rng.randint(1, 4)
-        if size == 1:
-            members.append(singleton(base))
-        elif size < dim:
-            members.append(pair(base, base + 1))
-        else:
-            kind = f"min-persistent-{dim}d"
-            members.append(shift(gen(kind, size, rng.randint(0, 10**6)), base - 1))
+        members.append(random_member(rng, dim, size, base))
         base += size
     return members
 
@@ -276,6 +279,94 @@ RANDOM_PAIRS = {
     for dim in (2, 3)
     for i in range(10)
 }
+
+
+def reference_consumption_vectors(ga, gb, led_a, led_b, required):
+    """The earlier candidate list: every candidate built, then stably
+    sorted residual-safe first, with the bound re-summed at every node."""
+    opp_size = (len(gb.vertices), len(ga.vertices))
+    dofs = [
+        (v, d, 0) for v, d in sorted(led_a.dof.items()) if d > 0
+    ] + [(v, d, 1) for v, d in sorted(led_b.dof.items()) if d > 0]
+    dofs.sort(key=lambda x: (-x[1], x[2], x[0]))
+
+    candidates = []
+
+    def recurse(i, remaining, current):
+        if remaining == 0:
+            candidates.append(dict(current))
+            return
+        if i == len(dofs):
+            return
+        if sum(min(d, opp_size[s]) for _, d, s in dofs[i:]) < remaining:
+            return
+        v, d, s = dofs[i]
+        top = min(d, remaining, opp_size[s])
+        for take in range(top, -1, -1):
+            if take:
+                current[v] = take
+            recurse(i + 1, remaining - take, current)
+            current.pop(v, None)
+
+    recurse(0, required, {})
+
+    sides = ((ga, ga.vertex_set, led_a), (gb, gb.vertex_set, led_b))
+
+    def residual_bad(cand):
+        for f, verts, led in sides:
+            consumed = sum(c for v, c in cand.items() if v in verts)
+            residual = led.total_dof - consumed
+            if residual not in (3, 6):
+                continue
+            holders = [
+                v for v in f.vertices if led.dof[v] - cand.get(v, 0) > 0
+            ]
+            if all(led.dof[v] == 3 and v not in cand for v in holders):
+                return True
+        return False
+
+    candidates.sort(key=residual_bad)
+    return candidates
+
+
+WIDER_PAIRS = {
+    f"{dim}d-wide-{i}": (dim, [
+        random_member(rng, dim, a, 1), random_member(rng, dim, b, 1 + a)
+    ])
+    for dim in (2, 3)
+    for i in range(8)
+    for rng in [random.Random(f"wide:{dim}:{i}")]
+    for a, b in [(rng.randint(1, 7), rng.randint(1, 7))]
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_PAIRS | WIDER_PAIRS))
+def test_consumption_vectors_yield_the_sorted_list(name):
+    """The generator yields the earlier sorted list, in its order, for every
+    pair edge count up to both sides' DOFs."""
+    dim, (ga, gb) = (RANDOM_PAIRS | WIDER_PAIRS)[name]
+    led_a, led_b = ledger(ga, dim), ledger(gb, dim)
+    for required in range(led_a.total_dof + led_b.total_dof + 1):
+        got = list(planner._consumption_vectors(ga, gb, led_a, led_b, required))
+        assert got == reference_consumption_vectors(ga, gb, led_a, led_b, required)
+
+
+def test_consumption_vectors_defer_residual_bad_candidates():
+    """Some pair has a candidate deferred behind a later safe one, so the
+    order above is not just greedy order: largest take first, tails in
+    descending-DOF order."""
+    deferred = 0
+    for dim, (ga, gb) in (RANDOM_PAIRS | WIDER_PAIRS).values():
+        led_a, led_b = ledger(ga, dim), ledger(gb, dim)
+        tails = sorted(
+            (v for led in (led_a, led_b) for v, d in led.dof.items() if d > 0),
+            key=lambda v: (-(led_a.dof | led_b.dof)[v], v not in led_a.dof, v),
+        )
+        for required in range(led_a.total_dof + led_b.total_dof + 1):
+            got = list(planner._consumption_vectors(ga, gb, led_a, led_b, required))
+            greedy = sorted(got, key=lambda c: [-c.get(v, 0) for v in tails])
+            deferred += got != greedy
+    assert deferred >= 5
 
 
 @pytest.mark.parametrize("name", sorted(RANDOM_PAIRS))
