@@ -52,7 +52,7 @@ def _read(path: str) -> str:
 
 
 def _cmd_check_rigidity(args) -> int:
-    f = parse_formation(_read(args.file))
+    f = parse_formation(_read(args.file), args.file)
     verdict = check_rigidity(
         f.underlying(), args.dim, seed=args.seed, trials=args.trials
     )
@@ -72,7 +72,7 @@ def _cmd_check_rigidity(args) -> int:
 
 
 def _cmd_check_persistence(args) -> int:
-    f = parse_formation(_read(args.file))
+    f = parse_formation(_read(args.file), args.file)
     verdict = is_persistent(
         f, args.dim, seed=args.seed, trials=args.trials, cap=args.cap
     )
@@ -88,7 +88,7 @@ def _cmd_check_persistence(args) -> int:
 
 
 def _cmd_check_meta(args) -> int:
-    meta = parse_meta_formation(_read(args.file))
+    meta = parse_meta_formation(_read(args.file), args.file)
     verdict, persistence, optimal = check_meta(meta, args.dim, args.seed, args.trials)
     doc = {
         "criterion": (

@@ -248,14 +248,29 @@ def load_json(text: str, location: str | None = None):
         raise InputError(f"malformed JSON: {exc}", location) from exc
 
 
-def parse_formation(text: str) -> Formation:
-    """Parse a formation JSON document, validating all invariants."""
-    return Formation.from_dict(load_json(text))
+def parse_formation(text: str, location: str | None = None) -> Formation:
+    """Parse a formation JSON document, validating all invariants.
+
+    Errors that name no place inside the document (malformed JSON, a
+    document that is not an object, no vertex list) are located at
+    ``location``, the file the text came from.
+    """
+    return _located(Formation.from_dict, load_json(text, location), location)
 
 
-def parse_meta_formation(text: str) -> MetaFormation:
-    """Parse a meta-formation JSON document, validating all invariants."""
-    return MetaFormation.from_dict(load_json(text))
+def parse_meta_formation(text: str, location: str | None = None) -> MetaFormation:
+    """Parse a meta-formation JSON document, validating all invariants;
+    errors are located as in ``parse_formation``."""
+    return _located(MetaFormation.from_dict, load_json(text, location), location)
+
+
+def _located(from_dict, doc, location: str | None):
+    try:
+        return from_dict(doc)
+    except InputError as exc:
+        if exc.location is not None or location is None:
+            raise
+        raise InputError(exc.detail, location) from exc
 
 
 def export_formation(f: Formation) -> str:

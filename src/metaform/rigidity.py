@@ -498,48 +498,54 @@ def generic_rank_oracle(
     return best
 
 
-def _cut_vertices(adj: dict[int, set[int]], verts, removed: int) -> tuple[set[int], int]:
-    """Cut vertices of G - removed, and its number of components.
+def _cut_vertices(nbrs: list[list[int]], removed: int) -> tuple[list[bool], int]:
+    """Cut vertices of G - removed, as flags by index, and its number of
+    components.
 
-    One iterative depth-first search per component (Hopcroft & Tarjan
-    1973): a non-root v is a cut vertex when some DFS child's subtree has
-    no back edge above v (low[child] >= depth[v]); a root is one when it
-    has two or more DFS children.
+    ``nbrs`` lists each vertex's neighbours by index 0..n-1.  One
+    iterative depth-first search per component (Hopcroft & Tarjan 1973):
+    a non-root v is a cut vertex when some DFS child's subtree has no back
+    edge above v (low[child] >= depth[v]); a root is one when it has two
+    or more DFS children.  ``removed`` starts out visited at depth n,
+    which no low point reaches, so its edges need no test of their own.
     """
-    depth: dict[int, int] = {}
-    low: dict[int, int] = {}
-    cuts: set[int] = set()
+    n = len(nbrs)
+    depth = [-1] * n
+    depth[removed] = n
+    low = [0] * n
+    is_cut = [False] * n
     components = 0
-    for root in verts:
-        if root == removed or root in depth:
+    for root in range(n):
+        if depth[root] >= 0:
             continue
         components += 1
         depth[root] = low[root] = 0
         root_children = 0
-        stack = [(root, None, iter(adj[root]))]
+        stack = [(root, -1, iter(nbrs[root]))]
         while stack:
             v, parent, it = stack[-1]
             for w in it:
-                if w == removed:
-                    continue
-                if w not in depth:
+                d = depth[w]
+                if d < 0:
                     depth[w] = low[w] = depth[v] + 1
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, v, iter(nbrs[w])))
                     break
-                if w != parent:
-                    low[v] = min(low[v], depth[w])
+                if d < low[v] and w != parent:
+                    low[v] = d
             else:
                 stack.pop()
-                if parent is None:
+                if parent < 0:
                     continue
-                low[parent] = min(low[parent], low[v])
+                lv = low[v]
+                if lv < low[parent]:
+                    low[parent] = lv
                 if parent == root:
                     root_children += 1
-                elif low[v] >= depth[parent]:
-                    cuts.add(parent)
+                elif lv >= depth[parent]:
+                    is_cut[parent] = True
         if root_children >= 2:
-            cuts.add(root)
-    return cuts, components
+            is_cut[root] = True
+    return is_cut, components
 
 
 def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]:
@@ -550,22 +556,31 @@ def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]
     For each a in ascending order, one cut-vertex search over G - a
     decides every pair (a, b): G - {a, b} is disconnected when G - a has
     3 or more components, or 2 and b is not one of them by itself, or 1
-    and b is a cut vertex of it.  O(n(n + m)) in total.
+    and b is a cut vertex of it.  The sorted vertices are mapped to
+    indices 0..n-1 once, and every search runs on one list-of-lists
+    adjacency and flat lists of depths, low points and cut flags.  Cut
+    vertices and component counts do not depend on the search order, so
+    neither does the pair.  O(n(n + m)) in total.
     """
     verts = sorted(g.vertices)
     n = len(verts)
     if n < 4:
         return True, None
-    adj = g.adjacency()
-    for i, a in enumerate(verts[:-1]):
-        cuts, components = _cut_vertices(adj, verts, a)
-        for b in verts[i + 1 :]:
+    index = {v: i for i, v in enumerate(verts)}
+    nbrs: list[list[int]] = [[] for _ in verts]
+    for u, w in g.edges:
+        i, j = index[u], index[w]
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    for a in range(n - 1):
+        is_cut, components = _cut_vertices(nbrs, a)
+        for b in range(a + 1, n):
             if (
                 components >= 3
-                or (components == 2 and not adj[b] <= {a})
-                or b in cuts
+                or (components == 2 and any(w != a for w in nbrs[b]))
+                or is_cut[b]
             ):
-                return False, (a, b)
+                return False, (verts[a], verts[b])
     return True, None
 
 

@@ -312,6 +312,42 @@ class TestDocumentShape:
         assert capsys.readouterr().err == "error: merged graph needs at least three vertices\n"
 
 
+UNLOCATED_IN_THE_DOCUMENT = [
+    # (command, file text, message): errors with no place inside the file.
+    ("check-rigidity", '{"vertices": [1, ', "malformed JSON: Expecting value"),
+    ("check-persistence", '{"vertices": [1, ', "malformed JSON: Expecting value"),
+    ("check-meta", '{"metaVertices": [, ', "malformed JSON: Expecting value"),
+    ("check-rigidity", "5", "formation document must be a JSON object"),
+    ("check-persistence", "[1, 2]", "formation document must be a JSON object"),
+    ("check-meta", '"meta"', "meta-formation document must be a JSON object"),
+    ("check-rigidity", '{"edges": []}', "missing field: 'vertices'"),
+    ("check-persistence", '{"edges": []}', "missing field: 'vertices'"),
+]
+
+
+class TestSingleFileErrorsAreLocated:
+    """Like ``verify-plan``, the single-file commands locate an error that
+    names no place inside the document at the file; the stdout and the
+    exit code stay as they were."""
+
+    @pytest.mark.parametrize("command,text,message", UNLOCATED_IN_THE_DOCUMENT)
+    def test_located_at_the_file(self, tmp_path, capsys, command, text, message):
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        assert main([command, str(p), "--dim", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.endswith(f" (at {p})\n")
+        assert captured.err.count("(at ") == 1
+
+    def test_errors_inside_the_document_keep_their_place(self, tmp_path, capsys):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps({"vertices": [1, 1]}))
+        assert main(["check-rigidity", str(p), "--dim", "3"]) == 2
+        assert capsys.readouterr().err == "error: duplicate vertex id 1 (at vertices[1])\n"
+
+
 FUZZ_KEYS = (
     "vertices", "edges", "metaVertices", "interEdges", "collection",
     "plan", "mergeOrder", "tail", "head", "dim", "rule", "step",
