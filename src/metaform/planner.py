@@ -11,8 +11,13 @@ side, no vertex carrying more than three of the six edges), with every
 candidate validated before being emitted: its few inter-edge rows are
 tested against the members' internal rows, reduced once per rank-oracle
 trial, which gives exactly the rank oracle's verdict on the merged graph.
-Candidates share each trial's placement, so a chunk of them is ranked in
-one batch, and the first full-rank one in search order wins.
+A vector with at most two tails, when each side has a vertex that is not
+a tail, is refused before any set is built: every inter-edge meets the
+line through the tails, and turning one side about that line is a
+non-trivial motion, so no placement reaches full rank.  Candidates share
+each trial's placement, so they are ranked in chunks of 1, 2, 4, ... up
+to ``HEAD_SEARCH_LEAF_CHUNK`` sets, and the first full-rank one in search
+order wins.
 Collections are merged pairwise with the special-case ordering rules: a
 zero-DOF member is merged last, and when a member with a single 3-DOF
 leader and no other DOF exists, one such member is isolated and merged
@@ -45,9 +50,8 @@ from .rigidity import (
 
 # Distinct inter-edge sets tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
-# 3D head-search leaves ranked together in one batch.  On `merge-3d`
-# (2-core host), chunks of 32 to 128 ran within the runs' spread of each
-# other; 16 was about 8% slower and 256 about 16%.
+# The largest chunk of 3D head-search leaves ranked in one batch.  Chunks
+# grow 1, 2, 4, ... up to it, so a first leaf that hits is ranked alone.
 HEAD_SEARCH_LEAF_CHUNK = 64
 
 
@@ -343,11 +347,22 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     """The first covered inter-edge set for ``cand`` whose merged graph is rigid.
 
     At most ``HEAD_SEARCH_LEAF_CAP`` sets of ``_covered_leaves`` are
-    tested, in order.  2D tests each by the pebble game.  3D tests
-    ``HEAD_SEARCH_LEAF_CHUNK`` at a time against ``member_rows()``, the
-    members' internal rows reduced once per rank-oracle trial, which gives
-    exactly the rank oracle's verdict on each merged graph.
+    tested, in order.  2D tests each by the pebble game.  3D first
+    screens out a candidate with at most two tails when each side has a
+    vertex that is not a tail: every inter-edge then meets the line
+    through the tails, so turning one side about that line while the
+    other stays still is a non-trivial motion, the merged graph is
+    generically flexible and no placement reaches full rank.  Otherwise
+    3D ranks chunks of 1, 2, 4, ... up to ``HEAD_SEARCH_LEAF_CHUNK``
+    leaves against ``member_rows()``, the members' internal rows reduced
+    once per rank-oracle trial, which gives exactly the rank oracle's
+    verdict on each merged graph.  Each trial's placement is fixed, so
+    the first full-rank leaf is the same for any chunking.
     """
+    if dim == 3 and len(cand) <= 2 and all(
+        any(v not in cand for v in f.vertices) for f in (ga, gb)
+    ):
+        return None
     leaves = itertools.islice(_covered_leaves(ga, gb, cand, dim), HEAD_SEARCH_LEAF_CAP)
     if dim == 2:
         internal_edges = tuple(ga.edges) + tuple(gb.edges)
@@ -357,10 +372,12 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
             if laman_check_2d(flat.underlying()).rigid:
                 return pairs
         return None
-    while chunk := list(itertools.islice(leaves, HEAD_SEARCH_LEAF_CHUNK)):
+    size = 1
+    while chunk := list(itertools.islice(leaves, size)):
         hit = member_rows().first_full_rank(chunk)
         if hit is not None:
             return chunk[hit]
+        size = min(2 * size, HEAD_SEARCH_LEAF_CHUNK)
     return None
 
 

@@ -164,3 +164,26 @@ def dof_allocated_3d(allocation, base: int = 1) -> Formation:
     for i, d in enumerate(allocation):
         target[vs[i]] = 3 - d
     return orient_with_out_degrees(vs, und, target)
+
+
+def back_braced(f: Formation, dim: int) -> Formation:
+    """Spend every spare DOF of the ``dim`` smallest ids on edges to the
+    largest ids each is not yet joined to.
+
+    Known answer on a persistent formation whose ``dim`` smallest ids
+    have d+ < dim and whose other vertices have d+ >= dim: persistent.
+    Each braced tail ends at d+ = dim, so it keeps all its out-edges in
+    every terminal; every terminal is one of ``f``'s plus these edges, and
+    stays rigid, and the terminal count is unchanged.  The new edges point
+    back at the latest vertices, so the formation is cyclic and does not
+    peel away.
+    """
+    edges = list(f.edges)
+    joined = {frozenset(e) for e in edges}
+    out = f.out_degrees()
+    for v in sorted(f.vertices)[:dim]:
+        free = [w for w in sorted(f.vertices, reverse=True) if w != v and frozenset((v, w)) not in joined]
+        heads = free[: dim - out[v]]
+        edges += [(v, w) for w in heads]
+        joined.update(frozenset((v, w)) for w in heads)
+    return Formation(vertices=f.vertices, edges=tuple(edges))

@@ -29,7 +29,7 @@ from metaform.rigidity import (
     rank_mod_p,
 )
 
-from conftest import complete, count_calls, pair, singleton
+from conftest import back_braced, complete, count_calls, pair, singleton
 
 P = RANK_MODULUS
 
@@ -147,6 +147,12 @@ LAST_FAILS = digraph(7, [  # witness 15 of 16
     (4, 5), (4, 3), (2, 6), (5, 6), (7, 4), (5, 3), (5, 2), (6, 4), (3, 6),
     (4, 2), (6, 7), (5, 1), (7, 2), (1, 2), (4, 1), (1, 7), (3, 7), (2, 3),
 ])
+# Cyclic: peels nothing, so all 160 terminals are the core's.
+LATE_FAILS = digraph(8, [  # witness 57 of 160
+    (1, 2), (1, 5), (1, 8), (2, 4), (2, 5), (2, 8), (3, 1), (3, 2), (4, 1),
+    (4, 3), (4, 5), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8), (6, 1), (6, 3),
+    (6, 4), (6, 7), (7, 1), (7, 2), (7, 3), (7, 8), (8, 6),
+])
 # K5 plus a vertex w with two edges into it and a vertex u with three
 # edges into K5 and one to w: every terminal is one edge short.
 EDGE_COUNT_SHORT = Formation(
@@ -167,6 +173,17 @@ def vertex_addition(n, braced, seed):
     return digraph(n, edges)
 
 
+def braced(f):
+    """``f`` under three vertices with out-edges to its three highest ids,
+    then back-braced: persistent, and nothing peels, so the core keeps
+    every vertex and ``f``'s terminals."""
+    vertices, edges = list(f.vertices), list(f.edges)
+    for v in range(max(vertices) + 1, max(vertices) + 4):
+        edges += [(v, h) for h in sorted(vertices)[-3:]]
+        vertices.append(v)
+    return back_braced(Formation(vertices=tuple(vertices), edges=tuple(edges)), 3)
+
+
 # (formation, terminals per batch, witness index or None)
 CASES = {
     "first-fails": (FIRST_FAILS, None, 0),
@@ -178,6 +195,9 @@ CASES = {
     "last-fails-first-of-batch": (LAST_FAILS, 15, 15),
     "last-fails-one-batch": (LAST_FAILS, None, 15),
     "edge-count-short": (EDGE_COUNT_SHORT, 2, 0),
+    "late-fails-mid-batch": (LATE_FAILS, 8, 57),
+    "late-fails-first-of-batch": (LATE_FAILS, 57, 57),
+    "late-fails-one-batch": (LATE_FAILS, None, 57),
     "K6": (complete(6), 7, None),
     "K6-one-batch": (complete(6), None, None),
     "K4": (complete(4), None, None),
@@ -188,6 +208,22 @@ CASES = {
     # one base.
     "one-terminal-n30": (vertex_addition(30, 0, 1), None, None),
     "sixteen-terminals-n24": (vertex_addition(24, 2, 2), None, None),
+    # The five cases above peel to a triangle; braced, their cores keep
+    # the lone terminal and split many terminals across batches.
+    "K4-braced": (braced(complete(4)), None, None),
+    "K6-braced": (braced(complete(6)), 7, None),
+    "K6-braced-one-batch": (braced(complete(6)), None, None),
+    "one-terminal-n30-braced": (back_braced(vertex_addition(30, 0, 1), 3), None, None),
+    "sixteen-terminals-n24-braced": (back_braced(vertex_addition(24, 2, 2), 3), 5, None),
+}
+
+# Case: (vertices left after the peel, terminals).
+KEPT_CORES = {
+    "late-fails-mid-batch": (8, 160),
+    "K4-braced": (7, 1),
+    "K6-braced": (9, 40),
+    "one-terminal-n30-braced": (26, 1),
+    "sixteen-terminals-n24-braced": (18, 16),
 }
 
 
@@ -205,6 +241,16 @@ def test_is_persistent_3d_matches_per_terminal_loop(monkeypatch, name, seed, tri
         index = [t.retained for t in terminals].index(expected.witness_terminal)
     assert index == witness
     assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
+
+
+@pytest.mark.parametrize("name", sorted(KEPT_CORES))
+def test_cores_are_kept_and_split_across_batches(name):
+    f, per_batch, _ = CASES[name]
+    assert (len(f.vertices) - len(persistence._peeled(f, 3)), len(terminal_subgraphs(f, 3))) == (
+        KEPT_CORES[name]
+    )
+    # A many-terminal core is split across several batches.
+    assert per_batch is None or len(terminal_subgraphs(f, 3)) > 2 * per_batch
 
 
 def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):

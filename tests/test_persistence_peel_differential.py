@@ -25,7 +25,7 @@ from metaform.errors import MetaformError
 from metaform.graph import Formation
 from metaform.persistence import _peeled, is_persistent, terminal_subgraphs
 
-from conftest import complete, count_calls
+from conftest import back_braced, complete, count_calls
 from persistence_reference import reference_is_persistent
 from test_batch_rank_differential import vertex_addition
 from test_bench_corpora import corpus
@@ -60,29 +60,6 @@ def random_digraph(rng: random.Random, n: int) -> Formation:
     ]
     rng.shuffle(edges)
     return Formation(vertices=tuple(vertices), edges=tuple(edges))
-
-
-def back_braced(f: Formation, dim: int) -> Formation:
-    """Spend every spare DOF of the ``dim`` smallest ids on edges to the
-    largest ids each is not yet joined to.
-
-    Known answer on a persistent formation whose ``dim`` smallest ids
-    have d+ < dim and whose other vertices have d+ >= dim: persistent.
-    Each braced tail ends at d+ = dim, so it keeps all its out-edges in
-    every terminal; every terminal is one of ``f``'s plus these edges, and
-    stays rigid, and the terminal count is unchanged.  The new edges point
-    back at the latest vertices, so the formation is cyclic and does not
-    peel away.
-    """
-    edges = list(f.edges)
-    joined = {frozenset(e) for e in edges}
-    out = f.out_degrees()
-    for v in sorted(f.vertices)[:dim]:
-        free = [w for w in sorted(f.vertices, reverse=True) if w != v and frozenset((v, w)) not in joined]
-        heads = free[: dim - out[v]]
-        edges += [(v, w) for w in heads]
-        joined.update(frozenset((v, w)) for w in heads)
-    return Formation(vertices=f.vertices, edges=tuple(edges))
 
 
 def acyclic_dense(n: int, dim: int, extra: int, rng: random.Random) -> Formation:

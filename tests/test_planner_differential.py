@@ -57,6 +57,7 @@ from conftest import (
     triangle,
     zero_dof_3d,
 )
+from test_head_screen_differential import lined
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -416,13 +417,23 @@ def test_plan_unchanged_where_the_reference_spends_its_leaf_cap(monkeypatch, nam
     assert "edges" in new and new == old
 
 
-def test_corpus_reaches_failing_leaves_and_refusals(monkeypatch):
-    """The corpus holds rank-deficient leaves, plans and refused merges."""
-    leaves = counting_leaves(monkeypatch)
+def test_corpus_reaches_screened_candidates_and_refusals(monkeypatch):
+    """The corpus holds plans, refused merges and candidates the two-tail
+    screen decides.  Every leaf it ranks reaches full rank, so
+    ``test_head_screen_differential.py`` ranks rank-deficient leaves, on
+    random pairs."""
+    screened = []
+    search = planner._assign_heads
+
+    def counted(ga, gb, cand, dim, member_rows):
+        screened.append(lined(ga, gb, cand))
+        return search(ga, gb, cand, dim, member_rows)
+
+    monkeypatch.setattr(planner, "_assign_heads", counted)
     outcomes = [outcome(plan_collection, c, 3) for c in COLLECTIONS.values()]
     planned = sum("edges" in o for o in outcomes)
     assert planned >= 12 and len(outcomes) - planned >= 1
-    assert sum(leaves) > 2 * planned
+    assert sum(screened) >= 10
 
 
 def test_five_five_pair_never_rebuilds_the_whole_matrix(monkeypatch):
