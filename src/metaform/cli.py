@@ -36,9 +36,52 @@ from .planner import (
 from .rigidity import DEFAULT_SEED, DEFAULT_TRIALS, check_rigidity
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _encode(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, written at ``indent``.
+
+    With ``indent`` set, ``json`` always takes its pure-Python encoder.
+    This one covers what reports hold: dicts with str keys, lists,
+    tuples, str, int, bool and None.  Anything else, floats and non-str
+    keys included, goes to ``json.dumps``; its lines after the first are
+    moved to ``indent`` (a JSON string holds no raw newline).
+    """
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    inner = indent + "  "
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        items = [
+            int.__repr__(v) if type(v) is int else _encode(v, inner) for v in value
+        ]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if kind is dict and all(type(k) is str for k in value):
+        if not value:
+            return "{}"
+        items = [
+            f"{_escape(k)}: "
+            + (int.__repr__(v) if type(v := value[k]) is int else _encode(v, inner))
+            for k in sorted(value)
+        ]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
 def _emit(doc: dict, fmt: str) -> None:
+    """Print the report: indented JSON with sorted keys, or one
+    ``key: value`` line per top-level key with compact JSON values."""
     if fmt == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(_encode(doc))
     else:
         for key, value in doc.items():
             print(f"{key}: {json.dumps(value, sort_keys=True)}")

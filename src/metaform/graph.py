@@ -7,6 +7,7 @@ stored on the graph, so the same file can be analyzed in both dimensions.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,15 +29,47 @@ def json_int(x, location: str) -> int:
 
 
 def _json_edges(edges, name: str) -> tuple[Edge, ...]:
-    """A JSON list of [tail, head] integer pairs, located as ``name[i][j]``."""
+    """A JSON list of [tail, head] integer pairs, located as ``name[i][j]``.
+
+    Locations are built only to report the first offender.
+    """
     if not isinstance(edges, list):
         raise InputError(f"'{name}' must be a list", name)
-    out = []
     for i, e in enumerate(edges):
-        if not isinstance(e, list) or len(e) != 2:
-            raise InputError("edge must be a [tail, head] pair", f"{name}[{i}]")
-        out.append((json_int(e[0], f"{name}[{i}][0]"), json_int(e[1], f"{name}[{i}][1]")))
-    return tuple(out)
+        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+            if not isinstance(e, list) or len(e) != 2:
+                raise InputError("edge must be a [tail, head] pair", f"{name}[{i}]")
+            json_int(e[0], f"{name}[{i}][0]")
+            json_int(e[1], f"{name}[{i}][1]")
+    return tuple(map(tuple, edges))
+
+
+def _raise_first_offender(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
+    """Raise InputError at the first vertex, or else the first edge, that
+    breaks a ``Formation`` invariant; vertices and edges are checked in
+    order, and each edge for a self-loop, its tail, its head, then its
+    pair."""
+    if not vertices:
+        raise InputError("empty vertex set", "vertices")
+    seen_v = set()
+    for i, v in enumerate(vertices):
+        if v < 0:
+            raise InputError(f"negative vertex id {v}", f"vertices[{i}]")
+        if v in seen_v:
+            raise InputError(f"duplicate vertex id {v}", f"vertices[{i}]")
+        seen_v.add(v)
+    seen_pairs = set()
+    for i, (t, h) in enumerate(edges):
+        if t == h:
+            raise InputError(f"self-loop at vertex {t}", f"edges[{i}]")
+        if t not in seen_v:
+            raise InputError(f"undeclared tail {t}", f"edges[{i}]")
+        if h not in seen_v:
+            raise InputError(f"undeclared head {h}", f"edges[{i}]")
+        pair = _unordered((t, h))
+        if pair in seen_pairs:
+            raise InputError(f"duplicate edge on unordered pair {pair}", f"edges[{i}]")
+        seen_pairs.add(pair)
 
 
 @dataclass(frozen=True)
@@ -52,33 +85,21 @@ class Formation:
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
-        object.__setattr__(
-            self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
-        )
-        if not self.vertices:
-            raise InputError("empty vertex set", "vertices")
-        seen_v = set()
-        for i, v in enumerate(self.vertices):
-            if v < 0:
-                raise InputError(f"negative vertex id {v}", f"vertices[{i}]")
-            if v in seen_v:
-                raise InputError(f"duplicate vertex id {v}", f"vertices[{i}]")
-            seen_v.add(v)
-        seen_pairs = set()
-        for i, (t, h) in enumerate(self.edges):
-            if t == h:
-                raise InputError(f"self-loop at vertex {t}", f"edges[{i}]")
-            if t not in seen_v:
-                raise InputError(f"undeclared tail {t}", f"edges[{i}]")
-            if h not in seen_v:
-                raise InputError(f"undeclared head {h}", f"edges[{i}]")
-            pair = _unordered((t, h))
-            if pair in seen_pairs:
-                raise InputError(
-                    f"duplicate edge on unordered pair {pair}", f"edges[{i}]"
-                )
-            seen_pairs.add(pair)
+        vertices = tuple(map(int, self.vertices))
+        edges = tuple((int(t), int(h)) for t, h in self.edges)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        declared = set(vertices)
+        # A self-loop or a second edge on a pair leaves fewer pairs than edges.
+        pairs = {(t, h) if t < h else (h, t) for t, h in edges if t != h}
+        if not (
+            vertices
+            and len(declared) == len(vertices)
+            and min(vertices) >= 0
+            and len(pairs) == len(edges)
+            and declared.issuperset(itertools.chain.from_iterable(edges))
+        ):
+            _raise_first_offender(vertices, edges)
 
     @property
     def vertex_set(self) -> frozenset[int]:
@@ -92,10 +113,7 @@ class Formation:
 
     def underlying(self) -> "UndirectedView":
         """Forget edge directions."""
-        return UndirectedView(
-            vertices=self.vertices,
-            edges=tuple(_unordered(e) for e in self.edges),
-        )
+        return UndirectedView(vertices=self.vertices, edges=self.edges)
 
     def to_dict(self) -> dict:
         return {
@@ -112,10 +130,10 @@ class Formation:
         vertices = doc["vertices"]
         if not isinstance(vertices, list):
             raise InputError("'vertices' must be a list", "vertices")
-        return cls(
-            vertices=tuple(json_int(v, f"vertices[{i}]") for i, v in enumerate(vertices)),
-            edges=_json_edges(doc.get("edges", []), "edges"),
-        )
+        for i, v in enumerate(vertices):
+            if type(v) is not int:
+                json_int(v, f"vertices[{i}]")
+        return cls(vertices=tuple(vertices), edges=_json_edges(doc.get("edges", []), "edges"))
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,11 @@ on the theorem above.  Every terminal holds the edges of the
 single-choice blocks, so those form the base of one ``FixedBaseRank``;
 a terminal adds one choice per other block, and terminals are ranked in
 batches of these extra edges.  A core with one terminal is that
-terminal, and the rank oracle decides it.
+terminal, and the rank oracle decides it, except on at most 4 vertices:
+there a terminal with the 3n - 6 edges rigidity needs has all C(n, 2)
+of them, and a complete graph on at most 4 vertices, a simplex, is
+rigid.  So a formation grown by vertex addition from at most 4 vertices
+needs no rank at all.
 """
 from __future__ import annotations
 
@@ -212,8 +216,11 @@ def _verdict(led: DofLedger, minimally: bool, seed: int, witness=None) -> Persis
     )
 
 
-def _first_nonrigid_terminal_2d(f: Formation, terminals: TerminalSubgraphs) -> int | None:
-    """Index of the first terminal the pebble game finds not rigid, or None.
+def _first_nonrigid_terminal_2d(
+    vertices: tuple[int, ...], terminals: TerminalSubgraphs
+) -> int | None:
+    """Index of the first terminal on ``vertices`` the pebble game finds
+    not rigid, or None.
 
     One game walks the product tree depth first, in product order: going
     down a level inserts that block's choice, going back up removes the
@@ -227,8 +234,8 @@ def _first_nonrigid_terminal_2d(f: Formation, terminals: TerminalSubgraphs) -> i
     every terminal below it.  With one vertex the target is -1 and
     nothing fails; with two, the one edge, if there, reaches 1.
     """
-    target = 2 * len(f.vertices) - 3
-    game = PebbleGame2D(f.vertices)
+    target = 2 * len(vertices) - 3
+    game = PebbleGame2D(vertices)
     levels = []
     for b, block in enumerate(terminals.blocks):
         if len(block) == 1:
@@ -268,28 +275,32 @@ def _first_nonrigid_terminal_2d(f: Formation, terminals: TerminalSubgraphs) -> i
 
 
 def _first_nonrigid_terminal_3d(
-    f: Formation, terminals: TerminalSubgraphs, seed: int, trials: int
+    vertices: tuple[int, ...], terminals: TerminalSubgraphs, seed: int, trials: int
 ) -> int | None:
-    """Index of the first terminal ``rigid_3d_check`` finds not rigid, or None.
+    """Index of the first terminal on ``vertices`` that ``rigid_3d_check``
+    finds not rigid, or None.
 
     Every terminal keeps min(d+, 3) edges per vertex, so all share one
-    edge count and the edge-count exit decides all of them at once.  One
-    terminal is decided by the rank oracle, as ``rigid_3d_check`` decides
-    it from three vertices on; on two, the oracle also says not rigid
-    when both share a placement in every trial, the same one-sided error
-    as any rank verdict.  Otherwise a terminal is rigid when some trial's rank reaches
+    edge count and the edge-count exit decides all of them at once.  On
+    at most 4 vertices no vertex has more than 3 out-edges, so there is
+    one terminal, and with 3n - 6 = C(n, 2) edges it is complete: a
+    simplex, rigid without the rank oracle.  One terminal on more
+    vertices is decided by the rank oracle, as ``rigid_3d_check`` decides
+    it.  Otherwise a terminal is rigid when some trial's rank reaches
     3n - 6: the base's rank at that trial plus the rank its extra edges
     add.  Each batch of terminals goes on to the next trial with only the
     terminals still short of full rank.
     """
-    g = f.underlying()
-    target = required_rank(3, len(g.vertices))
+    target = required_rank(3, len(vertices))
     if sum(len(block[0]) for block in terminals.blocks) < target:
         return 0
+    if len(vertices) <= 4:
+        return None
     if len(terminals) == 1:
+        g = UndirectedView(vertices, terminals[0].retained)
         return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else 0
     fixed = [e for block in terminals.blocks if len(block) == 1 for e in block[0]]
-    ranker = FixedBaseRank(UndirectedView(g.vertices, tuple(fixed)), 3, seed=seed, trials=trials)
+    ranker = FixedBaseRank(UndirectedView(vertices, tuple(fixed)), 3, seed=seed, trials=trials)
     # Single-choice blocks add digit 0 only, so product order over the
     # other blocks is terminal order.
     pending = itertools.product(*(block for block in terminals.blocks if len(block) > 1))
@@ -347,11 +358,12 @@ def is_persistent(
     The cap counts the whole formation's terminals, before any work.
     The terminals are then decided on the core left after peeling vertex
     additions (module docstring): a whole terminal is rigid exactly when
-    its core part is.  3D rigidity verdicts come from the randomized rank
-    oracle on the core, so a persistence verdict inherits its one-sided
-    error toward "not persistent"; the seed used is recorded in the
-    verdict.  ``trials`` below 1 raises InputError, whatever the
-    formation.
+    its core part is.  The core is its vertex tuple and its blocks; it is
+    not built and validated again as a ``Formation``.  3D rigidity
+    verdicts come from the randomized rank oracle on a core of more than
+    4 vertices, so a persistence verdict inherits its one-sided error
+    toward "not persistent"; the seed used is recorded in the verdict.
+    ``trials`` below 1 raises InputError, whatever the formation.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
@@ -360,10 +372,7 @@ def is_persistent(
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
     peeled = _peeled(f, dim)
-    core = Formation(
-        vertices=tuple(v for v in f.vertices if v not in peeled),
-        edges=tuple(e for e in f.edges if e[0] not in peeled),
-    )
+    core = tuple(v for v in f.vertices if v not in peeled)
     # A block's choices all start with its tail's first out-edge.
     in_core = [block[0][0][0] not in peeled for block in terminals.blocks]
     core_terminals = TerminalSubgraphs(tuple(itertools.compress(terminals.blocks, in_core)))

@@ -255,20 +255,21 @@ def sparsity_violation(
     params: SparsityParams = SparsityParams(3, 6),
     cap: int = SPARSITY_3D_VERTEX_CAP,
 ) -> tuple[Edge, ...] | None:
-    """Some edge subset E'' with |E''| > 3|V(E'')| - 6, or None.
+    """Some edge subset E'' with |E''| > 3|V(E'')| - 6, sorted, or None.
 
     A violating edge set implies a violating induced set on the same
     vertices, so the search runs over induced vertex subsets, smallest
-    first, each size in ``combinations`` order.  No set of 3 or 4
-    vertices violates the count (at most 3 and 6 edges).  In a smallest
-    violating set every vertex has at least 4 neighbours inside it, since
-    dropping one with 3 or fewer leaves a smaller violating set; so every
-    smallest violating set lies in the 4-core, and the search over the
-    core's vertices, in ``g.vertices`` order from size 5, returns the
-    same first witness as one over all vertices from size 3.  It stays
-    exponential in the core size, so the cap on n still applies.
-    ``params`` admits only (3, 6); a caller may pass it to name the
-    counts it asks for.
+    first, each size in ``combinations`` order of the sorted vertex ids.
+    No set of 3 or 4 vertices violates the count (at most 3 and 6
+    edges).  In a smallest violating set every vertex has at least 4
+    neighbours inside it, since dropping one with 3 or fewer leaves a
+    smaller violating set; so every smallest violating set lies in the
+    4-core, and the search over the core's vertices from size 5 returns
+    the same first witness as one over all vertices from size 3.  The
+    witness depends on the graph only, not on the order of its vertex
+    and edge lists.  The search stays exponential in the core size, so
+    the cap on n still applies.  ``params`` admits only (3, 6); a caller
+    may pass it to name the counts it asks for.
     """
     n = len(g.vertices)
     if n > cap:
@@ -276,14 +277,14 @@ def sparsity_violation(
             f"(3,6) sparsity search capped at {cap} vertices, got {n}"
         )
     core = _four_core(g.adjacency())
-    verts = [v for v in g.vertices if v in core]
+    verts = sorted(core)
     edges = [e for e in g.edges if e[0] in core and e[1] in core]
     for size in range(5, len(verts) + 1):
         for subset in itertools.combinations(verts, size):
             sub = set(subset)
             induced = [e for e in edges if e[0] in sub and e[1] in sub]
             if len(induced) > 3 * size - 6:
-                return tuple(induced)
+                return tuple(sorted(induced))
     return None
 
 
@@ -304,7 +305,26 @@ def _four_core(adj: dict[int, set[int]]) -> set[int]:
 
 
 def _positions(vertices, dim: int, rng: random.Random) -> dict[int, tuple[int, ...]]:
-    return {v: tuple(rng.randint(1, COORD_RANGE) for _ in range(dim)) for v in vertices}
+    """Each vertex's ``dim`` coordinates in 1..COORD_RANGE, drawn in order.
+
+    Each coordinate is ``rng.randint(1, COORD_RANGE)`` without its call
+    frames: draws of ``COORD_RANGE.bit_length()`` bits until one falls
+    below ``COORD_RANGE``, plus 1, so the stream and every placement are
+    those of ``randint``.
+    """
+    span = COORD_RANGE
+    bits = span.bit_length()
+    draw = rng.getrandbits
+    positions = {}
+    for v in vertices:
+        coords = []
+        for _ in range(dim):
+            r = draw(bits)
+            while r >= span:
+                r = draw(bits)
+            coords.append(r + 1)
+        positions[v] = tuple(coords)
+    return positions
 
 
 def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):

@@ -41,9 +41,9 @@ def reference_is_persistent(
     # one is the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
     if dim == 2:
-        first = _first_nonrigid_terminal_2d(f, terminals)
+        first = _first_nonrigid_terminal_2d(f.vertices, terminals)
     else:
-        first = _first_nonrigid_terminal_3d(f, terminals, seed, trials)
+        first = _first_nonrigid_terminal_3d(f.vertices, terminals, seed, trials)
     if first is not None:
         return _verdict(led, False, seed, witness=terminals[first].retained)
     # Every terminal is rigid, and so is the whole formation: a terminal

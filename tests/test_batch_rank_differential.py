@@ -29,6 +29,7 @@ from metaform.rigidity import (
     rank_mod_p,
 )
 
+import persistence_reference
 from conftest import back_braced, complete, count_calls, pair, singleton
 
 P = RANK_MODULUS
@@ -254,7 +255,9 @@ def test_cores_are_kept_and_split_across_batches(name):
 
 
 def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):
-    f = vertex_addition(30, 0, 1)
+    # Back-braced, it peels to a 26-vertex core, whose one terminal is
+    # far from complete.
+    f = CASES["one-terminal-n30-braced"][0]
     assert len(terminal_subgraphs(f, 3)) == 1
     expected = reference_is_persistent(f, 3).to_dict()
     oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
@@ -265,15 +268,75 @@ def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):
     monkeypatch.setattr(rigidity, "batch_rank_mod_p", refuse)
     assert is_persistent(f, 3).to_dict() == expected
     assert len(oracle) == 1
+    assert len(oracle[0][0].vertices) == 26
 
 
 def test_3d_terminals_are_not_checked_one_by_one(monkeypatch):
     checked = count_calls(monkeypatch, "check_rigidity", rigidity.check_rigidity)
     oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
+    # K6: vertices 6, 5 and 4 peel away as vertex additions, and the
+    # 3-vertex core is a complete triangle, rigid without the rank
+    # oracle.  K6 braced: nothing peels, and the 40 terminals are ranked
+    # in batches on one fixed base.  Neither checks the whole formation:
+    # minimal persistence is its edge count.
     assert is_persistent(complete(6), 3).persistent
-    # Vertices 6, 5 and 4 peel away as vertex additions, and the rank
-    # oracle decides the 3-vertex core's one terminal.  Not the whole
-    # formation: minimal persistence is its edge count.
+    assert is_persistent(CASES["K6-braced"][0], 3).persistent
     assert checked == []
-    assert len(oracle) == 1
-    assert len(oracle[0][0].vertices) == 3
+    assert oracle == []
+
+
+def under_additions(f, count=3):
+    """``f`` under ``count`` vertices, each with 4 out-edges to the
+    vertices before it: they peel away, and ``f`` is the core."""
+    vertices, edges = list(f.vertices), list(f.edges)
+    for v in range(max(vertices) + 1, max(vertices) + 1 + count):
+        edges += [(v, h) for h in sorted(vertices)[-4:]]
+        vertices.append(v)
+    return Formation(vertices=tuple(vertices), edges=tuple(edges))
+
+
+# K4 oriented so that every vertex has an in-edge: nothing peels.
+CYCLIC_K4 = digraph(4, [(1, 2), (2, 3), (3, 1), (1, 4), (2, 4), (4, 3)])
+# The same without the pair {2, 4}: 5 edges, one short of 3n - 6.
+CYCLIC_K4_LESS_ONE = digraph(4, [(1, 2), (2, 3), (3, 1), (1, 4), (4, 3)])
+# K4 less the pair {1, 2}, oriented high to low: 4 peels, and the core
+# 1, 2, 3 keeps 2 edges.
+K4_LESS_ONE = digraph(4, [(3, 1), (3, 2), (4, 1), (4, 2), (4, 3)])
+
+# Case: (formation, core size, witness index or None).
+SMALL_CORES = {
+    "singleton": (singleton(1), 1, None),
+    "pair": (pair(1, 2), 2, None),
+    "two-apart": (Formation(vertices=(1, 2)), 2, 0),
+    "K3": (complete(3), 3, None),
+    "K6": (complete(6), 3, None),
+    "K4-less-one": (K4_LESS_ONE, 3, 0),
+    "K4-less-one-under-additions": (under_additions(K4_LESS_ONE), 3, 0),
+    "cyclic-K4": (CYCLIC_K4, 4, None),
+    "cyclic-K4-under-additions": (under_additions(CYCLIC_K4), 4, None),
+    "cyclic-K4-less-one": (CYCLIC_K4_LESS_ONE, 4, 0),
+    "cyclic-K4-less-one-under-additions": (under_additions(CYCLIC_K4_LESS_ONE), 4, 0),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("name", sorted(SMALL_CORES))
+def test_small_cores_are_decided_without_the_rank_oracle(monkeypatch, name, seed, trials):
+    """A 3D core of at most 4 vertices is complete, and rigid, when it has
+    3n - 6 edges, and short of them otherwise.  The reports equal both
+    references: the whole-product walk and one ``check_rigidity`` per
+    terminal, which run the rank oracle on the whole formation."""
+    f, core, witness = SMALL_CORES[name]
+    assert len(f.vertices) - len(persistence._peeled(f, 3)) == core
+    expected = reference_is_persistent(f, 3, seed=seed, trials=trials)
+    index = None
+    if expected.witness_terminal is not None:
+        index = [t.retained for t in terminal_subgraphs(f, 3)].index(expected.witness_terminal)
+    assert index == witness
+    walked = persistence_reference.reference_is_persistent(f, 3, seed=seed, trials=trials)
+    assert walked.to_dict() == expected.to_dict()
+    oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
+    ranker = count_calls(monkeypatch, "FixedBaseRank", rigidity.FixedBaseRank)
+    assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
+    assert oracle == [] and ranker == []

@@ -2,7 +2,7 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from metaform.errors import InputError
 from metaform.graph import (
@@ -158,3 +158,92 @@ class TestProperties:
         )
         meta = MetaFormation(meta_vertices=(a, b_shift), inter_edges=())
         assert len(meta.flatten().vertices) == len(a.vertices) + len(b.vertices)
+
+
+def reference_validate(vertices, edges):
+    """The one-pass validation loop ``Formation`` used to run on every
+    construction: the first offender's (detail, location), or None."""
+    if not vertices:
+        return ("empty vertex set", "vertices")
+    seen_v = set()
+    for i, v in enumerate(vertices):
+        if v < 0:
+            return (f"negative vertex id {v}", f"vertices[{i}]")
+        if v in seen_v:
+            return (f"duplicate vertex id {v}", f"vertices[{i}]")
+        seen_v.add(v)
+    seen_pairs = set()
+    for i, (t, h) in enumerate(edges):
+        if t == h:
+            return (f"self-loop at vertex {t}", f"edges[{i}]")
+        if t not in seen_v:
+            return (f"undeclared tail {t}", f"edges[{i}]")
+        if h not in seen_v:
+            return (f"undeclared head {h}", f"edges[{i}]")
+        pair = (t, h) if t < h else (h, t)
+        if pair in seen_pairs:
+            return (f"duplicate edge on unordered pair {pair}", f"edges[{i}]")
+        seen_pairs.add(pair)
+    return None
+
+
+def validation(vertices, edges):
+    try:
+        Formation(vertices=vertices, edges=edges)
+    except InputError as exc:
+        return (exc.detail, exc.location)
+    return None
+
+
+# Ids from a small range, so that duplicates, self-loops, repeated pairs
+# and undeclared endpoints are common, often several in one formation.
+IDS = st.integers(-2, 6)
+
+
+class TestValidationParity:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(IDS, max_size=6), st.lists(st.tuples(IDS, IDS), max_size=8))
+    def test_first_offender_as_the_loop_finds_it(self, vertices, edges):
+        assert validation(tuple(vertices), tuple(edges)) == reference_validate(vertices, edges)
+
+    @pytest.mark.parametrize(
+        "vertices, edges, expected",
+        [
+            ((), (), ("empty vertex set", "vertices")),
+            ((), ((1, 2),), ("empty vertex set", "vertices")),
+            ((1, -1, -2), (), ("negative vertex id -1", "vertices[1]")),
+            ((1, 2, 1, -1), (), ("duplicate vertex id 1", "vertices[2]")),
+            ((1, 2), ((1, 2), (2, 2)), ("self-loop at vertex 2", "edges[1]")),
+            ((1, 2), ((3, 3),), ("self-loop at vertex 3", "edges[0]")),
+            ((1, 2), ((3, 1), (1, 4)), ("undeclared tail 3", "edges[0]")),
+            ((1, 2), ((1, 4), (3, 1)), ("undeclared head 4", "edges[0]")),
+            ((1, 2, 3), ((1, 2), (1, 3), (1, 2)), ("duplicate edge on unordered pair (1, 2)", "edges[2]")),
+            ((1, 2, 3), ((3, 1), (1, 3)), ("duplicate edge on unordered pair (1, 3)", "edges[1]")),
+            ((1, 2, 3), ((2, 1), (3, 3), (1, 2)), ("self-loop at vertex 3", "edges[1]")),
+        ],
+    )
+    def test_named_offenders(self, vertices, edges, expected):
+        assert validation(vertices, edges) == expected == reference_validate(vertices, edges)
+
+    def test_direct_construction_coerces_with_int(self):
+        f = Formation(vertices=["1", 2.0, True + 2], edges=[("2", 1.0), [3, "1"]])
+        assert f.vertices == (1, 2, 3) and f.edges == ((2, 1), (3, 1))
+        assert all(type(x) is int for x in f.vertices + sum(f.edges, ()))
+
+    @pytest.mark.parametrize(
+        "doc, location",
+        [
+            ({"vertices": [1, 6.0]}, "vertices[1]"),
+            ({"vertices": [True, 2]}, "vertices[0]"),
+            ({"vertices": [1, 2], "edges": [[2, 1], [1, 6.0]]}, "edges[1][1]"),
+            ({"vertices": [1, 2], "edges": [[True, 1]]}, "edges[0][0]"),
+            ({"vertices": [1, 2], "edges": [[2, 1], [1]]}, "edges[1]"),
+            ({"vertices": [1, 2], "edges": [[2, 1], (1, 2)]}, "edges[1]"),
+        ],
+    )
+    def test_from_dict_rejects_non_integers(self, doc, location):
+        with pytest.raises(InputError) as exc:
+            Formation.from_dict(doc)
+        assert exc.value.location == location
+        if "6.0" in json.dumps(doc):
+            assert exc.value.detail == "expected an integer, got 6.0"
