@@ -8,14 +8,18 @@ DOF-consumption vectors and, for each, the sets of inter-edges whose
 tails consume it (each set tried once), subject to the incidence
 constraints the theory imposes (at least three incident vertices per
 side, no vertex carrying more than three of the six edges), with every
-candidate validated before being emitted: its few inter-edge rows are
-tested against the members' internal rows, reduced once per rank-oracle
-trial, which gives exactly the rank oracle's verdict on the merged graph.
-A vector with at most two tails, when each side has a vertex that is not
-a tail, is refused before any set is built: every inter-edge meets the
-line through the tails, and turning one side about that line is a
-non-trivial motion, so no placement reaches full rank.  Candidates share
-each trial's placement, so they are ranked in chunks of 1, 2, 4, ... up
+candidate validated before being emitted.  Each member is ranked once per
+rank-oracle trial, and at a trial where both reach their generic rank a
+candidate costs one independence test of its inter-edges' Plücker lines,
+at most 6x6 mod p.  That is exactly the rank oracle's verdict on the
+merged graph: a generic member's kernel is spanned by its trivial
+motions, so the inter-edges add their full rank exactly when their lines
+are independent, and a member short of its generic rank leaves more rank
+missing than a candidate has edges.  A vector with at most two tails,
+when each side has a vertex that is not a tail, is refused before any set
+is built: every inter-edge meets the line through the tails, and turning
+one side about that line is a non-trivial motion, so no placement reaches
+full rank.  Candidates are built and tested in chunks of 1, 2, 4, ... up
 to ``HEAD_SEARCH_LEAF_CHUNK`` sets, and the first full-rank one in search
 order wins.
 Collections are merged pairwise with the special-case ordering rules: a
@@ -42,7 +46,7 @@ from .persistence import (
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    FixedBaseRank,
+    TwoBodyRank,
     check_rigidity,
     dof_constant,
     laman_check_2d,
@@ -50,8 +54,8 @@ from .rigidity import (
 
 # Distinct inter-edge sets tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
-# The largest chunk of 3D head-search leaves ranked in one batch.  Chunks
-# grow 1, 2, 4, ... up to it, so a first leaf that hits is ranked alone.
+# The largest chunk of 3D head-search leaves built and tested in one call.
+# Chunks grow 1, 2, 4, ... up to it, so a first leaf that hits is built alone.
 HEAD_SEARCH_LEAF_CHUNK = 64
 
 
@@ -353,11 +357,16 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     through the tails, so turning one side about that line while the
     other stays still is a non-trivial motion, the merged graph is
     generically flexible and no placement reaches full rank.  Otherwise
-    3D ranks chunks of 1, 2, 4, ... up to ``HEAD_SEARCH_LEAF_CHUNK``
-    leaves against ``member_rows()``, the members' internal rows reduced
-    once per rank-oracle trial, which gives exactly the rank oracle's
-    verdict on each merged graph.  Each trial's placement is fixed, so
-    the first full-rank leaf is the same for any chunking.
+    3D tests chunks of 1, 2, 4, ... up to ``HEAD_SEARCH_LEAF_CHUNK`` leaves
+    with ``member_rows()``, a ``TwoBodyRank`` that ranks each member once
+    per rank-oracle trial: at a trial where both members reach their
+    generic rank, a leaf costs one independence test of its Plücker lines,
+    at most 6x6 mod p.  A generic member's kernel is spanned by its trivial
+    motions, so the leaf adds its full rank exactly when those lines are
+    independent; a member short of its generic rank leaves more rank
+    missing than the leaf has edges.  So each leaf gets the rank oracle's
+    verdict on its merged graph, and the first full-rank leaf is the same
+    for any chunking.
     """
     if dim == 3 and len(cand) <= 2 and all(
         any(v not in cand for v in f.vertices) for f in (ga, gb)
@@ -409,15 +418,15 @@ def plan_pair(
         raise refusal
 
     @functools.cache
-    def member_rows() -> FixedBaseRank:
+    def member_rows() -> TwoBodyRank:
         # Built at the first 3D leaf, not up front: members that share a
-        # vertex id fail there, while a search whose every leaf is pruned
-        # still ends in a catalog miss.
-        members = Formation(
+        # vertex id fail there, in the merged formation, while a search
+        # whose every leaf is pruned still ends in a catalog miss.
+        Formation(
             vertices=tuple(ga.vertices) + tuple(gb.vertices),
             edges=tuple(ga.edges) + tuple(gb.edges),
         )
-        return FixedBaseRank(members.underlying(), 3, seed=seed, trials=trials)
+        return TwoBodyRank(ga.underlying(), gb.underlying(), seed=seed, trials=trials)
 
     rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")
     for cand in _consumption_vectors(ga, gb, led_a, led_b, required):

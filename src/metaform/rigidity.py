@@ -20,14 +20,16 @@ reverse, Tay & Whiteley 1985); only the rest of the matrix is reduced.
 The rank at the trial's placement is exact either way, so peeling
 changes no verdict.
 
-Persistence, the merge planner and the 3D spanning set ask about many
-graphs that share one fixed edge set on one vertex set: a terminal
-subgraph is the single-choice blocks plus one choice per other block, a
-head-search leaf is the members plus one inter-edge set.  Trial t of
-each of those oracles places the vertices the same way, so a
+Persistence and the 3D spanning set ask about many graphs that share
+one fixed edge set on one vertex set: a terminal subgraph is the
+single-choice blocks plus one choice per other block.  Trial t of each
+of those oracles places the vertices the same way, so a
 ``FixedBaseRank`` reduces the fixed rows once per trial and ranks only
 each graph's few extra rows, all graphs of a chunk in one
 ``batch_rank_mod_p`` call: one vectorized elimination over the stack.
+A merge planner's head-search leaf is two rigid members plus one
+inter-edge set; a ``TwoBodyRank`` ranks each member once per trial and
+then needs only the independence of the inter-edges' Plücker lines.
 """
 from __future__ import annotations
 
@@ -426,46 +428,62 @@ def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
 
 
 def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
-    """Are these at most 3 integer rows of length 2 or 3 independent over GF(p)?
+    """Are these integer rows, all of one length, independent over GF(p)?
 
     No rows always are; one row when it is nonzero; two rows when some
     2x2 minor is nonzero (the 2D determinant or a cross-product entry);
-    three rows when their 3x3 determinant is nonzero.  Closed forms on
-    Python ints, because this runs once per peeled vertex per trial.
+    three rows of length 3 when their 3x3 determinant is nonzero.  Closed
+    forms on Python ints, because the peel asks once per peeled vertex per
+    trial.  Anything else (a head-search leaf's Plücker rows, up to 6 of
+    length 6) is eliminated row by row: a row that reduces to zero against
+    the pivots of those before it depends on them.
     """
-    if not rows:
+    k = len(rows)
+    if k == 3 and len(rows[0]) == 3:
+        a, b, c = rows
+        det = (
+            a[0] * (b[1] * c[2] - b[2] * c[1])
+            - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0])
+        )
+        return det % p != 0
+    if k == 0:
         return True
-    if len(rows) == 1:
+    if k == 1:
         return any(x % p for x in rows[0])
-    if len(rows) == 2:
+    if k == 2:
         a, b = rows
         return any(
             (a[i] * b[j] - a[j] * b[i]) % p
             for i, j in itertools.combinations(range(len(a)), 2)
         )
-    a, b, c = rows
-    det = (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-    return det % p != 0
+    pivots = []  # (column, row scaled to 1 there and zero at earlier pivots)
+    for row in rows:
+        row = [x % p for x in row]
+        for col, prow in pivots:
+            f = row[col]
+            if f:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
+            return False
+        inv = pow(row[col], -1, p)
+        pivots.append((col, [x * inv % p for x in row]))
+    return True
 
 
-def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
-    """Rigidity-matrix rank over GF(p) at the trial's placement drawn from rng.
+def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) -> int:
+    """Rigidity-matrix rank over GF(p) of g with its vertices at ``positions``.
 
-    Every vertex is placed first, in vertex order, so the draws do not
-    depend on the edges.  Then a vertex v with d <= dim remaining edges
-    whose d rows, restricted to v's own columns, are independent mod p is
-    peeled: ordering v's rows and columns first gives [A B; 0 C] with A of
-    full row rank d, so the rank is d plus the rank of C, the matrix of
-    G - v at the same positions.  Peeling repeats on the neighbours whose
-    degree drops, and ``rank_mod_p`` ranks what is left.  A
-    vertex-addition graph peels away completely; a vertex whose block is
-    singular at this placement stays in the remainder.
+    A vertex v with d <= dim remaining edges whose d rows, restricted to
+    v's own columns, are independent mod p is peeled: ordering v's rows
+    and columns first gives [A B; 0 C] with A of full row rank d, so the
+    rank is d plus the rank of C, the matrix of G - v at the same
+    positions.  Peeling repeats on the neighbours whose degree drops, and
+    ``rank_mod_p`` ranks what is left.  A vertex-addition graph peels away
+    completely; a vertex whose block is singular at this placement stays
+    in the remainder.  ``positions`` may place other vertices too.
     """
-    positions = _positions(g.vertices, dim, rng)
     adj = g.adjacency()
     rank = 0
     stack = [v for v in g.vertices if len(adj[v]) <= dim]
@@ -488,6 +506,15 @@ def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
         return rank
     col_of = {v: i for i, v in enumerate(v for v in g.vertices if v in adj)}
     return rank + rank_mod_p(rigidity_matrix_rows(edges, positions, col_of, dim))
+
+
+def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
+    """Rigidity-matrix rank over GF(p) at the trial's placement drawn from rng.
+
+    Every vertex is placed first, in vertex order, so the draws do not
+    depend on the edges; ``rank_at`` ranks the matrix there.
+    """
+    return rank_at(g, dim, _positions(g.vertices, dim, rng))
 
 
 def generic_rank_oracle(
@@ -717,16 +744,15 @@ class BaseTrial:
 class FixedBaseRank:
     """Rank oracle for one fixed base edge set plus a few extra edges.
 
-    ``first_full_rank([extra]) == 0`` equals ``generic_rank_oracle(g +
-    extra, dim, seed, trials) == required_rank(dim, n)`` for the graph g
-    on the same vertices: trial t places the vertices exactly as that
-    oracle's trial t does (``trial_placements`` over g's vertex order),
-    and both ranks are exact over GF(p).  The base rows are reduced into
-    an ``IncrementalRank`` once per trial, in base order, until they reach
-    full rank, and each extra edge's row is reduced against them once per
-    trial, so a query only eliminates its own few rows, restricted to the
-    columns that hold no base pivot.  ``extra_ranks`` ranks many extra
-    edge sets at one trial in one batch.
+    Serves 3D terminals (``trial`` and ``extra_ranks``) and the 3D
+    spanning set (``trial(t).kept``).  Trial t places the vertices exactly
+    as ``generic_rank_oracle``'s trial t does (``trial_placements`` over
+    g's vertex order), and every rank is exact over GF(p).  The base rows
+    are reduced into an ``IncrementalRank`` once per trial, in base order,
+    until they reach full rank, and each extra edge's row is reduced
+    against them once per trial, so a query only eliminates its own few
+    rows, restricted to the columns that hold no base pivot.
+    ``extra_ranks`` ranks many extra edge sets at one trial in one batch.
     """
 
     def __init__(
@@ -792,34 +818,75 @@ class FixedBaseRank:
             index[k, : len(extra)] = [slot[e] for e in extra]
         return batch_rank_mod_p(table[index])
 
-    def first_full_rank(self, leaves) -> int | None:
-        """Index of the first extra edge set that reaches full rank, or None.
 
-        A set reaches full rank when some trial does.  Trial t can find a
-        set before the one an earlier trial found, so each trial ranks
-        every set still ahead of the best index so far.  Sets shorter than
-        a trial's missing rank cannot close it and are not ranked.
+def _plucker(pi: tuple[int, ...], pj: tuple[int, ...]) -> list[int]:
+    """The line through pi and pj: direction pi - pj, moment pj x pi."""
+    x1, y1, z1 = pi
+    x2, y2, z2 = pj
+    return [x1 - x2, y1 - y2, z1 - z2, y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1]
+
+
+class TwoBodyRank:
+    """Full-rank test for two rigid bodies joined by inter-edges, in 3D.
+
+    ``a`` and ``b`` are graphs on disjoint vertex sets, and each leaf is a
+    set of dof(n_a) + dof(n_b) - dof(n_a + n_b) edges from a vertex of one
+    to a vertex of the other: the inter-edges a pairwise merge needs.
+    ``first_full_rank(leaves)`` is the index of the first leaf whose
+    merged graph reaches full rank at some trial, where trial t places a's
+    and then b's vertices as ``generic_rank_oracle``'s trial t does on
+    the merged graph (``trial_placements``); so it is that oracle's
+    verdict.
+
+    Each trial ranks each body once (``rank_at``).  A body below
+    ``required_rank(3, n)`` there leaves the merged graph more rank to
+    find than a leaf has edges, so no leaf hits at that trial.  When both
+    reach it, each body's kernel is spanned by its trivial motions (rank
+    3n - 6 rules out collinear points), so a leaf reaches full rank
+    exactly when its bars' Plücker lines (p_i - p_j, p_j x p_i) are
+    independent mod p, as bars joining two bodies lock them together
+    (White and Whiteley 1987): one test of at most 6 rows of length 6.
+    """
+
+    def __init__(
+        self,
+        a: UndirectedView,
+        b: UndirectedView,
+        seed: int = DEFAULT_SEED,
+        trials: int = DEFAULT_TRIALS,
+    ):
+        if trials < 1:
+            raise InputError("trials must be >= 1")
+        self.bodies = (a, b)
+        self.trials = trials
+        self._placements = trial_placements(a.vertices + b.vertices, 3, seed)
+        # Per trial: the placement, or None where a body falls short.
+        self._placed: list[dict[int, tuple[int, ...]] | None] = []
+
+    def _trial(self, t: int) -> dict[int, tuple[int, ...]] | None:
+        while len(self._placed) <= t:
+            positions = next(self._placements)
+            generic = all(
+                rank_at(g, 3, positions) == required_rank(3, len(g.vertices))
+                for g in self.bodies
+            )
+            self._placed.append(positions if generic else None)
+        return self._placed[t]
+
+    def first_full_rank(self, leaves) -> int | None:
+        """Index of the first leaf that reaches full rank, or None.
+
+        Each leaf is tried at every trial before the next one, and a trial
+        is placed and its bodies ranked when a leaf first reaches it.
         """
-        leaves = [[(min(e), max(e)) for e in extra] for extra in leaves]
-        ahead = [
-            i for i, extra in enumerate(leaves)
-            if len(self.g.edges) + len(extra) >= self.target
-        ]
-        best = None
-        for t in range(self.trials):
-            if not ahead:
-                break
-            need = self.target - self.trial(t).basis.rank
-            if need == 0:
-                return ahead[0]
-            ranked = [i for i in ahead if len(leaves[i]) >= need]
-            if not ranked:
-                continue
-            hits = np.flatnonzero(self.extra_ranks(t, [leaves[i] for i in ranked]) == need)
-            if hits.size:
-                best = ranked[hits[0]]
-                ahead = [i for i in ahead if i < best]
-        return best
+        for k, leaf in enumerate(leaves):
+            for t in range(self.trials):
+                positions = self._trial(t)
+                if positions is not None and _independent_mod_p(
+                    [_plucker(positions[i], positions[j]) for i, j in leaf]
+                ):
+                    return k
+        return None
 
 
 def minimally_rigid_spanning(

@@ -8,10 +8,12 @@ turning one side about that line while the other stays still is a
 non-trivial infinitesimal motion of every merged graph (White and
 Whiteley, 1987, on bars that all meet one line).  Each other candidate's
 leaves are ranked in chunks of 1, 2, 4, ... up to
-``HEAD_SEARCH_LEAF_CHUNK``.  The reference below is the search without
-the screen, with every leaf up to ``HEAD_SEARCH_LEAF_CAP`` ranked by one
-``FixedBaseRank.first_full_rank`` call.  Both must pick the same set for
-every candidate, and no leaf of a screened candidate may reach full rank.
+``HEAD_SEARCH_LEAF_CHUNK`` by ``TwoBodyRank``.  The reference
+below is the search without the screen, with every leaf up to
+``HEAD_SEARCH_LEAF_CAP`` ranked by one call of the earlier fixed-base
+query (``fixed_base_reference.ReferenceRank``).  Both must pick the same
+set for every candidate, and no leaf of a screened candidate may reach
+full rank.
 """
 import functools
 import itertools
@@ -24,18 +26,20 @@ from metaform.errors import MetaformError
 from metaform.graph import Formation
 from metaform.persistence import ledger
 from metaform.planner import HEAD_SEARCH_LEAF_CAP, HEAD_SEARCH_LEAF_CHUNK, plan_pair
-from metaform.rigidity import FixedBaseRank
+from metaform.rigidity import DEFAULT_SEED, DEFAULT_TRIALS, TwoBodyRank
 
 from conftest import complete, pair, shift, singleton
+from fixed_base_reference import ReferenceRank
 from test_bench_corpora import corpus
 
 
-def reference_assign_heads(ga, gb, cand, dim, member_rows):
-    """Every leaf up to the cap ranked in one chunk, with no screen."""
+def reference_assign_heads(ga, gb, cand, dim, seed=DEFAULT_SEED, trials=DEFAULT_TRIALS):
+    """Every leaf up to the cap ranked in one chunk by the reference, with
+    no screen."""
     leaves = list(itertools.islice(planner._covered_leaves(ga, gb, cand, 3), HEAD_SEARCH_LEAF_CAP))
     if not leaves:
         return None
-    hit = member_rows().first_full_rank(leaves)
+    hit = member_rows_of(ga, gb, seed, trials, reference=True)().first_full_rank(leaves)
     return None if hit is None else leaves[hit]
 
 
@@ -50,11 +54,14 @@ def formation(graph) -> Formation:
     return Formation(vertices=tuple(vertices), edges=tuple(edges))
 
 
-def member(rng, base):
+MEMBER_KINDS = ("singleton", "pair", "grown", "K5", "leader-braced")
+
+
+def member(rng, base, kind=None):
     """A persistent 3D member on ids base, base + 1, ...: a singleton, a
     pair, a vertex-addition member of 3-7 vertices, K5, or one whose
-    leader is braced by 1-3 out-edges."""
-    kind = rng.choice(["singleton", "pair", "grown", "K5", "leader-braced"])
+    leader is braced by 1-3 out-edges; of the given kind, or at random."""
+    kind = kind or rng.choice(MEMBER_KINDS)
     if kind == "singleton":
         return singleton(base)
     if kind == "pair":
@@ -84,14 +91,21 @@ def candidates(ga, gb):
     return planner._consumption_vectors(ga, gb, ledger(ga, 3), ledger(gb, 3), required)
 
 
-def member_rows_of(ga, gb, seed, trials):
+def member_rows_of(ga, gb, seed, trials, reference=False):
+    """``plan_pair``'s ``member_rows``, or the same built on the reference.
+
+    The merged formation is built first, so members that share an id fail
+    in either.
+    """
     @functools.cache
     def member_rows():
         members = Formation(
             vertices=tuple(ga.vertices) + tuple(gb.vertices),
             edges=tuple(ga.edges) + tuple(gb.edges),
         )
-        return FixedBaseRank(members.underlying(), 3, seed=seed, trials=trials)
+        if reference:
+            return ReferenceRank(members.underlying(), 3, seed=seed, trials=trials)
+        return TwoBodyRank(ga.underlying(), gb.underlying(), seed=seed, trials=trials)
 
     return member_rows
 
@@ -112,7 +126,7 @@ def test_screened_candidates_reach_no_full_rank(monkeypatch, trials, coord_range
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
     screened = with_leaves = deficient = 0
     for i, (ga, gb) in enumerate(PAIRS):
-        rows = member_rows_of(ga, gb, i, trials)
+        rows = member_rows_of(ga, gb, i, trials, reference=True)
         for cand in candidates(ga, gb):
             if not lined(ga, gb, cand):
                 continue
@@ -147,7 +161,7 @@ def test_growing_chunks_pick_the_one_chunk_set(monkeypatch, trials):
                 got = planner._assign_heads(ga, gb, cand, 3, rows)
                 if lined(ga, gb, cand):
                     continue
-                expected = reference_assign_heads(ga, gb, cand, 3, rows)
+                expected = reference_assign_heads(ga, gb, cand, 3, i, trials)
                 assert got == expected
                 if expected is not None:
                     leaves = planner._covered_leaves(ga, gb, cand, 3)
@@ -169,7 +183,11 @@ def test_shared_vertex_ids_fail_as_before(monkeypatch):
     ends in a catalog miss.  The screen keeps both outcomes."""
     pairs = random_pairs(60, overlap=True)
     got = [outcome(ga, gb) for ga, gb in pairs]
-    monkeypatch.setattr(planner, "_assign_heads", reference_assign_heads)
+    monkeypatch.setattr(
+        planner,
+        "_assign_heads",
+        lambda ga, gb, cand, dim, member_rows: reference_assign_heads(ga, gb, cand, dim),
+    )
     assert got == [outcome(ga, gb) for ga, gb in pairs]
     kinds = {g[0] if isinstance(g, tuple) else "plan" for g in got}
     assert kinds == {"InputError", "InfeasibleMergeError"}

@@ -1,0 +1,107 @@
+"""``check-persistence`` under an order-preserving relabel.
+
+Mapping every id by v -> 3v + 7, which keeps the order, and shuffling the
+vertex and edge lists must map the whole report: the ledger, the leaders
+and the witness terminal, whose blocks come from the sorted edges, so the
+smallest failing terminal maps to the smallest.  No reference is needed,
+so formations need not be small.
+
+In 2D the verdict is combinatorial and the relation is exact.  In 3D the
+shuffle moves every trial placement, since vertices are placed in list
+order; the observed rank is the generic one at both, except with
+negligible probability.
+"""
+import contextlib
+import io
+import json
+import random
+import tempfile
+from pathlib import Path
+
+from hypothesis import assume, given, settings, strategies as st
+
+from metaform.cli import main
+from metaform.graph import Formation
+from metaform.persistence import terminal_subgraphs
+
+from conftest import back_braced, nonstructural_3d
+from test_bench_corpora import corpus
+from test_persistence_peel_differential import random_digraph
+
+
+def relabel(v: int) -> int:
+    return 3 * v + 7
+
+
+def relabeled_report(report: dict) -> dict:
+    """The report with every vertex id mapped; counts and flags stay."""
+    out = json.loads(json.dumps(report))
+    led = out.get("ledger")
+    if led is not None:
+        for key in ("outDegree", "dof"):
+            led[key] = {str(relabel(int(v))): d for v, d in led[key].items()}
+        led["leaders"] = [relabel(v) for v in led["leaders"]]
+    if "witnessTerminal" in out:
+        out["witnessTerminal"] = [[relabel(t), relabel(h)] for t, h in out["witnessTerminal"]]
+    if "witnessLeaders" in out:
+        out["witnessLeaders"] = [relabel(v) for v in out["witnessLeaders"]]
+    return out
+
+
+def check_persistence(tmp: Path, f: Formation, dim: int):
+    path = tmp / "f.json"
+    path.write_text(json.dumps(f.to_dict()))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check-persistence", str(path), "--dim", str(dim)])
+    return code, json.loads(out.getvalue()) if out.getvalue() else err.getvalue()
+
+
+def formation(graph) -> Formation:
+    vertices, edges = graph
+    return Formation(vertices=tuple(vertices), edges=tuple(edges))
+
+
+@st.composite
+def formations(draw):
+    """A 2D or 3D formation: grown by vertex addition (n = 20-120), acyclic
+    with over-braced vertices and so several terminals, either with a
+    dangler (not persistent), back-braced so that a cyclic core keeps its
+    terminals, a small random digraph, or, in 3D, one with two leaders."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(
+        ["grown", "dense", "dense+dangler", "back-braced", "back-braced+dangler", "random"]
+        + (["two-leaders"] if dim == 3 else [])
+    ))
+    if kind == "grown":
+        return dim, formation(corpus.grown(draw(st.integers(20, 120)), dim, rng))
+    if kind == "two-leaders":
+        return dim, nonstructural_3d(draw(st.integers(1, 50)))
+    if kind == "random":
+        return dim, random_digraph(rng, draw(st.integers(3, 9)))
+    n = draw(st.integers(20, 120)) if kind.startswith("dense") else draw(st.integers(8, 24))
+    core = corpus.acyclic_dense(n, dim, draw(st.integers(0, 3)), rng)
+    if kind.startswith("back-braced"):
+        core = back_braced(formation(core), dim)
+        core = (list(core.vertices), list(core.edges))
+    if kind.endswith("+dangler"):
+        core = corpus.dangler(core, dim, rng)
+    return dim, formation(core)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=formations(), shuffle=st.randoms(use_true_random=False))
+def test_relabeled_formation_gets_the_relabeled_report(case, shuffle):
+    dim, f = case
+    # A dense random digraph can have up to millions of terminals.
+    assume(len(terminal_subgraphs(f, dim, cap=10**9)) <= 2000)
+    vertices = [relabel(v) for v in f.vertices]
+    edges = [(relabel(t), relabel(h)) for t, h in f.edges]
+    shuffle.shuffle(vertices)
+    shuffle.shuffle(edges)
+    g = Formation(vertices=tuple(vertices), edges=tuple(edges))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = check_persistence(Path(tmp), f, dim)
+        assert code in (0, 1)
+        assert check_persistence(Path(tmp), g, dim) == (code, relabeled_report(report))

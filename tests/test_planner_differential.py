@@ -1,13 +1,12 @@
 """3D head search and plan verification against their earlier references.
 
 The head search yields each inter-edge set of a consumption vector once,
-and validates 3D sets a chunk at a time by
-``FixedBaseRank.first_full_rank``: the members' internal rows are reduced
-once per rank-oracle trial and only the sets' few inter-edge rows are
-eliminated, in one batch.  The reference below is the earlier search,
-which walked head sequences (one set in every order of each tail's
-heads), built the merged formation and ran ``generic_rank_oracle`` on it
-at every leaf.  Both must emit the same plans, the new search after
+and validates 3D sets a chunk at a time by ``TwoBodyRank.first_full_rank``:
+each member is ranked once per rank-oracle trial, and a set then needs
+only the independence of its inter-edges' Plücker lines.  The reference
+below is the earlier search, which walked head sequences (one set in
+every order of each tail's heads), built the merged formation and ran
+``generic_rank_oracle`` on it at every leaf.  Both must emit the same plans, the new search after
 using at most as many leaves from the search budget.
 
 ``verify_plan`` takes its members as proved persistent once and decides
@@ -41,13 +40,14 @@ from metaform.planner import (
     verify_plan,
 )
 from metaform.rigidity import (
-    FixedBaseRank,
+    TwoBodyRank,
     dof_constant,
     generic_rank_oracle,
     required_rank,
 )
 
 from check_meta_reference import merged_persistence, meta_rigid
+from fixed_base_reference import ReferenceRank
 from conftest import (
     complete,
     lone_leader_3d,
@@ -135,14 +135,16 @@ def outcome(plan, *args, **kwargs):
 
 
 def counting_leaves(monkeypatch):
-    """Leaves ``FixedBaseRank.first_full_rank`` uses from the search budget.
+    """Leaves ``TwoBodyRank.first_full_rank`` uses from the search budget.
 
     A chunk with a full-rank leaf uses the leaves up to and including the
     first one; a chunk without uses all of its leaves.  That is what the
     reference counts: every leaf it tested, stopping at the first hit.
+    The patch is on the ranker the planner calls, so a 3D plan with no
+    leaf counted means the counter no longer sees the search.
     """
     used = []
-    original = FixedBaseRank.first_full_rank
+    original = TwoBodyRank.first_full_rank
 
     def counted(self, leaves):
         leaves = list(leaves)
@@ -150,7 +152,7 @@ def counting_leaves(monkeypatch):
         used.append(len(leaves) if hit is None else hit + 1)
         return hit
 
-    monkeypatch.setattr(FixedBaseRank, "first_full_rank", counted)
+    monkeypatch.setattr(TwoBodyRank, "first_full_rank", counted)
     return used
 
 
@@ -225,6 +227,7 @@ def test_plan_pair_matches_reference(monkeypatch, name, seed, trials):
     )
     assert new == old
     assert leaves <= ref_leaves
+    assert leaves > 0 or "edges" not in new
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -236,6 +239,7 @@ def test_plan_collection_matches_reference(monkeypatch, name, seed, trials):
     )
     assert new == old
     assert leaves <= ref_leaves
+    assert leaves > 0 or "edges" not in new
 
 
 def consumption_vectors(ga, gb, dim):
@@ -478,14 +482,14 @@ def base_and_extras(draw):
 @given(case=base_and_extras(), seed=st.integers(0, 50), trials=st.integers(1, 3))
 def test_full_rank_equals_the_rank_oracle(case, seed, trials):
     dim, vertices, base, queries = case
-    oracle = FixedBaseRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
+    oracle = ReferenceRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
     target = required_rank(dim, len(vertices))
     expected = []
     for extra in queries:
         merged = UndirectedView(vertices, tuple(base) + tuple(extra))
         expected.append(generic_rank_oracle(merged, dim, seed=seed, trials=trials) == target)
         assert (oracle.first_full_rank([extra]) == 0) == expected[-1]
-    first = FixedBaseRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
+    first = ReferenceRank(UndirectedView(vertices, tuple(base)), dim, seed=seed, trials=trials)
     assert first.first_full_rank(queries) == next(
         (i for i, ok in enumerate(expected) if ok), None
     )
@@ -517,7 +521,7 @@ def test_first_full_rank_takes_the_earliest_hit_over_all_trials(monkeypatch):
             for x in leaves
         ]
         expected = next((i for i, ok in enumerate(full) if ok), None)
-        got = FixedBaseRank(UndirectedView(vertices, base), 3, seed=seed).first_full_rank(leaves)
+        got = ReferenceRank(UndirectedView(vertices, base), 3, seed=seed).first_full_rank(leaves)
         assert got == expected
         later_trial_wins += expected is not None and not trial0[expected] and any(trial0)
     assert later_trial_wins >= 1
@@ -539,7 +543,7 @@ def test_first_full_rank_takes_the_earliest_hit_over_all_trials(monkeypatch):
 def test_full_rank_on_named_cases(base, extra, expected):
     vertices = tuple(sorted({v for e in base + extra for v in e}))
     g = UndirectedView(vertices, base)
-    oracle = FixedBaseRank(g, 3)
+    oracle = ReferenceRank(g, 3)
     merged = UndirectedView(vertices, base + extra)
     assert (oracle.first_full_rank([extra]) == 0) == expected
     assert (generic_rank_oracle(merged, 3) == required_rank(3, len(vertices))) == expected

@@ -1,0 +1,97 @@
+"""``TwoBodyRank`` against the earlier fixed-base leaf test.
+
+The 3D head search ranks a leaf (an inter-edge set between two rigid
+members) by ranking each member once per trial and then testing the
+independence of the leaf's Plücker lines mod p.  The reference,
+``fixed_base_reference.ReferenceRank``, reduces both members' rows
+into one basis per trial and ranks each leaf's reduced rows; it gives the
+rank oracle's verdict on the merged graph.  Both must name the same first
+full-rank leaf on every case.
+
+Members are singletons, pairs, vertex-addition members of 3-7 vertices,
+K5, leader-braced members, and folded members, two members joined by
+their pair plan's inter-edges as ``plan_collection``'s fold builds them.  Leaves are random
+sets of exactly the pair's required number of inter-edges, in either
+direction.  Coordinates from a small range place a member degenerately at
+some trials, where the reference's base falls short of full rank and
+every leaf is skipped; some leaf reaches full rank only at a later trial.
+"""
+import random
+
+import pytest
+
+from metaform import rigidity
+from metaform.errors import InfeasibleMergeError
+from metaform.graph import Formation
+from metaform.planner import _required_pair_edges, plan_pair
+from metaform.rigidity import TwoBodyRank
+
+from fixed_base_reference import ReferenceRank
+from test_head_screen_differential import MEMBER_KINDS, member
+
+
+def folded(rng, base):
+    """Two members joined by their pair plan, as ``plan_collection``'s fold
+    builds its partial result, on ids base, base + 1, ..."""
+    while True:
+        ga = member(rng, base)
+        gb = member(rng, base + len(ga.vertices))
+        try:
+            plan = plan_pair(ga, gb, 3, check=False)
+        except InfeasibleMergeError:
+            continue
+        return Formation(
+            vertices=ga.vertices + gb.vertices,
+            edges=ga.edges + gb.edges + plan.edge_pairs(),
+        )
+
+
+def random_leaves(rng, ga, gb, count):
+    """``count`` sets of the required number of distinct inter-edges, each
+    edge pointing either way."""
+    required = _required_pair_edges(len(ga.vertices), len(gb.vertices), 3)
+    pairs = [(a, b) for a in ga.vertices for b in gb.vertices]
+    return [
+        [(a, b) if rng.random() < 0.5 else (b, a) for a, b in rng.sample(pairs, required)]
+        for _ in range(count)
+    ]
+
+
+def cases(count):
+    """Every kind of first member against every kind of second, in turn."""
+    out = []
+    for i in range(count):
+        rng = random.Random(f"two-body:{i}")
+        kind_a = (MEMBER_KINDS + ("folded",))[i % 6]
+        ga = folded(rng, 1) if kind_a == "folded" else member(rng, 1, kind_a)
+        gb = member(rng, len(ga.vertices) + 1, MEMBER_KINDS[i // 6 % 5])
+        out.append((ga, gb, random_leaves(rng, ga, gb, 6), i, rng.randint(1, 3)))
+    return out
+
+
+CASES = cases(120)
+
+
+@pytest.mark.parametrize("coord_range", [2, 3, 4, 7, 2**20])
+def test_two_body_rank_matches_the_reference(monkeypatch, coord_range):
+    monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
+    skipped = hits = later_only = 0
+    for ga, gb, leaves, seed, trials in CASES:
+        merged = Formation(vertices=ga.vertices + gb.vertices, edges=ga.edges + gb.edges)
+        ref = ReferenceRank(merged.underlying(), 3, seed=seed, trials=trials)
+        expected = ref.first_full_rank(leaves)
+        got = TwoBodyRank(ga.underlying(), gb.underlying(), seed=seed, trials=trials)
+        assert got.first_full_rank(leaves) == expected
+        required = len(leaves[0])
+        skipped += sum(
+            ref.trial(t).basis.rank < ref.target - required for t in range(trials)
+        )
+        if expected is not None:
+            hits += 1
+            first = ReferenceRank(merged.underlying(), 3, seed=seed, trials=1)
+            later_only += first.first_full_rank([leaves[expected]]) is None
+    assert hits >= 1
+    if coord_range < 2**20:
+        # Degenerate placements: some trial skips every leaf, and some hit
+        # comes only from a later trial.
+        assert skipped >= 1 and later_only >= 1
