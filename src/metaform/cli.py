@@ -282,25 +282,29 @@ def _cmd_export(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process.
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and each command's own parser, built once per process.
 
-    ``parse_args`` leaves the parser as it was, so in-process callers that
-    run ``main`` many times share one parser instead of rebuilding it.
+    ``parse_args`` leaves the parsers as they were, so in-process callers
+    that run ``main`` many times share them instead of rebuilding them.
     """
     parser = argparse.ArgumentParser(
         prog="metaform",
         description="Rigidity, persistence and merging of directed formation graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p, dim_required=True, with_cap=False):
+    def command(name, func, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
+
+    def common(p, dim_required=True, with_cap=False, formats=("json", "text")):
         p.add_argument("--dim", type=int, choices=(2, 3), required=dim_required)
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
-        p.add_argument(
-            "--format", choices=("json", "text", "dot"), default="json"
-        )
+        p.add_argument("--format", choices=formats, default="json")
         if with_cap:
             p.add_argument(
                 "--cap",
@@ -310,48 +314,55 @@ def build_parser() -> argparse.ArgumentParser:
                 "exits 2 before any is built (default: %(default)s)",
             )
 
-    p = sub.add_parser("check-rigidity", help="undirected rigidity of a formation")
+    p = command("check-rigidity", _cmd_check_rigidity, "undirected rigidity of a formation")
     p.add_argument("file")
     common(p)
-    p.set_defaults(func=_cmd_check_rigidity)
 
-    p = sub.add_parser("check-persistence", help="persistence of a formation")
+    p = command("check-persistence", _cmd_check_persistence, "persistence of a formation")
     p.add_argument("file")
     common(p, with_cap=True)
-    p.set_defaults(func=_cmd_check_persistence)
 
-    p = sub.add_parser("check-meta", help="rigidity of a merged meta-formation")
+    p = command("check-meta", _cmd_check_meta, "rigidity of a merged meta-formation")
     p.add_argument("file")
     common(p)
-    p.set_defaults(func=_cmd_check_meta)
 
-    p = sub.add_parser("plan-merge", help="plan a minimal persistent merge")
+    p = command("plan-merge", _cmd_plan_merge, "plan a minimal persistent merge")
     p.add_argument("files", nargs="+", help="formation files, one per member")
     common(p)
-    p.set_defaults(func=_cmd_plan_merge)
 
-    p = sub.add_parser("verify-plan", help="re-check a plan-merge report file")
+    p = command("verify-plan", _cmd_verify_plan, "re-check a plan-merge report file")
     p.add_argument("file")
     common(p, dim_required=False)
-    p.set_defaults(func=_cmd_verify_plan)
 
-    p = sub.add_parser("gen", help="generate a test formation")
+    p = command("gen", _cmd_gen, "generate a test formation")
     p.add_argument("kind", choices=GEN_KINDS)
     p.add_argument("-n", type=int, default=4)
-    common(p, dim_required=False)
-    p.set_defaults(func=_cmd_gen)
+    common(p, dim_required=False, formats=("json", "text", "dot"))
 
-    p = sub.add_parser("export", help="re-serialize a file as JSON or DOT")
+    p = command("export", _cmd_export, "re-serialize a file as JSON or DOT")
     p.add_argument("file")
     p.add_argument("--format", choices=("json", "dot"), default="dot")
-    p.set_defaults(func=_cmd_export)
 
-    return parser
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; return its exit code.
+
+    The named command's parser alone reads the arguments after the
+    command name, as the full parser would hand them to it, and reports
+    errors with the same usage line.  The full parser runs when
+    ``argv[0]`` names no command, or when the command's parser leaves
+    arguments it did not recognise, so that those errors come out as
+    they always have.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    args = extra = None
+    if argv and argv[0] in commands:
+        args, extra = commands[argv[0]].parse_known_args(argv[1:])
+    if args is None or extra:
+        args = parser.parse_args(argv)
     try:
         if getattr(args, "trials", 1) < 1:
             raise InputError(f"trials must be >= 1, got {args.trials}", location="--trials")

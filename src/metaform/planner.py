@@ -19,9 +19,8 @@ missing than a candidate has edges.  A vector with at most two tails,
 when each side has a vertex that is not a tail, is refused before any set
 is built: every inter-edge meets the line through the tails, and turning
 one side about that line is a non-trivial motion, so no placement reaches
-full rank.  Candidates are built and tested in chunks of 1, 2, 4, ... up
-to ``HEAD_SEARCH_LEAF_CHUNK`` sets, and the first full-rank one in search
-order wins.
+full rank.  Candidates are built and tested one at a time, in search
+order, and the first full-rank one wins; none is built past it.
 Collections are merged pairwise with the special-case ordering rules: a
 zero-DOF member is merged last, and when a member with a single 3-DOF
 leader and no other DOF exists, one such member is isolated and merged
@@ -54,9 +53,6 @@ from .rigidity import (
 
 # Distinct inter-edge sets tried per DOF-consumption vector before moving on.
 HEAD_SEARCH_LEAF_CAP = 500
-# The largest chunk of 3D head-search leaves built and tested in one call.
-# Chunks grow 1, 2, 4, ... up to it, so a first leaf that hits is built alone.
-HEAD_SEARCH_LEAF_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -351,22 +347,22 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     """The first covered inter-edge set for ``cand`` whose merged graph is rigid.
 
     At most ``HEAD_SEARCH_LEAF_CAP`` sets of ``_covered_leaves`` are
-    tested, in order.  2D tests each by the pebble game.  3D first
+    tested, one at a time as they are built, and none is built past the
+    first that hits.  2D tests each by the pebble game.  3D first
     screens out a candidate with at most two tails when each side has a
     vertex that is not a tail: every inter-edge then meets the line
     through the tails, so turning one side about that line while the
     other stays still is a non-trivial motion, the merged graph is
     generically flexible and no placement reaches full rank.  Otherwise
-    3D tests chunks of 1, 2, 4, ... up to ``HEAD_SEARCH_LEAF_CHUNK`` leaves
-    with ``member_rows()``, a ``TwoBodyRank`` that ranks each member once
-    per rank-oracle trial: at a trial where both members reach their
-    generic rank, a leaf costs one independence test of its Plücker lines,
-    at most 6x6 mod p.  A generic member's kernel is spanned by its trivial
-    motions, so the leaf adds its full rank exactly when those lines are
+    3D tests each leaf with ``member_rows()``, a ``TwoBodyRank`` that
+    ranks each member once per rank-oracle trial, built when the first
+    leaf is: at a trial where both members reach their generic rank, a
+    leaf costs one independence test of its Plücker lines, at most 6x6
+    mod p.  A generic member's kernel is spanned by its trivial motions,
+    so the leaf adds its full rank exactly when those lines are
     independent; a member short of its generic rank leaves more rank
     missing than the leaf has edges.  So each leaf gets the rank oracle's
-    verdict on its merged graph, and the first full-rank leaf is the same
-    for any chunking.
+    verdict on its merged graph.
     """
     if dim == 3 and len(cand) <= 2 and all(
         any(v not in cand for v in f.vertices) for f in (ga, gb)
@@ -376,18 +372,16 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     if dim == 2:
         internal_edges = tuple(ga.edges) + tuple(gb.edges)
         all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
-        for pairs in leaves:
+
+        def rigid(pairs):
             flat = Formation(vertices=all_vertices, edges=internal_edges + tuple(pairs))
-            if laman_check_2d(flat.underlying()).rigid:
-                return pairs
-        return None
-    size = 1
-    while chunk := list(itertools.islice(leaves, size)):
-        hit = member_rows().first_full_rank(chunk)
-        if hit is not None:
-            return chunk[hit]
-        size = min(2 * size, HEAD_SEARCH_LEAF_CHUNK)
-    return None
+            return laman_check_2d(flat.underlying()).rigid
+    else:
+
+        def rigid(pairs):
+            return member_rows().first_full_rank([pairs]) is not None
+
+    return next((pairs for pairs in leaves if rigid(pairs)), None)
 
 
 def plan_pair(

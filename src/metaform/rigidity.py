@@ -18,7 +18,10 @@ remaining edges whose rows are independent on its own columns adds their
 number to the rank and leaves with its edges (vertex addition in
 reverse, Tay & Whiteley 1985); only the rest of the matrix is reduced.
 The rank at the trial's placement is exact either way, so peeling
-changes no verdict.
+changes no verdict.  Trials stop at the first one that reaches a rank
+no placement exceeds, the smaller of |E|, the required rank and a
+bound from the graph's (dim + 1)-core; the result is the same as with
+every trial run.
 
 Persistence and the 3D spanning set ask about many graphs that share
 one fixed edge set on one vertex set: a terminal subgraph is the
@@ -278,7 +281,7 @@ def sparsity_violation(
         raise ResourceLimitError(
             f"(3,6) sparsity search capped at {cap} vertices, got {n}"
         )
-    core = _four_core(g.adjacency())
+    core = _core(g.adjacency(), 4)
     verts = sorted(core)
     edges = [e for e in g.edges if e[0] in core and e[1] in core]
     for size in range(5, len(verts) + 1):
@@ -290,18 +293,22 @@ def sparsity_violation(
     return None
 
 
-def _four_core(adj: dict[int, set[int]]) -> set[int]:
-    """Vertices of the largest subgraph of minimum degree 4 (peeling)."""
+def _core(adj: dict[int, set[int]], k: int) -> set[int]:
+    """Vertices of the k-core: the largest subgraph of minimum degree k.
+
+    Vertices of degree below k are removed repeatedly; the order does not
+    change what is left.
+    """
     degree = {v: len(ws) for v, ws in adj.items()}
     core = set(adj)
-    low = [v for v, d in degree.items() if d < 4]
+    low = [v for v, d in degree.items() if d < k]
     while low:
         v = low.pop()
         core.discard(v)
         for w in adj[v]:
             if w in core:
                 degree[w] -= 1
-                if degree[w] == 3:
+                if degree[w] == k - 1:
                     low.append(w)
     return core
 
@@ -526,22 +533,38 @@ def generic_rank_oracle(
     """Max rigidity-matrix rank over seeded random integer placements.
 
     Deterministic given seed; the max over trials cannot exceed the
-    generic rank, so the verdict errs only toward non-rigid.  Trials stop
-    early once one reaches min(|E|, required rank), which no placement
-    can exceed, so the result equals the max over all trials.  Each
-    trial's rank is exact at its placement: ``rigidity_rank_once`` peels
-    low-degree vertices and eliminates only the rest, which gives the
-    rank of the whole matrix.
+    generic rank, so the verdict errs only toward non-rigid.  Each trial's
+    rank is exact at its placement: ``rigidity_rank_once`` peels
+    low-degree vertices and eliminates only the rest, which gives the rank
+    of the whole matrix.
+
+    Trials stop once the best one reaches a ceiling U that no placement
+    can exceed, so the result equals the max over all trials.  U starts
+    at min(|E|, required rank).  When the first trial falls short of it
+    and another trial is left, U also takes, once, the bound from the
+    (dim + 1)-core C (every vertex of degree >= dim + 1 within it):
+    (|E| - |E(C)|) + min(|E(C)|, required_rank(dim, |C|)), or |E| when C
+    is empty.  Proof: removing a vertex and its d edges deletes d rows
+    and lowers the rank by at most d, at any placement; peeling down to C
+    removes |E| - |E(C)| edges, and C's own rank is at most
+    min(|E(C)|, required_rank(dim, |C|)).
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     ceiling = min(len(g.edges), required_rank(dim, len(g.vertices)))
     rng = random.Random(seed)
-    best = 0
-    for _ in range(trials):
-        best = max(best, rigidity_rank_once(g, dim, rng))
+    best = rigidity_rank_once(g, dim, rng)
+    if best < ceiling and trials > 1:
+        core = _core(g.adjacency(), dim + 1)
+        if core:
+            inner = sum(u in core and w in core for u, w in g.edges)
+            ceiling = min(
+                ceiling, len(g.edges) - inner + min(inner, required_rank(dim, len(core)))
+            )
+    for _ in range(trials - 1):
         if best >= ceiling:
             break
+        best = max(best, rigidity_rank_once(g, dim, rng))
     return best
 
 

@@ -15,7 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from metaform import rigidity
 from metaform.cli import main
+
+from conftest import count_calls
 
 CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
 
@@ -32,10 +35,10 @@ def load_corpus():
 corpus = load_corpus()
 
 
-@pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
-def test_every_corpus_op_gets_its_known_answer(workload, tmp_path):
-    wrong = []
-    for i, op in enumerate(corpus.build(workload, 1)):
+def run_ops(workload, seed, tmp_path):
+    """Run each op of a workload's corpus through ``main``; yield the op,
+    its exit code and its parsed report (None when stdout is no JSON)."""
+    for i, op in enumerate(corpus.build(workload, seed)):
         op.paths = []
         for j, doc in enumerate(op.files):
             path = tmp_path / f"op{i:03d}-{j}.json"
@@ -48,6 +51,25 @@ def test_every_corpus_op_gets_its_known_answer(workload, tmp_path):
             report = json.loads(out.getvalue())
         except ValueError:
             report = None
-        if not corpus.check(op, code, report):
-            wrong.append(f"{i}: {op.label}")
+        yield op, code, report
+
+
+@pytest.mark.parametrize("workload", sorted(corpus.WORKLOADS))
+def test_every_corpus_op_gets_its_known_answer(workload, tmp_path):
+    wrong = [
+        f"{i}: {op.label}"
+        for i, (op, code, report) in enumerate(run_ops(workload, 1, tmp_path))
+        if not corpus.check(op, code, report)
+    ]
     assert wrong == []
+
+
+def test_rigidity_3d_pass_trial_count(monkeypatch, tmp_path):
+    """A seed-1 ``rigidity-3d`` pass runs 42 rank-oracle trials: one per
+    rigid graph, one per four-bar graph (its K5 core's full rank is the
+    oracle's ceiling) and three for the double banana.  A count, so it
+    does not depend on timing."""
+    calls = count_calls(monkeypatch, "rigidity_rank_once", rigidity.rigidity_rank_once)
+    for _ in run_ops("rigidity-3d", 1, tmp_path):
+        pass
+    assert len(calls) == 42

@@ -498,16 +498,18 @@ class TestGenAndExport:
         assert "criterion:" in out and "rigid: true" in out
 
 
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one ``main`` call, argparse exits too."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 class TestRepeatedCalls:
     """``main`` reuses one parser; repeated calls in one process must agree."""
-
-    def call(self, capsys, argv):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse rejects the command line
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
 
     def test_repeated_calls_match_the_first(self, tmp_path, capsys):
         tri = write(tmp_path, "t.json", triangle())
@@ -523,12 +525,87 @@ class TestRepeatedCalls:
             ["export", tri],
             ["check-rigidity", k5, "--dim", "3", "--format", "text"],
         ]
-        first = [self.call(capsys, argv) for argv in argvs]
+        first = [outcome(capsys, argv) for argv in argvs]
         assert [code for code, _, _ in first] == [0, 0, 2, 2, 0, 2, 0, 0, 0]
         assert "--trials" in first[3][2]
         assert "invalid choice" in first[2][2] and "invalid choice" in first[5][2]
         for _ in range(2):
-            assert [self.call(capsys, argv) for argv in argvs] == first
+            assert [outcome(capsys, argv) for argv in argvs] == first
         for argv, expected in reversed(list(zip(argvs, first))):
-            assert self.call(capsys, argv) == expected
+            assert outcome(capsys, argv) == expected
         assert cli.build_parser() is cli.build_parser()
+
+
+class TestParseOnce:
+    """``main`` parses with the named command's parser alone when it can;
+    every outcome must be what the full parser gives."""
+
+    def command_lines(self, tmp_path, capsys):
+        a = write(tmp_path, "a.json", triangle())
+        b = write(tmp_path, "b.json", triangle(4))
+        meta = tmp_path / "m.json"
+        meta.write_text(
+            json.dumps(
+                {
+                    "metaVertices": [triangle().to_dict(), triangle(4).to_dict()],
+                    "interEdges": [[1, 4], [1, 5], [2, 4]],
+                }
+            )
+        )
+        plan = tmp_path / "plan.json"
+        code, out = run(capsys, ["plan-merge", a, b, "--dim", "2"])
+        assert code == 0
+        plan.write_text(out)
+        valid = [
+            ["check-rigidity", a, "--dim", "2"],
+            ["check-persistence", a, "--dim", "3", "--seed", "4", "--cap", "9"],
+            ["check-meta", str(meta), "--dim", "2", "--format", "text"],
+            ["plan-merge", a, b, "--dim", "2", "--trials", "2"],
+            ["verify-plan", str(plan)],
+            ["gen", "min-persistent-3d", "-n", "6", "--format", "dot"],
+            ["export", a, "--format", "json"],
+        ]
+        invalid = [
+            [],
+            ["-h"],
+            ["check-rigidity", "-h"],
+            ["no-such-command", a],
+            ["check-rigidity", a],
+            ["check-rigidity", a, "--dim", "4"],
+            ["check-rigidity", a, "--dim", "2", "--bogus"],
+            ["check-rigidity", a, "--dim", "2", "--trials", "0"],
+            ["--dim", "2", "check-rigidity", a],
+            ["check-rigidity", a, "--dim", "2", "--format", "dot"],
+        ]
+        return valid, invalid
+
+    def test_same_outcome_as_the_full_parser(self, tmp_path, capsys, monkeypatch):
+        valid, invalid = self.command_lines(tmp_path, capsys)
+        full, _ = cli.build_parser()
+        full_runs = []
+        original = full.parse_args
+        monkeypatch.setattr(full, "parse_args", lambda argv: full_runs.append(argv) or original(argv))
+        got = [outcome(capsys, argv) for argv in valid + invalid]
+        # No valid command line reaches the full parser.
+        assert not any(argv in valid for argv in full_runs)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "build_parser", lambda: (full, {}))
+            expected = [outcome(capsys, argv) for argv in valid + invalid]
+        assert got == expected
+        codes = [code for code, _, _ in got]
+        assert codes == [0, 0, 0, 0, 0, 0, 0, 2, 0, 0, 2, 2, 2, 2, 2, 2, 2]
+        assert "usage: metaform check-rigidity" in got[len(valid) + 2][1]
+        assert "unrecognized arguments: --bogus" in got[len(valid) + 6][2]
+
+
+@pytest.mark.parametrize(
+    "command", ["check-rigidity", "check-persistence", "check-meta", "plan-merge", "verify-plan"]
+)
+def test_dot_format_is_refused(tmp_path, capsys, command):
+    """Only ``gen`` and ``export`` write DOT; the checks exit 2 on it."""
+    code, out, err = outcome(
+        capsys, [command, write(tmp_path, "a.json", triangle()), "--dim", "2", "--format", "dot"]
+    )
+    assert (code, out) == (2, "")
+    assert f"usage: metaform {command}" in err
+    assert "argument --format: invalid choice: 'dot' (choose from 'json', 'text')" in err

@@ -1,5 +1,5 @@
-"""The 3D head search's two-tail screen and growing chunks, against ranking
-every leaf of a candidate in one chunk.
+"""The 3D head search's two-tail screen and its leaf-by-leaf test, against
+ranking every leaf of a candidate in one call.
 
 ``planner._assign_heads`` refuses a 3D consumption vector with at most two
 tails when each side has a vertex that is not a tail, before it builds or
@@ -7,10 +7,10 @@ ranks a leaf: every inter-edge then meets the line through the tails, so
 turning one side about that line while the other stays still is a
 non-trivial infinitesimal motion of every merged graph (White and
 Whiteley, 1987, on bars that all meet one line).  Each other candidate's
-leaves are ranked in chunks of 1, 2, 4, ... up to
-``HEAD_SEARCH_LEAF_CHUNK`` by ``TwoBodyRank``.  The reference
-below is the search without the screen, with every leaf up to
-``HEAD_SEARCH_LEAF_CAP`` ranked by one call of the earlier fixed-base
+leaves are tested by ``TwoBodyRank`` one at a time, as
+``_covered_leaves`` yields them, and none is built past the first hit.
+The reference below is the search without the screen, with every leaf up
+to ``HEAD_SEARCH_LEAF_CAP`` ranked by one call of the earlier fixed-base
 query (``fixed_base_reference.ReferenceRank``).  Both must pick the same
 set for every candidate, and no leaf of a screened candidate may reach
 full rank.
@@ -25,7 +25,7 @@ from metaform import planner, rigidity
 from metaform.errors import MetaformError
 from metaform.graph import Formation
 from metaform.persistence import ledger
-from metaform.planner import HEAD_SEARCH_LEAF_CAP, HEAD_SEARCH_LEAF_CHUNK, plan_pair
+from metaform.planner import HEAD_SEARCH_LEAF_CAP, plan_pair
 from metaform.rigidity import DEFAULT_SEED, DEFAULT_TRIALS, TwoBodyRank
 
 from conftest import complete, pair, shift, singleton
@@ -147,27 +147,50 @@ def test_screened_candidates_reach_no_full_rank(monkeypatch, trials, coord_range
     assert screened >= 150 and with_leaves >= 30 and deficient >= 1000
 
 
+def counting_built(monkeypatch):
+    """Leaves ``_covered_leaves`` yields to the search, one entry per call."""
+    built = []
+    original = planner._covered_leaves
+
+    def counted(*args):
+        built.append(0)
+        for leaf in original(*args):
+            built[-1] += 1
+            yield leaf
+
+    monkeypatch.setattr(planner, "_covered_leaves", counted)
+    return built
+
+
 @pytest.mark.parametrize("trials", [1, 3])
-def test_growing_chunks_pick_the_one_chunk_set(monkeypatch, trials):
-    """On the first candidates of each pair, the search picks the set one
-    chunk of every leaf picks.  Degenerate placements make early leaves
-    miss, so hits fall past the first chunks and past the largest."""
+def test_lazy_search_picks_the_reference_set(monkeypatch, trials):
+    """On the first candidates of each pair, the search picks the set the
+    reference picks from every leaf at once, and builds no leaf past it.
+    Degenerate placements make early leaves miss, so hits fall far into
+    the search."""
     hits = []
     for coord_range in (2**20, 3):
         monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
         for i, (ga, gb) in enumerate(PAIRS[:40]):
             rows = member_rows_of(ga, gb, i, trials)
             for cand in itertools.islice(candidates(ga, gb), 6):
-                got = planner._assign_heads(ga, gb, cand, 3, rows)
+                with monkeypatch.context() as m:
+                    built = counting_built(m)
+                    got = planner._assign_heads(ga, gb, cand, 3, rows)
                 if lined(ga, gb, cand):
                     continue
                 expected = reference_assign_heads(ga, gb, cand, 3, i, trials)
                 assert got == expected
-                if expected is not None:
-                    leaves = planner._covered_leaves(ga, gb, cand, 3)
-                    hits.append(next(k for k, leaf in enumerate(leaves) if leaf == expected))
+                leaves = list(
+                    itertools.islice(planner._covered_leaves(ga, gb, cand, 3), HEAD_SEARCH_LEAF_CAP)
+                )
+                if expected is None:
+                    assert built == [len(leaves)]
+                else:
+                    hits.append(leaves.index(expected))
+                    assert built == [hits[-1] + 1]
     assert sum(k >= 3 for k in hits) >= 10
-    assert sum(k >= HEAD_SEARCH_LEAF_CHUNK for k in hits) >= 1
+    assert max(hits) >= 64
 
 
 def outcome(ga, gb):

@@ -1,7 +1,7 @@
 """3D head search and plan verification against their earlier references.
 
 The head search yields each inter-edge set of a consumption vector once,
-and validates 3D sets a chunk at a time by ``TwoBodyRank.first_full_rank``:
+and validates 3D sets one at a time by ``TwoBodyRank.first_full_rank``:
 each member is ranked once per rank-oracle trial, and a set then needs
 only the independence of its inter-edges' Plücker lines.  The reference
 below is the earlier search, which walked head sequences (one set in
@@ -135,22 +135,24 @@ def outcome(plan, *args, **kwargs):
 
 
 def counting_leaves(monkeypatch):
-    """Leaves ``TwoBodyRank.first_full_rank`` uses from the search budget.
+    """Leaves ``TwoBodyRank.first_full_rank`` draws from the search budget.
 
-    A chunk with a full-rank leaf uses the leaves up to and including the
-    first one; a chunk without uses all of its leaves.  That is what the
-    reference counts: every leaf it tested, stopping at the first hit.
-    The patch is on the ranker the planner calls, so a 3D plan with no
-    leaf counted means the counter no longer sees the search.
+    Each leaf is counted as the ranker takes it from the iterable it is
+    given, so a call stops counting at its first full-rank leaf.  That is
+    what the reference counts: every leaf it tested, stopping at the first
+    hit.  The patch is on the ranker the planner calls, so a 3D plan with
+    no leaf counted means the counter no longer sees the search.
     """
     used = []
     original = TwoBodyRank.first_full_rank
 
     def counted(self, leaves):
-        leaves = list(leaves)
-        hit = original(self, leaves)
-        used.append(len(leaves) if hit is None else hit + 1)
-        return hit
+        def drawn():
+            for leaf in leaves:
+                used.append(leaf)
+                yield leaf
+
+        return original(self, drawn())
 
     monkeypatch.setattr(TwoBodyRank, "first_full_rank", counted)
     return used
@@ -171,7 +173,7 @@ def both(monkeypatch, plan, *args, seed, trials, **kwargs):
             ),
         )
         old = outcome(plan, *args, seed=seed, trials=trials, **kwargs)
-    return new, old, sum(leaves), len(ref_leaves)
+    return new, old, len(leaves), len(ref_leaves)
 
 
 def survey_collections(count, dim=3):

@@ -2,7 +2,8 @@
 
 ``rigid_3d_check`` lets the rank oracle decide and runs the necessary
 screens only to name the witness of a not-rigid verdict, and
-``generic_rank_oracle`` stops once a trial reaches the rank ceiling.
+``generic_rank_oracle`` stops once a trial reaches the rank ceiling
+(``test_rank_ceiling_differential.py`` checks where it stops).
 The reference implementations below are the earlier screen-first check
 and the all-trials oracle; both must give the same reports.  The
 reference check runs the earlier screens too, from
@@ -214,6 +215,11 @@ def test_full_rank_stops_after_one_trial(monkeypatch):
     monkeypatch.setattr(rigidity, "rigidity_rank_once", counted)
     assert generic_rank_oracle(CORPUS["grown-21"], 3, trials=3) == 3 * 21 - 6
     assert len(calls) == 1
+    # Four-bar graphs peel to a K5 core, whose full rank is the ceiling;
+    # the banana has no vertex to peel and keeps its hinge from it.
     calls.clear()
-    generic_rank_oracle(CORPUS["four-bar-24"], 3, trials=3)
+    assert generic_rank_oracle(CORPUS["four-bar-24"], 3, trials=3) == 3 * 24 - 7
+    assert len(calls) == 1
+    calls.clear()
+    assert generic_rank_oracle(CORPUS["banana"], 3, trials=3) == 17
     assert len(calls) == 3
