@@ -4,14 +4,15 @@ edge-optimality of merged graphs.
 One pass over the meta-vertices proves each one rigid by building its
 gadget, a canonical minimally rigid spanning subgraph of its edges; the
 size classes follow.  Merged rigidity does not depend on meta-vertex
-internals beyond their rigidity, so one rigidity check of the
-substituted graph (the gadgets plus the inter-edges) decides the merge
-in both dimensions: the pebble game in 2D, exactly, and the rank oracle
-in 3D.  Only the witness of a not-rigid verdict depends on the
-dimension.  In 3D the counting condition is only necessary; every rigid
-merge meets the count, and the exponential counting search runs only to
-name the witness of a not-rigid verdict.  ``check_meta`` proves each
-member persistent between the member pass and the merge decision.
+internals beyond their rigidity, so one greedy pass over the
+inter-edges against the gadgets decides the merge and selects E_M': one
+pebble game in 2D, exactly, and in 3D a ``BodyBarRank`` with each gadget
+a rigid body and each inter-edge a bar, whose rank ceiling is the merge
+bound.  In 3D the counting condition is only necessary; every rigid
+merge meets the count, and the exponential counting search and the
+substituted graph's rigidity check run only to name the witness of a
+not-rigid verdict.  ``check_meta`` proves each member persistent
+between the member pass and the merge decision.
 """
 from __future__ import annotations
 
@@ -29,8 +30,11 @@ from .persistence import (
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    BodyBarRank,
+    PebbleGame2D,
     check_rigidity,
     minimally_rigid_spanning,
+    required_rank,
 )
 
 SUBSET_SEARCH_CAP = 18
@@ -302,41 +306,56 @@ def check_meta(
 def _decide_merge(
     meta: MetaFormation, cls: MetaClass, kept, seed: int, trials: int
 ) -> MetaVerdict:
-    """Merged rigidity: one rigidity check of the gadget-substituted graph.
+    """Merged rigidity: one greedy pass over the inter-edges, in declared
+    order, against the gadgets ``kept``.
 
-    The substituted graph keeps each meta-vertex's gadget edges ``kept``
-    plus the inter-edges, on the flattened graph's vertices in order.  A
-    rigid verdict selects the independent inter-edges that extend the
-    gadgets to a minimally rigid spanning set, the subset E_M', which
-    has exactly the counting-bound size.  Only the not-rigid witness
-    depends on the dimension.  In 2D it is the smallest subset that
-    violates the count.  In 3D counting success alone never implies
-    rigidity (the double banana satisfies every count), so the bitmask
-    search runs only after a not-rigid verdict, to report the screen
-    and a violating subset.  A rigid 3D merge holds a bound-sized
-    independent inter-edge subset, every subset of which meets the
-    count, so its screen is reported passed without searching.  Both
-    are marked skipped when the inter-edge set exceeds the subset-search
-    cap.
+    An inter-edge is kept when it is independent of the gadgets and the
+    inter-edges kept before it; the merge is rigid when the kept subset,
+    E_M', reaches the counting bound.  In 2D one pebble game takes the
+    gadget edges, then the inter-edges; its rank is also a not-rigid
+    merge's deficit, and the witness is the smallest subset that violates
+    the count.  In 3D a ``BodyBarRank`` treats each gadget as a rigid
+    body and each inter-edge as a bar.  Counting success alone never
+    implies 3D rigidity (the double banana satisfies every count), so the
+    bitmask search runs only after a not-rigid verdict, to report the
+    screen and a violating subset, and one rigidity check of the
+    substituted graph (gadgets plus inter-edges) names its separating
+    pair or rank deficit.  That check may reach full rank at a trial
+    where a gadget is degenerate, which the greedy pass skips; the merge
+    stays not rigid, with neither witness.  A rigid 3D merge holds a
+    bound-sized independent inter-edge subset, every subset of which
+    meets the count, so its screen is reported passed without searching.
+    Both are marked skipped above the subset-search cap.
     """
     dim = cls.dim
     bound = merge_bound(cls)
-    g = UndirectedView(
-        vertices=tuple(v for mv in meta.meta_vertices for v in mv.vertices),
-        edges=tuple(itertools.chain(*kept, meta.inter_edges)),
-    )
-    verdict = check_rigidity(g, dim, seed=seed, trials=trials)
-    if verdict.rigid:
-        spanning = set(minimally_rigid_spanning(g, dim, fixed=kept, seed=seed, trials=trials))
+    vertices = tuple(v for mv in meta.meta_vertices for v in mv.vertices)
+    deficit = pair = None
+    if dim == 2:
+        game = PebbleGame2D(vertices)
+        for e in itertools.chain(*kept):
+            game.insert(e)
+        target = required_rank(2, len(vertices))
+        selected = tuple(e for e in meta.inter_edges if game.rank() < target and game.insert(e))
+        rigid = game.rank() == target
+        deficit = (game.rank(), target)
+    else:
+        bodies = (UndirectedView(mv.vertices, edges) for mv, edges in zip(meta.meta_vertices, kept))
+        selected = BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(meta.inter_edges)
+        rigid = selected is not None
+        if not rigid:
+            g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
+            verdict = check_rigidity(g, 3, seed=seed, trials=trials)
+            if not verdict.rigid:
+                deficit, pair = verdict.rank_deficit, verdict.separating_pair
+    if rigid:
         return MetaVerdict(
             rigid=True,
             edge_optimal=len(meta.inter_edges) == bound,
             dim=dim,
             classes=cls,
             bound=bound,
-            selected_subset=tuple(
-                e for e in meta.inter_edges if (min(e), max(e)) in spanning
-            ),
+            selected_subset=selected,
             counting_ok=(
                 True if dim == 3 and len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None
             ),
@@ -352,8 +371,8 @@ def _decide_merge(
         classes=cls,
         bound=bound,
         witness_subset=witness,
-        rank_deficit=verdict.rank_deficit,
-        separating_pair=verdict.separating_pair,
+        rank_deficit=deficit,
+        separating_pair=pair,
         counting_ok=counting_ok,
     )
 

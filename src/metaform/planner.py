@@ -8,14 +8,12 @@ DOF-consumption vectors and, for each, the sets of inter-edges whose
 tails consume it (each set tried once), subject to the incidence
 constraints the theory imposes (at least three incident vertices per
 side, no vertex carrying more than three of the six edges), with every
-candidate validated before being emitted.  Each member is ranked once per
-rank-oracle trial, and at a trial where both reach their generic rank a
-candidate costs one independence test of its inter-edges' Plücker lines,
-at most 6x6 mod p.  That is exactly the rank oracle's verdict on the
-merged graph: a generic member's kernel is spanned by its trivial
-motions, so the inter-edges add their full rank exactly when their lines
-are independent, and a member short of its generic rank leaves more rank
-missing than a candidate has edges.  A vector with at most two tails,
+candidate validated before being emitted.  The two members are the
+bodies of one ``BodyBarRank``: each is ranked once per rank-oracle
+trial, and at a trial where both reach their generic rank a candidate
+costs one independence test of its inter-edges' Plücker lines, at most
+6x6 mod p.  That is exactly the rank oracle's verdict on the merged
+graph.  A vector with at most two tails,
 when each side has a vertex that is not a tail, is refused before any set
 is built: every inter-edge meets the line through the tails, and turning
 one side about that line is a non-trivial motion, so no placement reaches
@@ -45,7 +43,7 @@ from .persistence import (
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    TwoBodyRank,
+    BodyBarRank,
     check_rigidity,
     dof_constant,
     laman_check_2d,
@@ -354,15 +352,11 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     through the tails, so turning one side about that line while the
     other stays still is a non-trivial motion, the merged graph is
     generically flexible and no placement reaches full rank.  Otherwise
-    3D tests each leaf with ``member_rows()``, a ``TwoBodyRank`` that
-    ranks each member once per rank-oracle trial, built when the first
-    leaf is: at a trial where both members reach their generic rank, a
-    leaf costs one independence test of its Plücker lines, at most 6x6
-    mod p.  A generic member's kernel is spanned by its trivial motions,
-    so the leaf adds its full rank exactly when those lines are
-    independent; a member short of its generic rank leaves more rank
-    missing than the leaf has edges.  So each leaf gets the rank oracle's
-    verdict on its merged graph.
+    3D tests each leaf with ``member_rows()``, a two-body ``BodyBarRank``
+    built when the first leaf is.  A leaf has exactly the bars the pair
+    needs, so it hits when all of them are kept, at the first trial where
+    both members reach their generic rank and the leaf's Plücker lines
+    are independent: the rank oracle's verdict on its merged graph.
     """
     if dim == 3 and len(cand) <= 2 and all(
         any(v not in cand for v in f.vertices) for f in (ga, gb)
@@ -379,7 +373,7 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
     else:
 
         def rigid(pairs):
-            return member_rows().first_full_rank([pairs]) is not None
+            return member_rows().independent_bars(pairs) is not None
 
     return next((pairs for pairs in leaves if rigid(pairs)), None)
 
@@ -412,7 +406,7 @@ def plan_pair(
         raise refusal
 
     @functools.cache
-    def member_rows() -> TwoBodyRank:
+    def member_rows() -> BodyBarRank:
         # Built at the first 3D leaf, not up front: members that share a
         # vertex id fail there, in the merged formation, while a search
         # whose every leaf is pruned still ends in a catalog miss.
@@ -420,7 +414,7 @@ def plan_pair(
             vertices=tuple(ga.vertices) + tuple(gb.vertices),
             edges=tuple(ga.edges) + tuple(gb.edges),
         )
-        return TwoBodyRank(ga.underlying(), gb.underlying(), seed=seed, trials=trials)
+        return BodyBarRank((ga.underlying(), gb.underlying()), seed=seed, trials=trials)
 
     rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")
     for cand in _consumption_vectors(ga, gb, led_a, led_b, required):

@@ -30,9 +30,11 @@ of those oracles places the vertices the same way, so a
 ``FixedBaseRank`` reduces the fixed rows once per trial and ranks only
 each graph's few extra rows, all graphs of a chunk in one
 ``batch_rank_mod_p`` call: one vectorized elimination over the stack.
-A merge planner's head-search leaf is two rigid members plus one
-inter-edge set; a ``TwoBodyRank`` ranks each member once per trial and
-then needs only the independence of the inter-edges' Plücker lines.
+A merge joins rigid bodies (members, or their gadgets) by bars (the
+inter-edges); a ``BodyBarRank`` ranks each body once per trial and then
+keeps bars greedily by their rows in the bodies' screw coordinates, 6
+columns a body.  It serves the planner's head-search leaves (two bodies)
+and the 3D ``check-meta`` merge decision (k bodies).
 """
 from __future__ import annotations
 
@@ -435,18 +437,16 @@ def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
 
 
 def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
-    """Are these integer rows, all of one length, independent over GF(p)?
+    """Are a peeled vertex's rows, at most dim of length dim, independent over GF(p)?
 
     No rows always are; one row when it is nonzero; two rows when some
     2x2 minor is nonzero (the 2D determinant or a cross-product entry);
     three rows of length 3 when their 3x3 determinant is nonzero.  Closed
     forms on Python ints, because the peel asks once per peeled vertex per
-    trial.  Anything else (a head-search leaf's Plücker rows, up to 6 of
-    length 6) is eliminated row by row: a row that reduces to zero against
-    the pivots of those before it depends on them.
+    trial.
     """
     k = len(rows)
-    if k == 3 and len(rows[0]) == 3:
+    if k == 3:
         a, b, c = rows
         det = (
             a[0] * (b[1] * c[2] - b[2] * c[1])
@@ -458,25 +458,34 @@ def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
         return True
     if k == 1:
         return any(x % p for x in rows[0])
-    if k == 2:
-        a, b = rows
-        return any(
-            (a[i] * b[j] - a[j] * b[i]) % p
-            for i, j in itertools.combinations(range(len(a)), 2)
-        )
+    a, b = rows
+    return any(
+        (a[i] * b[j] - a[j] * b[i]) % p for i, j in itertools.combinations(range(len(a)), 2)
+    )
+
+
+def _greedy_independent(rows, limit: int, p: int = RANK_MODULUS) -> list[int]:
+    """Indices of the integer rows kept greedily over GF(p), at most ``limit``.
+
+    A row is kept when it does not reduce to zero against the pivots of
+    the rows kept before it; the scan stops once ``limit`` rows are kept.
+    """
+    kept = []
     pivots = []  # (column, row scaled to 1 there and zero at earlier pivots)
-    for row in rows:
+    for k, row in enumerate(rows):
+        if len(kept) == limit:
+            break
         row = [x % p for x in row]
         for col, prow in pivots:
             f = row[col]
             if f:
                 row = [(x - f * y) % p for x, y in zip(row, prow)]
         col = next((c for c, x in enumerate(row) if x), None)
-        if col is None:
-            return False
-        inv = pow(row[col], -1, p)
-        pivots.append((col, [x * inv % p for x in row]))
-    return True
+        if col is not None:
+            inv = pow(row[col], -1, p)
+            pivots.append((col, [x * inv % p for x in row]))
+            kept.append(k)
+    return kept
 
 
 def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) -> int:
@@ -849,40 +858,38 @@ def _plucker(pi: tuple[int, ...], pj: tuple[int, ...]) -> list[int]:
     return [x1 - x2, y1 - y2, z1 - z2, y2 * z1 - z2 * y1, z2 * x1 - x2 * z1, x2 * y1 - y2 * x1]
 
 
-class TwoBodyRank:
-    """Full-rank test for two rigid bodies joined by inter-edges, in 3D.
+class BodyBarRank:
+    """k rigid bodies on disjoint vertex sets, joined by bars, in 3D.
 
-    ``a`` and ``b`` are graphs on disjoint vertex sets, and each leaf is a
-    set of dof(n_a) + dof(n_b) - dof(n_a + n_b) edges from a vertex of one
-    to a vertex of the other: the inter-edges a pairwise merge needs.
-    ``first_full_rank(leaves)`` is the index of the first leaf whose
-    merged graph reaches full rank at some trial, where trial t places a's
-    and then b's vertices as ``generic_rank_oracle``'s trial t does on
-    the merged graph (``trial_placements``); so it is that oracle's
-    verdict.
-
-    Each trial ranks each body once (``rank_at``).  A body below
-    ``required_rank(3, n)`` there leaves the merged graph more rank to
-    find than a leaf has edges, so no leaf hits at that trial.  When both
-    reach it, each body's kernel is spanned by its trivial motions (rank
-    3n - 6 rules out collinear points), so a leaf reaches full rank
-    exactly when its bars' Plücker lines (p_i - p_j, p_j x p_i) are
-    independent mod p, as bars joining two bodies lock them together
-    (White and Whiteley 1987): one test of at most 6 rows of length 6.
+    Trial t places the bodies' vertices, concatenated in order, as
+    ``generic_rank_oracle``'s trial t places them (``trial_placements``),
+    and ranks each body once (``rank_at``).  At a trial where every body
+    reaches ``required_rank(3, n_i)``, each body's kernel is spanned by
+    its trivial motions (rank 3n - 6 rules out collinear points), so the
+    merged graph's rank is the bodies' ranks plus the rank of its bars'
+    rows in the bodies' screw coordinates (Tay 1984; White and Whiteley
+    1987).  Bar (i, j) has the row (p_i - p_j, p_j x p_i) in its tail's
+    6 columns and the negated row in its head's; the last body's columns
+    are dropped, as no bar moves under one motion of all bodies, so for
+    two bodies the row is the bar's Plücker line.  The merged graph is
+    rigid exactly when the rows reach ``target`` = required_rank(3, n) -
+    sum of required_rank(3, n_i): the merge bound 6|N| + 5|D| + 3|S| - 6
+    for n >= 3, and for a pair the inter-edges it needs.  A body short of
+    its generic rank leaves more rank missing than bars can add, so no
+    bar set reaches the target at that trial.
     """
 
-    def __init__(
-        self,
-        a: UndirectedView,
-        b: UndirectedView,
-        seed: int = DEFAULT_SEED,
-        trials: int = DEFAULT_TRIALS,
-    ):
+    def __init__(self, bodies, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
         if trials < 1:
             raise InputError("trials must be >= 1")
-        self.bodies = (a, b)
+        self.bodies = tuple(bodies)
         self.trials = trials
-        self._placements = trial_placements(a.vertices + b.vertices, 3, seed)
+        vertices = tuple(v for g in self.bodies for v in g.vertices)
+        self._column = {v: 6 * i for i, g in enumerate(self.bodies) for v in g.vertices}
+        self.target = required_rank(3, len(vertices)) - sum(
+            required_rank(3, len(g.vertices)) for g in self.bodies
+        )
+        self._placements = trial_placements(vertices, 3, seed)
         # Per trial: the placement, or None where a body falls short.
         self._placed: list[dict[int, tuple[int, ...]] | None] = []
 
@@ -896,84 +903,61 @@ class TwoBodyRank:
             self._placed.append(positions if generic else None)
         return self._placed[t]
 
-    def first_full_rank(self, leaves) -> int | None:
-        """Index of the first leaf that reaches full rank, or None.
+    def _row(self, positions: dict[int, tuple[int, ...]], bar: Edge) -> list[int]:
+        i, j = bar
+        line = _plucker(positions[i], positions[j])
+        row = [0] * (6 * len(self.bodies))
+        ci, cj = self._column[i], self._column[j]
+        row[ci : ci + 6] = line
+        row[cj : cj + 6] = [-x for x in line]
+        return row[:-6]
 
-        Each leaf is tried at every trial before the next one, and a trial
-        is placed and its bodies ranked when a leaf first reaches it.
+    def independent_bars(self, bars) -> tuple[Edge, ...] | None:
+        """The bars kept greedily, in the given order, at the first trial
+        where they reach ``target``, or None.
+
+        A trial is placed and its bodies ranked when a query first reaches
+        it.
         """
-        for k, leaf in enumerate(leaves):
-            for t in range(self.trials):
-                positions = self._trial(t)
-                if positions is not None and _independent_mod_p(
-                    [_plucker(positions[i], positions[j]) for i, j in leaf]
-                ):
-                    return k
+        bars = tuple(bars)
+        for t in range(self.trials):
+            positions = self._trial(t)
+            if positions is None:
+                continue
+            kept = _greedy_independent((self._row(positions, e) for e in bars), self.target)
+            if len(kept) == self.target:
+                return tuple(bars[k] for k in kept)
         return None
 
 
 def minimally_rigid_spanning(
     g: UndirectedView,
     dim: int,
-    fixed: tuple[tuple[Edge, ...], ...] = (),
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> tuple[Edge, ...]:
-    """Minimally rigid spanning edge set containing all fixed edge sets.
+    """Minimally rigid spanning edge set of g, kept greedily in edge order.
 
-    The fixed sets must be edge sets of minimally rigid vertex-disjoint
-    subgraphs of g; their rows are independent, so greedy extension in
-    declared edge order reaches the full generic rank.  2D uses the
-    pebble game.  3D reads the edges each trial's ``FixedBaseRank`` basis
-    kept from the fixed edges followed by the rest, and returns those of
-    the first trial that kept every fixed edge and reached full rank (a
-    single unlucky placement can only under-estimate rank).  Its
-    placements are those of ``generic_rank_oracle``, trial by trial, so
-    with no fixed edges this succeeds exactly when ``rigid_3d_check``
-    says g is rigid.  In 3D, ``trials`` below 1 raises InputError, as in
-    ``rigid_3d_check``.
+    2D uses the pebble game.  3D returns the edges ``FixedBaseRank``'s
+    basis kept at the first trial that reached full rank (a single
+    unlucky placement can only under-estimate rank).  Its placements are
+    those of ``generic_rank_oracle``, trial by trial, so this succeeds
+    exactly when ``rigid_3d_check`` says g is rigid.  In 3D, ``trials``
+    below 1 raises InputError, as in ``rigid_3d_check``.
     """
-    n = len(g.vertices)
-    edges = set(g.edges)
-    fixed_edges = []
-    fixed_set = set()
-    for group in fixed:
-        for e in group:
-            ne = (min(e), max(e))
-            if ne not in edges:
-                raise InputError(f"fixed edge {e} not in graph")
-            fixed_edges.append(ne)
-            fixed_set.add(ne)
-    target = required_rank(dim, n)
-    rest = [e for e in g.edges if e not in fixed_set]
-
+    target = required_rank(dim, len(g.vertices))
     if dim == 2:
         game = PebbleGame2D(g.vertices)
-        for e in fixed_edges:
-            if not game.insert(e):
-                raise InputError(f"fixed edge sets are not independent (at {e})")
-        chosen = list(fixed_edges)
-        for e in rest:
+        for e in g.edges:
             if game.rank() == target:
                 break
-            if game.insert(e):
-                chosen.append(e)
+            game.insert(e)
         if game.rank() != target:
             raise NotRigidError("graph is not rigid in 2D")
-        return tuple(chosen)
-
-    base = UndirectedView(g.vertices, tuple(dict.fromkeys(fixed_edges)) + tuple(rest))
-    ranker = FixedBaseRank(base, dim, seed=seed, trials=trials)
+        return tuple(game.accepted)
+    ranker = FixedBaseRank(g, dim, seed=seed, trials=trials)
     for t in range(trials):
         kept = ranker.trial(t).kept
-        # The fixed edges lead the base, each once, so the first position
-        # where the kept edges differ from the fixed list holds its first
-        # edge that depends on those before it; a repeat never matches.
-        dependent = next(
-            (e for i, e in enumerate(fixed_edges) if i >= len(kept) or kept[i] != e), None
-        )
-        if dependent is None and len(kept) == target:
+        if len(kept) == target:
             return kept
-    if dependent is not None:
-        raise InputError(f"fixed edge sets are not independent (at {dependent})")
     raise NotRigidError("graph is not rigid in 3D")

@@ -7,7 +7,9 @@ had their own merge decision; and ``merged_persistence`` decided the
 merge's rigidity again on the flattened graph, in ``flattened_persistence``,
 copied here as it was.  ``check_meta`` decided the merge before it proved
 the members persistent, and the CLI computed ``edgeOptimalPersistent``
-with its own local-DOF compliance check.
+with its own local-DOF compliance check.  The gadgets and the selected
+subset come from ``merge_reference``'s copy of the earlier
+``minimally_rigid_spanning``, fixed edge sets and all.
 """
 from metaform.errors import InputError, NotPersistentError, NotRigidError
 from metaform.graph import Formation, MetaFormation
@@ -21,13 +23,9 @@ from metaform.meta import (
     size_classes,
 )
 from metaform.persistence import _verdict, is_persistent, ledger, local_dof_compliance
-from metaform.rigidity import (
-    PebbleGame2D,
-    check_rigidity,
-    laman_check_2d,
-    minimally_rigid_spanning,
-    rigid_3d_check,
-)
+from metaform.rigidity import PebbleGame2D, check_rigidity, laman_check_2d, rigid_3d_check
+
+from merge_reference import minimally_rigid_spanning
 
 
 def classify(meta, dim, seed=0, trials=3):

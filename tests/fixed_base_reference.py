@@ -5,8 +5,8 @@ the members' internal rows reduced into one basis per rank-oracle trial,
 and each leaf's inter-edge rows reduced against it and ranked, a chunk of
 leaves per ``batch_rank_mod_p`` call.  It gives ``generic_rank_oracle``'s
 verdict on any base plus any extra edges, so it is the reference for
-``TwoBodyRank``.  The query is unchanged; the class still serves 3D
-terminals and the spanning set in ``metaform.rigidity``.
+the two-body ``BodyBarRank``.  The query is unchanged; the class still
+serves 3D terminals and the spanning set in ``metaform.rigidity``.
 """
 import numpy as np
 

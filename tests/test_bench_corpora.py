@@ -7,6 +7,7 @@ this runs the same check on the seed-1 corpora, so such a change fails
 here first.  Only ``corpus.py`` is imported from ``perfbench``.
 """
 import contextlib
+import hashlib
 import importlib.util
 import io
 import json
@@ -35,9 +36,10 @@ def load_corpus():
 corpus = load_corpus()
 
 
-def run_ops(workload, seed, tmp_path):
+def run_ops(workload, seed, tmp_path, raw=False):
     """Run each op of a workload's corpus through ``main``; yield the op,
-    its exit code and its parsed report (None when stdout is no JSON)."""
+    its exit code and its parsed report (None when stdout is no JSON), or
+    with ``raw`` its stdout text in place of the report."""
     for i, op in enumerate(corpus.build(workload, seed)):
         op.paths = []
         for j, doc in enumerate(op.files):
@@ -47,6 +49,9 @@ def run_ops(workload, seed, tmp_path):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(op.argv())
+        if raw:
+            yield op, code, out.getvalue()
+            continue
         try:
             report = json.loads(out.getvalue())
         except ValueError:
@@ -73,3 +78,17 @@ def test_rigidity_3d_pass_trial_count(monkeypatch, tmp_path):
     for _ in run_ops("rigidity-3d", 1, tmp_path):
         pass
     assert len(calls) == 42
+
+
+# sha256 over every seed-1 op's exit code and stdout, workload by workload
+# in sorted order.  An intended change to any report updates it and says
+# why in CHANGES.md.
+CORPORA_DIGEST = "e7eb9d795bcf695688c5ac960df84dae575163a9886056da93286106e205e2bd"
+
+
+def test_seed_1_corpora_output_is_byte_stable(tmp_path):
+    digest = hashlib.sha256()
+    for workload in sorted(corpus.WORKLOADS):
+        for _, code, out in run_ops(workload, 1, tmp_path, raw=True):
+            digest.update(f"{code}\n{out}\0".encode())
+    assert digest.hexdigest() == CORPORA_DIGEST

@@ -7,7 +7,7 @@ ranks a leaf: every inter-edge then meets the line through the tails, so
 turning one side about that line while the other stays still is a
 non-trivial infinitesimal motion of every merged graph (White and
 Whiteley, 1987, on bars that all meet one line).  Each other candidate's
-leaves are tested by ``TwoBodyRank`` one at a time, as
+leaves are tested by a two-body ``BodyBarRank`` one at a time, as
 ``_covered_leaves`` yields them, and none is built past the first hit.
 The reference below is the search without the screen, with every leaf up
 to ``HEAD_SEARCH_LEAF_CAP`` ranked by one call of the earlier fixed-base
@@ -26,7 +26,7 @@ from metaform.errors import MetaformError
 from metaform.graph import Formation
 from metaform.persistence import ledger
 from metaform.planner import HEAD_SEARCH_LEAF_CAP, plan_pair
-from metaform.rigidity import DEFAULT_SEED, DEFAULT_TRIALS, TwoBodyRank
+from metaform.rigidity import DEFAULT_SEED, DEFAULT_TRIALS, BodyBarRank
 
 from conftest import complete, pair, shift, singleton
 from fixed_base_reference import ReferenceRank
@@ -105,7 +105,7 @@ def member_rows_of(ga, gb, seed, trials, reference=False):
         )
         if reference:
             return ReferenceRank(members.underlying(), 3, seed=seed, trials=trials)
-        return TwoBodyRank(ga.underlying(), gb.underlying(), seed=seed, trials=trials)
+        return BodyBarRank((ga.underlying(), gb.underlying()), seed=seed, trials=trials)
 
     return member_rows
 

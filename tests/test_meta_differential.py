@@ -25,9 +25,10 @@ from metaform.meta import (
     meta_rigid_3d,
 )
 from metaform.planner import MergePlan, PlanEdge, plan_collection, verify_plan
-from metaform.rigidity import minimally_rigid_spanning, rigid_3d_check
+from metaform.rigidity import rigid_3d_check
 
 import check_meta_reference
+from merge_reference import minimally_rigid_spanning
 from conftest import complete, count_calls, pair, shift, singleton, triangle, zero_dof_3d
 
 

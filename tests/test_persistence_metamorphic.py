@@ -1,10 +1,18 @@
-"""``check-persistence`` under an order-preserving relabel.
+"""``check-persistence`` under an order-preserving relabel, and under
+vertex addition.
 
 Mapping every id by v -> 3v + 7, which keeps the order, and shuffling the
 vertex and edge lists must map the whole report: the ledger, the leaders
 and the witness terminal, whose blocks come from the sorted edges, so the
 smallest failing terminal maps to the smallest.  No reference is needed,
 so formations need not be small.
+
+Adding a vertex with no in-edges and at least dim out-edges to distinct
+vertices keeps the verdict: each terminal gains the vertex with dim of
+its edges, a vertex addition, which keeps rigidity either way.  Changing
+the vertex's choice never makes a failing terminal pass, so the smallest
+failing one keeps its first choice: a witness gains the vertex's first
+dim out-edges, in sorted position.
 
 In 2D the verdict is combinatorial and the relation is exact.  In 3D the
 shuffle moves every trial placement, since vertices are placed in list
@@ -105,3 +113,28 @@ def test_relabeled_formation_gets_the_relabeled_report(case, shuffle):
         code, report = check_persistence(Path(tmp), f, dim)
         assert code in (0, 1)
         assert check_persistence(Path(tmp), g, dim) == (code, relabeled_report(report))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    case=formations(),
+    added=st.randoms(use_true_random=False),
+    extra=st.integers(0, 2),
+)
+def test_vertex_addition_keeps_the_verdict_and_extends_the_witness(case, added, extra):
+    dim, f = case
+    assume(len(terminal_subgraphs(f, dim, cap=10**9)) <= 2000)
+    w = added.choice([v for v in range(max(f.vertices) + 2) if v not in f.vertex_set])
+    heads = sorted(added.sample(f.vertices, min(len(f.vertices), dim + extra)))
+    assume(len(heads) >= dim)
+    g = Formation(vertices=f.vertices + (w,), edges=f.edges + tuple((w, h) for h in heads))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = check_persistence(Path(tmp), f, dim)
+        assert code in (0, 1)
+        added_code, added_report = check_persistence(Path(tmp), g, dim)
+    assert (added_code, added_report["persistent"]) == (code, report["persistent"])
+    if "witnessTerminal" in report:
+        witness = sorted(report["witnessTerminal"] + [[w, h] for h in heads[:dim]])
+        assert added_report["witnessTerminal"] == witness
+    else:
+        assert "witnessTerminal" not in added_report

@@ -1,7 +1,7 @@
 """3D head search and plan verification against their earlier references.
 
 The head search yields each inter-edge set of a consumption vector once,
-and validates 3D sets one at a time by ``TwoBodyRank.first_full_rank``:
+and validates 3D sets one at a time by ``BodyBarRank.independent_bars``:
 each member is ranked once per rank-oracle trial, and a set then needs
 only the independence of its inter-edges' Plücker lines.  The reference
 below is the earlier search, which walked head sequences (one set in
@@ -40,7 +40,7 @@ from metaform.planner import (
     verify_plan,
 )
 from metaform.rigidity import (
-    TwoBodyRank,
+    BodyBarRank,
     dof_constant,
     generic_rank_oracle,
     required_rank,
@@ -135,26 +135,22 @@ def outcome(plan, *args, **kwargs):
 
 
 def counting_leaves(monkeypatch):
-    """Leaves ``TwoBodyRank.first_full_rank`` draws from the search budget.
+    """Leaves ``BodyBarRank.independent_bars`` is asked about, one per call.
 
-    Each leaf is counted as the ranker takes it from the iterable it is
-    given, so a call stops counting at its first full-rank leaf.  That is
-    what the reference counts: every leaf it tested, stopping at the first
-    hit.  The patch is on the ranker the planner calls, so a 3D plan with
-    no leaf counted means the counter no longer sees the search.
+    The search asks about one leaf at a time and stops at its first
+    full-rank leaf.  That is what the reference counts: every leaf it
+    tested, stopping at the first hit.  The patch is on the ranker the
+    planner calls, so a 3D plan with no leaf counted means the counter no
+    longer sees the search.
     """
     used = []
-    original = TwoBodyRank.first_full_rank
+    original = BodyBarRank.independent_bars
 
-    def counted(self, leaves):
-        def drawn():
-            for leaf in leaves:
-                used.append(leaf)
-                yield leaf
+    def counted(self, bars):
+        used.append(bars)
+        return original(self, bars)
 
-        return original(self, drawn())
-
-    monkeypatch.setattr(TwoBodyRank, "first_full_rank", counted)
+    monkeypatch.setattr(BodyBarRank, "independent_bars", counted)
     return used
 
 

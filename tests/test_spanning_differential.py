@@ -1,12 +1,14 @@
 """3D ``minimally_rigid_spanning`` against its earlier trial loop.
 
-The spanning set now reads the edges each trial's ``FixedBaseRank``
-basis kept from the fixed edges followed by the rest.  The reference is
-the earlier loop, kept here: per trial, one ``IncrementalRank`` takes
-the fixed edges, failing at the first dependent one, then the rest
-greedily until full rank.  Both must return the same edges, or raise the
-same exception with the same message, also at coordinate ranges small
-enough that placements are often degenerate.
+The spanning set reads the edges each trial's ``FixedBaseRank`` basis
+kept.  The reference is the earlier loop, kept here: per trial, one
+``IncrementalRank`` takes the fixed edges, failing at the first dependent
+one, then the rest greedily until full rank.  Both must return the same
+edges, or raise the same exception with the same message, also at
+coordinate ranges small enough that placements are often degenerate.
+Fixed edge sets are no longer a parameter (a merge decision keeps its
+gadgets with ``BodyBarRank``), so the cases with them run against
+``merge_reference``'s copy of the earlier ``minimally_rigid_spanning``.
 """
 import itertools
 import random
@@ -23,6 +25,8 @@ from metaform.rigidity import (
     rigidity_matrix_rows,
     trial_placements,
 )
+
+import merge_reference
 
 
 def reference_spanning(g, fixed=(), seed=0, trials=3):
@@ -99,11 +103,13 @@ def test_spanning_matches_trial_loop(monkeypatch, coord_range):
     for _ in range(200):
         g, fixed = random_case(rng)
         for trials in (1, 3):
-            for given in ((), fixed):
-                expected = outcome(reference_spanning, g, given, trials=trials)
-                got = outcome(minimally_rigid_spanning, g, 3, fixed=given, trials=trials)
-                assert got == expected, (g, given, trials)
-                kinds.add(expected[0])
+            expected = outcome(reference_spanning, g, trials=trials)
+            assert outcome(minimally_rigid_spanning, g, 3, trials=trials) == expected, g
+            kinds.add(expected[0])
+            expected = outcome(reference_spanning, g, fixed, trials=trials)
+            got = outcome(merge_reference.minimally_rigid_spanning, g, 3, fixed, trials=trials)
+            assert got == expected, (g, fixed, trials)
+            kinds.add(expected[0])
     assert kinds == {"spanning", InputError, NotRigidError}
 
 
@@ -113,4 +119,5 @@ def test_repeated_fixed_edge_is_dependent(trials):
     fixed = (((1, 2), (1, 3)), ((2, 1),))
     expected = outcome(reference_spanning, g, fixed, trials=trials)
     assert expected == (InputError, "fixed edge sets are not independent (at (1, 2))")
-    assert outcome(minimally_rigid_spanning, g, 3, fixed=fixed, trials=trials) == expected
+    got = outcome(merge_reference.minimally_rigid_spanning, g, 3, fixed=fixed, trials=trials)
+    assert got == expected
