@@ -34,9 +34,10 @@ In 3D every core terminal keeps the core's vertices in the same order,
 so trial t of each terminal's rank oracle places them the same way; the
 peeled vertices are not placed, since their part of the verdict rests
 on the theorem above.  Every terminal holds the edges of the
-single-choice blocks, so those form the base of one ``FixedBaseRank``;
+single-choice blocks, so those form a base that ``reduce_mod_p``
+eliminates once per trial, reducing the other blocks' edges against it;
 a terminal adds one choice per other block, and terminals are ranked in
-batches of these extra edges.  A core with one terminal is that
+batches of these reduced edges.  A core with one terminal is that
 terminal, and the rank oracle decides it, except on at most 4 vertices:
 there a terminal with the 3n - 6 edges rigidity needs has all C(n, 2)
 of them, and a complete graph on at most 4 vertices, a simplex, is
@@ -57,10 +58,13 @@ from .graph import Edge, Formation, MetaFormation, UndirectedView
 from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    FixedBaseRank,
     PebbleGame2D,
+    batch_rank_mod_p,
     generic_rank_oracle,
+    reduce_mod_p,
     required_rank,
+    rigidity_matrix_rows,
+    trial_placements,
 )
 
 TERMINAL_SET_CAP = 10**6
@@ -130,9 +134,7 @@ class TerminalSubgraphs(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(self._count))]
+    def __getitem__(self, i: int) -> TerminalSubgraph:
         if i < 0:
             i += self._count
         if not 0 <= i < self._count:
@@ -286,10 +288,13 @@ def _first_nonrigid_terminal_3d(
     one terminal, and with 3n - 6 = C(n, 2) edges it is complete: a
     simplex, rigid without the rank oracle.  One terminal on more
     vertices is decided by the rank oracle, as ``rigid_3d_check`` decides
-    it.  Otherwise a terminal is rigid when some trial's rank reaches
-    3n - 6: the base's rank at that trial plus the rank its extra edges
-    add.  Each batch of terminals goes on to the next trial with only the
-    terminals still short of full rank.
+    it.  Otherwise trial t places the vertices as the oracle's trial t
+    does, and one ``reduce_mod_p`` call ranks the single-choice edges
+    there and reduces every multi-choice edge's row against them.  A
+    terminal is rigid when some trial's base rank plus the rank of its
+    3 reduced rows per multi-choice block reaches 3n - 6.  Each batch of
+    terminals goes on to the next trial with only the terminals still
+    short of full rank.
     """
     target = required_rank(3, len(vertices))
     if sum(len(block[0]) for block in terminals.blocks) < target:
@@ -300,19 +305,30 @@ def _first_nonrigid_terminal_3d(
         g = UndirectedView(vertices, terminals[0].retained)
         return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else 0
     fixed = [e for block in terminals.blocks if len(block) == 1 for e in block[0]]
-    ranker = FixedBaseRank(UndirectedView(vertices, tuple(fixed)), 3, seed=seed, trials=trials)
+    multi = [block for block in terminals.blocks if len(block) > 1]
+    # The edges the multi-choice blocks choose from: their tails' out-edges.
+    extra = sorted({e for block in multi for choice in block for e in choice})
+    slot = {e: k for k, e in enumerate(extra)}
+    col_of = {v: i for i, v in enumerate(vertices)}
+    placements = trial_placements(vertices, 3, seed)
+    # Per trial reached: the rank the base lacks, and the reduced extra rows.
+    reduced: list[tuple[int, np.ndarray]] = []
     # Single-choice blocks add digit 0 only, so product order over the
     # other blocks is terminal order.
-    pending = itertools.product(*(block for block in terminals.blocks if len(block) > 1))
+    pending = itertools.product(*([[slot[e] for e in choice] for choice in b] for b in multi))
     start = 0
     while batch := [
-        tuple(itertools.chain(*choice))
-        for choice in itertools.islice(pending, TERMINAL_BATCH_SIZE)
+        list(itertools.chain(*choice)) for choice in itertools.islice(pending, TERMINAL_BATCH_SIZE)
     ]:
+        index = np.array(batch, dtype=np.intp)
         short = np.arange(len(batch))
         for t in range(trials):
-            need = target - ranker.trial(t).basis.rank
-            short = short[ranker.extra_ranks(t, [batch[i] for i in short]) < need]
+            if t == len(reduced):
+                rows = rigidity_matrix_rows(fixed + extra, next(placements), col_of, 3)
+                rank, table = reduce_mod_p(rows[: len(fixed)], rows[len(fixed) :])
+                reduced.append((target - rank, table))
+            need, table = reduced[t]
+            short = short[batch_rank_mod_p(table[index[short]]) < need]
             if not short.size:
                 break
         if short.size:

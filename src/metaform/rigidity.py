@@ -23,13 +23,15 @@ no placement exceeds, the smaller of |E|, the required rank and a
 bound from the graph's (dim + 1)-core; the result is the same as with
 every trial run.
 
-Persistence and the 3D spanning set ask about many graphs that share
-one fixed edge set on one vertex set: a terminal subgraph is the
-single-choice blocks plus one choice per other block.  Trial t of each
-of those oracles places the vertices the same way, so a
-``FixedBaseRank`` reduces the fixed rows once per trial and ranks only
-each graph's few extra rows, all graphs of a chunk in one
-``batch_rank_mod_p`` call: one vectorized elimination over the stack.
+Persistence asks about many graphs that share one fixed edge set on
+one vertex set: a terminal subgraph is the single-choice blocks plus
+one choice per other block.  Trial t of each of those oracles places
+the vertices the same way, so ``reduce_mod_p`` eliminates the fixed rows
+once per trial, with ``rank_mod_p``'s own elimination, and reduces the
+other blocks' rows against them; each graph then ranks only its few
+reduced rows, all graphs of a chunk in one ``batch_rank_mod_p`` call:
+one vectorized elimination over the stack.  The 3D spanning set keeps
+rows greedily in edge order, one ``IncrementalRank`` per trial.
 A merge joins rigid bodies (members, or their gadgets) by bars (the
 inter-edges); a ``BodyBarRank`` ranks each body once per trial and then
 keeps bars greedily by their rows in the bodies' screw coordinates, 6
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -366,16 +368,22 @@ def rigidity_matrix_rows(
     return m
 
 
-def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
-    """Exact rank over GF(p) by row elimination (int64, no overflow for p < 2^31.5)."""
-    a = matrix % p
-    rows, cols = a.shape
+def _eliminate(a: np.ndarray, pivot_rows: int, p: int) -> list[int]:
+    """Row-reduce ``a``, residues mod p, in place; return its pivot columns.
+
+    Pivots come only from the first ``pivot_rows`` rows, and each pivot
+    column is cleared in every row below its pivot.  So the rows after
+    ``pivot_rows`` end up reduced against the others: zero in every pivot
+    column, and spanning with them what they spanned before.  int64
+    holds every product, as p < 2^31.5.
+    """
+    pivots = []
     r = 0
-    for c in range(cols):
-        if r == rows:
+    for c in range(a.shape[1]):
+        if r == pivot_rows:
             break
         pivot = None
-        for i in range(r, rows):
+        for i in range(r, pivot_rows):
             if a[i, c]:
                 pivot = i
                 break
@@ -389,8 +397,28 @@ def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
         if below.size:
             factors = a[r + 1 :, c][below, None]
             a[r + 1 :, c:][below] = (a[r + 1 :, c:][below] - factors * a[r, c:]) % p
+        pivots.append(c)
         r += 1
-    return r
+    return pivots
+
+
+def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
+    """Exact rank over GF(p) by row elimination."""
+    a = matrix % p
+    return len(_eliminate(a, a.shape[0], p))
+
+
+def reduce_mod_p(base: np.ndarray, extra: np.ndarray) -> tuple[int, np.ndarray]:
+    """The rank of ``base`` over GF(p), and ``extra``'s rows reduced against it.
+
+    The reduced rows are returned on the columns that hold no pivot of
+    ``base``; they are zero on the others.  So the rank a set of extra
+    rows adds to ``base`` is the rank of its reduced rows, whichever
+    echelon form ``base`` took.
+    """
+    a = np.concatenate((base, extra)) % RANK_MODULUS
+    pivots = _eliminate(a, len(base), RANK_MODULUS)
+    return len(pivots), np.delete(a[len(base) :], pivots, axis=1)
 
 
 def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
@@ -759,98 +787,6 @@ class IncrementalRank:
         return len(self.basis)
 
 
-@dataclass
-class BaseTrial:
-    """A ``FixedBaseRank``'s base edge set, reduced at one trial's placement."""
-
-    positions: dict[int, tuple[int, ...]]
-    basis: IncrementalRank
-    # Base edges whose rows entered the basis, in base order.
-    kept: tuple[Edge, ...]
-    # Columns that hold no basis pivot: reduced rows are zero elsewhere.
-    free: np.ndarray
-    # Extra edge -> its row reduced against the basis, on the free columns.
-    reduced: dict[Edge, np.ndarray] = field(default_factory=dict)
-
-
-class FixedBaseRank:
-    """Rank oracle for one fixed base edge set plus a few extra edges.
-
-    Serves 3D terminals (``trial`` and ``extra_ranks``) and the 3D
-    spanning set (``trial(t).kept``).  Trial t places the vertices exactly
-    as ``generic_rank_oracle``'s trial t does (``trial_placements`` over
-    g's vertex order), and every rank is exact over GF(p).  The base rows
-    are reduced into an ``IncrementalRank`` once per trial, in base order,
-    until they reach full rank, and each extra edge's row is reduced
-    against them once per trial, so a query only eliminates its own few
-    rows, restricted to the columns that hold no base pivot.
-    ``extra_ranks`` ranks many extra edge sets at one trial in one batch.
-    """
-
-    def __init__(
-        self,
-        g: UndirectedView,
-        dim: int,
-        seed: int = DEFAULT_SEED,
-        trials: int = DEFAULT_TRIALS,
-    ):
-        if trials < 1:
-            raise InputError("trials must be >= 1")
-        self.g = g
-        self.dim = dim
-        self.trials = trials
-        self.target = required_rank(dim, len(g.vertices))
-        self._col_of = {v: i for i, v in enumerate(g.vertices)}
-        self._placements = trial_placements(g.vertices, dim, seed)
-        self._trials: list[BaseTrial] = []
-
-    def trial(self, t: int) -> BaseTrial:
-        """Trial t's reduced base, built at first use.
-
-        No placement's rank exceeds the target, so once the basis reaches
-        it no later base row is independent, and none is reduced.
-        """
-        while len(self._trials) <= t:
-            positions = next(self._placements)
-            basis = IncrementalRank(self.dim * len(self.g.vertices))
-            kept = []
-            rows = rigidity_matrix_rows(self.g.edges, positions, self._col_of, self.dim)
-            for e, row in zip(self.g.edges, rows):
-                if basis.rank == self.target:
-                    break
-                if basis.try_add(row):
-                    kept.append(e)
-            free = np.array(
-                [c for c in range(basis.ncols) if c not in basis.basis], dtype=np.intp
-            )
-            self._trials.append(BaseTrial(positions, basis, tuple(kept), free))
-        return self._trials[t]
-
-    def extra_ranks(self, t: int, extras) -> np.ndarray:
-        """The rank each extra edge set adds to the base at trial t.
-
-        Each set's reduced rows are ranked, all sets in one
-        ``batch_rank_mod_p`` call; shorter sets are padded with zero rows,
-        which add no rank.
-        """
-        trial = self.trial(t)
-        slot = {}
-        for extra in extras:
-            for e in extra:
-                if e not in trial.reduced:
-                    row = rigidity_matrix_rows([e], trial.positions, self._col_of, self.dim)[0]
-                    trial.reduced[e] = trial.basis.reduce(row)[trial.free]
-                slot.setdefault(e, len(slot))
-        # Row len(slot) of the table is the zero padding row.
-        table = np.stack(
-            [trial.reduced[e] for e in slot] + [np.zeros(trial.free.size, dtype=np.int64)]
-        )
-        index = np.full((len(extras), max(map(len, extras), default=0)), len(slot), dtype=np.intp)
-        for k, extra in enumerate(extras):
-            index[k, : len(extra)] = [slot[e] for e in extra]
-        return batch_rank_mod_p(table[index])
-
-
 def _plucker(pi: tuple[int, ...], pj: tuple[int, ...]) -> list[int]:
     """The line through pi and pj: direction pi - pj, moment pj x pi."""
     x1, y1, z1 = pi
@@ -938,12 +874,13 @@ def minimally_rigid_spanning(
 ) -> tuple[Edge, ...]:
     """Minimally rigid spanning edge set of g, kept greedily in edge order.
 
-    2D uses the pebble game.  3D returns the edges ``FixedBaseRank``'s
-    basis kept at the first trial that reached full rank (a single
-    unlucky placement can only under-estimate rank).  Its placements are
-    those of ``generic_rank_oracle``, trial by trial, so this succeeds
-    exactly when ``rigid_3d_check`` says g is rigid.  In 3D, ``trials``
-    below 1 raises InputError, as in ``rigid_3d_check``.
+    2D uses the pebble game.  3D adds the edges' rows to an
+    ``IncrementalRank`` in edge order, per trial, until they reach full
+    rank, and returns the edges kept at the first trial that does (a
+    single unlucky placement can only under-estimate rank).  Its
+    placements are those of ``generic_rank_oracle``, trial by trial, so
+    this succeeds exactly when ``rigid_3d_check`` says g is rigid.  In
+    3D, ``trials`` below 1 raises InputError, as in ``rigid_3d_check``.
     """
     target = required_rank(dim, len(g.vertices))
     if dim == 2:
@@ -955,9 +892,17 @@ def minimally_rigid_spanning(
         if game.rank() != target:
             raise NotRigidError("graph is not rigid in 2D")
         return tuple(game.accepted)
-    ranker = FixedBaseRank(g, dim, seed=seed, trials=trials)
-    for t in range(trials):
-        kept = ranker.trial(t).kept
+    if trials < 1:
+        raise InputError("trials must be >= 1")
+    col_of = {v: i for i, v in enumerate(g.vertices)}
+    for positions in itertools.islice(trial_placements(g.vertices, dim, seed), trials):
+        basis = IncrementalRank(dim * len(g.vertices))
+        kept = []
+        for e, row in zip(g.edges, rigidity_matrix_rows(g.edges, positions, col_of, dim)):
+            if basis.rank == target:
+                break
+            if basis.try_add(row):
+                kept.append(e)
         if len(kept) == target:
-            return kept
+            return tuple(kept)
     raise NotRigidError("graph is not rigid in 3D")

@@ -27,13 +27,14 @@ from metaform.rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     RANK_MODULUS,
-    FixedBaseRank,
     PebbleGame2D,
     check_rigidity,
     rank_at,
     required_rank,
     trial_placements,
 )
+
+from fixed_base_reference import FixedBaseRank
 
 
 def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:

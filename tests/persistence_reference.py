@@ -3,8 +3,10 @@
 ``reference_is_persistent`` is ``is_persistent`` as it was before the
 vertex-addition peel: it decides every terminal of the whole formation,
 the 2D walk over all of its blocks and the 3D ranker over all of its
-vertices.  ``metaform.persistence.is_persistent`` must give the same
-report, or raise the same error.
+vertices.  The 3D walk is ``fixed_base_reference``'s copy of the earlier
+one, so the reference runs none of the 3D walk under test.
+``metaform.persistence.is_persistent`` must give the same report, or
+raise the same error.
 """
 from metaform.errors import InputError
 from metaform.graph import Formation
@@ -12,12 +14,13 @@ from metaform.persistence import (
     TERMINAL_SET_CAP,
     PersistenceVerdict,
     _first_nonrigid_terminal_2d,
-    _first_nonrigid_terminal_3d,
     _verdict,
     ledger,
     terminal_subgraphs,
 )
 from metaform.rigidity import DEFAULT_SEED, DEFAULT_TRIALS, required_rank
+
+from fixed_base_reference import _first_nonrigid_terminal_3d
 
 
 def reference_is_persistent(

@@ -2,11 +2,12 @@
 
 ``batch_rank_mod_p`` ranks a whole (B, r, c) stack in one vectorized
 elimination; the reference is ``rank_mod_p`` on each matrix.  3D
-``is_persistent`` ranks terminals in batches, as one ``FixedBaseRank``
-base (the single-choice blocks) plus each terminal's other edges, and a
-formation with one terminal by the rank oracle; the reference is the
-earlier loop, one ``check_rigidity`` per terminal in product order,
-stopping at the first that is not rigid.
+``is_persistent`` ranks terminals in batches: per trial, one
+``reduce_mod_p`` call eliminates the base (the single-choice blocks) and
+reduces the other blocks' edges against it, and each terminal ranks its
+reduced edges.  A formation with one terminal goes to the rank oracle.
+The reference is the earlier loop, one ``check_rigidity`` per terminal
+in product order, stopping at the first that is not rigid.
 """
 import random
 
@@ -27,6 +28,7 @@ from metaform.rigidity import (
     batch_rank_mod_p,
     check_rigidity,
     rank_mod_p,
+    reduce_mod_p,
 )
 
 import persistence_reference
@@ -66,6 +68,21 @@ def test_batch_rank_equals_rank_mod_p(a):
     got = batch_rank_mod_p(a)
     assert got.shape == (a.shape[0],)
     assert list(got) == [rank_mod_p(m) for m in a]
+
+
+@settings(max_examples=200, deadline=None)
+@given(stacks(), st.integers(0, 9))
+def test_reduced_rows_add_their_rank_to_the_base(a, split):
+    """Any subset of ``reduce_mod_p``'s reduced rows adds its own rank to
+    the base's."""
+    for m in a:
+        base, extra = m[: min(split, len(m))], m[min(split, len(m)) :]
+        rank, reduced = reduce_mod_p(base, extra)
+        assert rank == rank_mod_p(base)
+        assert reduced.shape == (len(extra), m.shape[1] - rank)
+        for subset in (slice(None), slice(None, None, 2), slice(1, 3)):
+            whole = np.concatenate((base, extra[subset]))
+            assert rank + rank_mod_p(reduced[subset]) == rank_mod_p(whole)
 
 
 @pytest.mark.parametrize(
@@ -265,7 +282,8 @@ def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):
     def refuse(a, p=RANK_MODULUS):
         raise AssertionError("batched elimination of a lone terminal")
 
-    monkeypatch.setattr(rigidity, "batch_rank_mod_p", refuse)
+    for module in (rigidity, persistence):
+        monkeypatch.setattr(module, "batch_rank_mod_p", refuse)
     assert is_persistent(f, 3).to_dict() == expected
     assert len(oracle) == 1
     assert len(oracle[0][0].vertices) == 26
@@ -277,7 +295,7 @@ def test_3d_terminals_are_not_checked_one_by_one(monkeypatch):
     # K6: vertices 6, 5 and 4 peel away as vertex additions, and the
     # 3-vertex core is a complete triangle, rigid without the rank
     # oracle.  K6 braced: nothing peels, and the 40 terminals are ranked
-    # in batches on one fixed base.  Neither checks the whole formation:
+    # in batches against one reduced base.  Neither checks the whole formation:
     # minimal persistence is its edge count.
     assert is_persistent(complete(6), 3).persistent
     assert is_persistent(CASES["K6-braced"][0], 3).persistent
@@ -337,6 +355,6 @@ def test_small_cores_are_decided_without_the_rank_oracle(monkeypatch, name, seed
     walked = persistence_reference.reference_is_persistent(f, 3, seed=seed, trials=trials)
     assert walked.to_dict() == expected.to_dict()
     oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
-    ranker = count_calls(monkeypatch, "FixedBaseRank", rigidity.FixedBaseRank)
+    reduced = count_calls(monkeypatch, "reduce_mod_p", rigidity.reduce_mod_p)
     assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
-    assert oracle == [] and ranker == []
+    assert oracle == [] and reduced == []

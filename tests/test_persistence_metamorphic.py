@@ -14,6 +14,14 @@ the vertex's choice never makes a failing terminal pass, so the smallest
 failing one keeps its first choice: a witness gains the vertex's first
 dim out-edges, in sorted position.
 
+Spending the spare DOFs of the ``dim`` smallest ids of a persistent
+acyclic formation on edges back to the largest ids (``back_braced``)
+keeps it persistent, with the same terminal count; the braced formation
+is cyclic, so a large core is left after the peel.  A dangler, a vertex
+w with dim - 1 edges into the formation and a vertex u with dim edges
+into it and one to w, keeps ``check-rigidity``'s rigid verdict and makes
+every terminal fail: w has dim - 1 edges there.
+
 In 2D the verdict is combinatorial and the relation is exact.  In 3D the
 shuffle moves every trial placement, since vertices are placed in list
 order; the observed rank is the generic one at both, except with
@@ -34,7 +42,8 @@ from metaform.persistence import terminal_subgraphs
 
 from conftest import back_braced, nonstructural_3d
 from test_bench_corpora import corpus
-from test_persistence_peel_differential import random_digraph
+from test_persistence_peel_differential import acyclic_dense, dangler, random_digraph
+from test_rigidity_metamorphic import check_rigidity
 
 
 def relabel(v: int) -> int:
@@ -138,3 +147,44 @@ def test_vertex_addition_keeps_the_verdict_and_extends_the_witness(case, added, 
         assert added_report["witnessTerminal"] == witness
     else:
         assert "witnessTerminal" not in added_report
+
+
+@st.composite
+def dense_persistent(draw):
+    """A persistent acyclic formation on n = 20-120 vertices, each vertex
+    with dim out-edges to earlier ones and some with dim + 1; a dangler
+    keeps its terminal count at most 2,000."""
+    dim = draw(st.sampled_from([2, 3]))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    extra = draw(st.integers(1, 4 if dim == 3 else 5))
+    return dim, acyclic_dense(draw(st.integers(20, 120)), dim, extra, rng), rng
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=dense_persistent())
+def test_spare_dof_brace_keeps_persistence(case):
+    dim, f, _ = case
+    braced = back_braced(f, dim)
+    assert len(braced.edges) > len(f.edges)
+    assert len(terminal_subgraphs(braced, dim)) == len(terminal_subgraphs(f, dim))
+    with tempfile.TemporaryDirectory() as tmp:
+        code, report = check_persistence(Path(tmp), f, dim)
+        braced_code, braced_report = check_persistence(Path(tmp), braced, dim)
+    assert code == braced_code == 0
+    assert report["persistent"] and braced_report["persistent"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=dense_persistent(), brace=st.booleans())
+def test_dangler_keeps_rigidity_and_breaks_persistence(case, brace):
+    dim, f, rng = case
+    if brace:
+        f = back_braced(f, dim)
+    g = dangler(f, dim, rng)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "g.json"
+        for h in (f, g):
+            assert check_rigidity(path, list(h.vertices), list(h.edges), dim)["rigid"]
+        assert check_persistence(Path(tmp), f, dim)[1]["persistent"]
+        code, report = check_persistence(Path(tmp), g, dim)
+    assert (code, report["persistent"]) == (1, False)

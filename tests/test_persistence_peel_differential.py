@@ -220,6 +220,9 @@ def test_witness_carries_peeled_blocks(dim):
 
 
 def test_vertex_addition_n80_builds_no_fixed_base(monkeypatch):
+    """The reference reduces the whole formation's base, row by row, with
+    ``fixed_base_reference``'s copy of the earlier ranker; the peel leaves
+    a core with nothing to reduce."""
     f = vertex_addition(80, 1, 80)
     assert len(terminal_subgraphs(f, 3)) == 4
     added = []
@@ -233,8 +236,9 @@ def test_vertex_addition_n80_builds_no_fixed_base(monkeypatch):
     expected = reference_is_persistent(f, 3).to_dict()
     assert expected["persistent"] and added
     added.clear()
+    reduced = count_calls(monkeypatch, "reduce_mod_p", rigidity.reduce_mod_p)
     assert is_persistent(f, 3).to_dict() == expected
-    assert added == []
+    assert added == [] and reduced == []
 
 
 TRACED = [

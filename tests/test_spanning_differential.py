@@ -1,7 +1,9 @@
 """3D ``minimally_rigid_spanning`` against its earlier trial loop.
 
-The spanning set reads the edges each trial's ``FixedBaseRank`` basis
-kept.  The reference is the earlier loop, kept here: per trial, one
+The spanning set keeps rows greedily in edge order, one
+``IncrementalRank`` per trial; before that it read the edges each
+trial's ``FixedBaseRank`` basis kept.  The reference is the earlier
+loop, kept here: per trial, one
 ``IncrementalRank`` takes the fixed edges, failing at the first dependent
 one, then the rest greedily until full rank.  Both must return the same
 edges, or raise the same exception with the same message, also at
