@@ -225,11 +225,9 @@ class MetaVerdict:
         return d
 
 
-def _smallest_violating_subset(
-    meta: MetaFormation, dim: int, cap: int = SUBSET_SEARCH_CAP
-) -> tuple[Edge, ...] | None:
+def _smallest_violating_subset(meta: MetaFormation, dim: int) -> tuple[Edge, ...] | None:
     edges = meta.inter_edges
-    if len(edges) > cap:
+    if len(edges) > SUBSET_SEARCH_CAP:
         return None
     for size in range(1, len(edges) + 1):
         for subset in itertools.combinations(edges, size):

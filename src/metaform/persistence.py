@@ -68,9 +68,12 @@ from .rigidity import (
 )
 
 TERMINAL_SET_CAP = 10**6
-# 3D terminals ranked together, one batch per trial.  On the persist-3d
-# corpus (2-core host) 1,024 ran no faster than 512 and took 1 MB more
-# peak memory.
+# 3D terminals ranked together, one batch per trial.  No benchmark op
+# reaches it.  On the back-braced acyclic_dense(16, 3, 7) formation of
+# the tests (16,384 terminals; is_persistent, min of 3 runs, three
+# interleaved rounds, 2-core shared host) 256 took 733-1,076 ms, 512
+# 749-937 ms and 1,024 829-969 ms, at 56, 58 and 64 MB peak RSS; no
+# size won every round.
 TERMINAL_BATCH_SIZE = 512
 
 

@@ -30,13 +30,16 @@ the vertices the same way, so ``reduce_mod_p`` eliminates the fixed rows
 once per trial, with ``rank_mod_p``'s own elimination, and reduces the
 other blocks' rows against them; each graph then ranks only its few
 reduced rows, all graphs of a chunk in one ``batch_rank_mod_p`` call:
-one vectorized elimination over the stack.  The 3D spanning set keeps
-rows greedily in edge order, one ``IncrementalRank`` per trial.
+one vectorized elimination over the stack.  The 3D spanning set is the
+same elimination of the transposed matrix, once per trial: its pivot
+columns are the edges whose rows are independent of the rows before
+them, the edges kept greedily in edge order.
 A merge joins rigid bodies (members, or their gadgets) by bars (the
 inter-edges); a ``BodyBarRank`` ranks each body once per trial and then
 keeps bars greedily by their rows in the bodies' screw coordinates, 6
-columns a body.  It serves the planner's head-search leaves (two bodies)
-and the 3D ``check-meta`` merge decision (k bodies).
+columns a body, one ``IncrementalRank`` per trial.  It serves the
+planner's head-search leaves (two bodies) and the 3D ``check-meta``
+merge decision (k bodies).
 """
 from __future__ import annotations
 
@@ -492,30 +495,6 @@ def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
     )
 
 
-def _greedy_independent(rows, limit: int, p: int = RANK_MODULUS) -> list[int]:
-    """Indices of the integer rows kept greedily over GF(p), at most ``limit``.
-
-    A row is kept when it does not reduce to zero against the pivots of
-    the rows kept before it; the scan stops once ``limit`` rows are kept.
-    """
-    kept = []
-    pivots = []  # (column, row scaled to 1 there and zero at earlier pivots)
-    for k, row in enumerate(rows):
-        if len(kept) == limit:
-            break
-        row = [x % p for x in row]
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [(x - f * y) % p for x, y in zip(row, prow)]
-        col = next((c for c, x in enumerate(row) if x), None)
-        if col is not None:
-            inv = pow(row[col], -1, p)
-            pivots.append((col, [x * inv % p for x in row]))
-            kept.append(k)
-    return kept
-
-
 def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) -> int:
     """Rigidity-matrix rank over GF(p) of g with its vertices at ``positions``.
 
@@ -753,38 +732,35 @@ def check_rigidity(
 
 
 class IncrementalRank:
-    """Row-echelon basis over GF(p) supporting independence queries."""
+    """Short rows of Python ints kept greedily over GF(p), one row per ``try_add``.
 
-    def __init__(self, ncols: int, p: int = RANK_MODULUS):
-        self.p = p
-        self.ncols = ncols
-        self.basis: dict[int, np.ndarray] = {}  # pivot column -> reduced row
+    A row is kept when it does not reduce to zero against the rows kept
+    before it.  Each kept row is stored scaled to 1 at its pivot, its
+    first nonzero column, and zero at every earlier pivot, so one pass in
+    pivot order reduces a new row.
+    """
 
-    def reduce(self, row: np.ndarray) -> np.ndarray:
-        """Row minus basis rows, zero in every pivot column; zero iff in the span."""
-        p = self.p
-        row = row % p
-        for col, brow in self.basis.items():
+    def __init__(self):
+        self._pivots: list[tuple[int, list[int]]] = []  # (column, scaled row)
+
+    def try_add(self, row) -> bool:
+        """Keep row if it is independent of the rows kept; report which."""
+        p = RANK_MODULUS
+        row = [x % p for x in row]
+        for col, prow in self._pivots:
             f = row[col]
             if f:
-                row = (row - f * brow) % p
-        return row
-
-    def try_add(self, row: np.ndarray) -> bool:
-        """Add row if independent of the current basis; report success."""
-        red = self.reduce(row)
-        nz = red.nonzero()[0]
-        if nz.size == 0:
+                row = [(x - f * y) % p for x, y in zip(row, prow)]
+        col = next((c for c, x in enumerate(row) if x), None)
+        if col is None:
             return False
-        col = int(nz[0])
-        inv = pow(int(red[col]), -1, self.p)
-        red = (red * inv) % self.p
-        self.basis[col] = red
+        inv = pow(row[col], -1, p)
+        self._pivots.append((col, [x * inv % p for x in row]))
         return True
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return len(self._pivots)
 
 
 def _plucker(pi: tuple[int, ...], pj: tuple[int, ...]) -> list[int]:
@@ -812,7 +788,8 @@ class BodyBarRank:
     sum of required_rank(3, n_i): the merge bound 6|N| + 5|D| + 3|S| - 6
     for n >= 3, and for a pair the inter-edges it needs.  A body short of
     its generic rank leaves more rank missing than bars can add, so no
-    bar set reaches the target at that trial.
+    bar set reaches the target at that trial.  The bars' rows are a few
+    short lists of Python ints, kept by one ``IncrementalRank`` per trial.
     """
 
     def __init__(self, bodies, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
@@ -860,9 +837,15 @@ class BodyBarRank:
             positions = self._trial(t)
             if positions is None:
                 continue
-            kept = _greedy_independent((self._row(positions, e) for e in bars), self.target)
-            if len(kept) == self.target:
-                return tuple(bars[k] for k in kept)
+            basis = IncrementalRank()
+            kept = []
+            for e in bars:
+                if basis.rank == self.target:
+                    break
+                if basis.try_add(self._row(positions, e)):
+                    kept.append(e)
+            if basis.rank == self.target:
+                return tuple(kept)
         return None
 
 
@@ -874,10 +857,13 @@ def minimally_rigid_spanning(
 ) -> tuple[Edge, ...]:
     """Minimally rigid spanning edge set of g, kept greedily in edge order.
 
-    2D uses the pebble game.  3D adds the edges' rows to an
-    ``IncrementalRank`` in edge order, per trial, until they reach full
-    rank, and returns the edges kept at the first trial that does (a
-    single unlucky placement can only under-estimate rank).  Its
+    2D uses the pebble game.  3D eliminates the transposed rigidity
+    matrix once per trial with ``_eliminate``: column c is a pivot
+    exactly when edge c's row is independent of the rows before it, so
+    the first ``required_rank`` pivot columns are the edges kept
+    greedily in edge order.  It returns them at the first trial with
+    that many pivots (a single unlucky placement can only under-estimate
+    rank).  Its
     placements are those of ``generic_rank_oracle``, trial by trial, so
     this succeeds exactly when ``rigid_3d_check`` says g is rigid.  In
     3D, ``trials`` below 1 raises InputError, as in ``rigid_3d_check``.
@@ -896,13 +882,8 @@ def minimally_rigid_spanning(
         raise InputError("trials must be >= 1")
     col_of = {v: i for i, v in enumerate(g.vertices)}
     for positions in itertools.islice(trial_placements(g.vertices, dim, seed), trials):
-        basis = IncrementalRank(dim * len(g.vertices))
-        kept = []
-        for e, row in zip(g.edges, rigidity_matrix_rows(g.edges, positions, col_of, dim)):
-            if basis.rank == target:
-                break
-            if basis.try_add(row):
-                kept.append(e)
-        if len(kept) == target:
-            return tuple(kept)
+        a = rigidity_matrix_rows(g.edges, positions, col_of, dim).T
+        pivots = _eliminate(a, len(a), RANK_MODULUS)
+        if len(pivots) >= target:
+            return tuple(g.edges[c] for c in pivots[:target])
     raise NotRigidError("graph is not rigid in 3D")

@@ -30,13 +30,14 @@ from metaform.persistence import TERMINAL_BATCH_SIZE, TerminalSubgraphs
 from metaform.rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
-    IncrementalRank,
     batch_rank_mod_p,
     generic_rank_oracle,
     required_rank,
     rigidity_matrix_rows,
     trial_placements,
 )
+
+from incremental_rank_reference import IncrementalRank
 
 
 @dataclass

@@ -20,7 +20,9 @@ keeps it persistent, with the same terminal count; the braced formation
 is cyclic, so a large core is left after the peel.  A dangler, a vertex
 w with dim - 1 edges into the formation and a vertex u with dim edges
 into it and one to w, keeps ``check-rigidity``'s rigid verdict and makes
-every terminal fail: w has dim - 1 edges there.
+every terminal fail: w has dim - 1 edges there.  The three relations are
+also driven as one chain, brace, then dangler, then vertex addition, on
+one formation.
 
 In 2D the verdict is combinatorial and the relation is exact.  In 3D the
 shuffle moves every trial placement, since vertices are placed in list
@@ -188,3 +190,49 @@ def test_dangler_keeps_rigidity_and_breaks_persistence(case, brace):
         assert check_persistence(Path(tmp), f, dim)[1]["persistent"]
         code, report = check_persistence(Path(tmp), g, dim)
     assert (code, report["persistent"]) == (1, False)
+
+
+def brace_dangler_vertex_addition(dim, n, extra, rng, added):
+    """Brace, then dangler, then vertex addition on one acyclic dense
+    formation, each step checked by its single-step relation."""
+    f = acyclic_dense(n, dim, extra, rng)
+    braced = back_braced(f, dim)
+    assert len(terminal_subgraphs(braced, dim)) == len(terminal_subgraphs(f, dim)) <= 2000
+    g = dangler(braced, dim, rng)
+    w = max(g.vertices) + 1
+    heads = sorted(added.sample(g.vertices, dim + added.randint(0, 2)))
+    h = Formation(vertices=g.vertices + (w,), edges=g.edges + tuple((w, x) for x in heads))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        assert check_persistence(tmp, f, dim)[0] == 0
+        assert check_persistence(tmp, braced, dim)[0] == 0
+        for x in (braced, g, h):
+            assert check_rigidity(tmp / "x.json", list(x.vertices), list(x.edges), dim)["rigid"]
+        code, report = check_persistence(tmp, g, dim)
+        assert (code, report["persistent"]) == (1, False)
+        added_code, added_report = check_persistence(tmp, h, dim)
+    assert (added_code, added_report["persistent"]) == (1, False)
+    witness = sorted(report["witnessTerminal"] + [[w, x] for x in heads[:dim]])
+    assert added_report["witnessTerminal"] == witness
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(20, 60),
+    extra=st.integers(1, 6),
+    rng=st.randoms(use_true_random=False),
+    added=st.randoms(use_true_random=False),
+)
+def test_brace_dangler_vertex_addition_chain_2d(n, extra, rng, added):
+    brace_dangler_vertex_addition(2, n, extra, rng, added)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    n=st.integers(20, 60),
+    extra=st.integers(1, 5),
+    rng=st.randoms(use_true_random=False),
+    added=st.randoms(use_true_random=False),
+)
+def test_brace_dangler_vertex_addition_chain_3d(n, extra, rng, added):
+    brace_dangler_vertex_addition(3, n, extra, rng, added)

@@ -25,6 +25,7 @@ from metaform.errors import MetaformError
 from metaform.graph import Formation
 from metaform.persistence import _peeled, is_persistent, terminal_subgraphs
 
+import incremental_rank_reference
 from conftest import back_braced, complete, count_calls
 from persistence_reference import reference_is_persistent
 from test_batch_rank_differential import vertex_addition
@@ -221,18 +222,19 @@ def test_witness_carries_peeled_blocks(dim):
 
 def test_vertex_addition_n80_builds_no_fixed_base(monkeypatch):
     """The reference reduces the whole formation's base, row by row, with
-    ``fixed_base_reference``'s copy of the earlier ranker; the peel leaves
-    a core with nothing to reduce."""
+    ``fixed_base_reference``'s copy of the earlier ranker, on
+    ``incremental_rank_reference``'s numpy ``IncrementalRank``; the peel
+    leaves a core with nothing to reduce."""
     f = vertex_addition(80, 1, 80)
     assert len(terminal_subgraphs(f, 3)) == 4
     added = []
-    try_add = rigidity.IncrementalRank.try_add
+    try_add = incremental_rank_reference.IncrementalRank.try_add
 
     def counted(self, row):
         added.append(1)
         return try_add(self, row)
 
-    monkeypatch.setattr(rigidity.IncrementalRank, "try_add", counted)
+    monkeypatch.setattr(incremental_rank_reference.IncrementalRank, "try_add", counted)
     expected = reference_is_persistent(f, 3).to_dict()
     assert expected["persistent"] and added
     added.clear()

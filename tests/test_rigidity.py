@@ -277,8 +277,8 @@ class TestIncrementalRank:
                 [[rng.randint(0, 50) for _ in range(6)] for _ in range(8)],
                 dtype=np.int64,
             )
-            inc = IncrementalRank(6)
-            for row in m:
+            inc = IncrementalRank()
+            for row in m.tolist():
                 inc.try_add(row)
             assert inc.rank == rank_mod_p(m)
 

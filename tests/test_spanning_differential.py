@@ -1,13 +1,17 @@
 """3D ``minimally_rigid_spanning`` against its earlier trial loop.
 
-The spanning set keeps rows greedily in edge order, one
-``IncrementalRank`` per trial; before that it read the edges each
-trial's ``FixedBaseRank`` basis kept.  The reference is the earlier
-loop, kept here: per trial, one
-``IncrementalRank`` takes the fixed edges, failing at the first dependent
-one, then the rest greedily until full rank.  Both must return the same
+The spanning set is the pivot columns of one ``_eliminate`` call per
+trial on the transposed rigidity matrix.  Before that it kept rows
+greedily in edge order, one numpy ``IncrementalRank`` per trial, and
+before that it read the edges each trial's ``FixedBaseRank`` basis
+kept.  The reference is the earlier loop, kept here on
+``incremental_rank_reference``'s copy of that ``IncrementalRank``: per
+trial, it takes the fixed edges, failing at the first dependent one,
+then the rest greedily until full rank.  Both must return the same
 edges, or raise the same exception with the same message, also at
-coordinate ranges small enough that placements are often degenerate.
+coordinate ranges small enough that placements are often degenerate,
+on small random graphs and on grown, over-braced, back-braced,
+banana-grown and four-bar graphs up to n = 120.
 Fixed edge sets are no longer a parameter (a merge decision keeps its
 gadgets with ``BodyBarRank``), so the cases with them run against
 ``merge_reference``'s copy of the earlier ``minimally_rigid_spanning``.
@@ -21,7 +25,6 @@ from metaform import rigidity
 from metaform.errors import InputError, NotRigidError
 from metaform.graph import UndirectedView
 from metaform.rigidity import (
-    IncrementalRank,
     minimally_rigid_spanning,
     required_rank,
     rigidity_matrix_rows,
@@ -29,6 +32,8 @@ from metaform.rigidity import (
 )
 
 import merge_reference
+from incremental_rank_reference import IncrementalRank
+from test_rigidity_metamorphic import KINDS, build
 
 
 def reference_spanning(g, fixed=(), seed=0, trials=3):
@@ -123,3 +128,48 @@ def test_repeated_fixed_edge_is_dependent(trials):
     assert expected == (InputError, "fixed edge sets are not independent (at (1, 2))")
     got = outcome(merge_reference.minimally_rigid_spanning, g, 3, fixed=fixed, trials=trials)
     assert got == expected
+
+
+def over_braced(n, rng):
+    """Grown, then n // 4 more edges, each at a random place in the edge
+    list, so redundant rows come before some of the rows they depend on."""
+    vs, edges = build("grown", n, rng)
+    joined = {frozenset(e) for e in edges}
+    free = [p for p in itertools.combinations(vs, 2) if frozenset(p) not in joined]
+    for e in rng.sample(free, n // 4):
+        edges.insert(rng.randrange(len(edges) + 1), e)
+    return vs, edges
+
+
+def large_graphs():
+    """Rigid (grown, over-braced, back-braced) and not rigid (banana-grown,
+    four-bar) graphs up to n = 120, with the seed of their trials."""
+    rng = random.Random(20261019)
+    graphs = {}
+    for n in (20, 60, 120):
+        graphs[f"over-braced-{n}"] = over_braced(n, rng)
+        for kind in KINDS:
+            graphs[f"{kind}-{n}"] = build(kind, n, rng)
+    return {
+        name: (UndirectedView(tuple(vs), tuple((min(e), max(e)) for e in edges)), rng.randrange(100))
+        for name, (vs, edges) in graphs.items()
+    }
+
+
+LARGE = large_graphs()
+
+
+@pytest.mark.parametrize("coord_range", [2**20, 3, 2])
+def test_large_spanning_matches_trial_loop(monkeypatch, coord_range):
+    """The pivot columns of the transposed matrix are the greedy edges, on
+    graphs too large for the random cases; not-rigid graphs raise the same
+    ``NotRigidError``."""
+    monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
+    kinds = set()
+    for name, (g, seed) in LARGE.items():
+        expected = outcome(reference_spanning, g, seed=seed)
+        assert outcome(minimally_rigid_spanning, g, 3, seed=seed) == expected, name
+        kinds.add(expected[0])
+    assert NotRigidError in kinds
+    if coord_range == 2**20:
+        assert "spanning" in kinds

@@ -13,7 +13,9 @@ the same first full-rank leaf on every case.
 With k bodies, the bars ``BodyBarRank`` keeps are those the earlier
 merge decision selected: ``merge_reference.minimally_rigid_spanning``
 with each body's edges as a fixed set, at the first trial where every
-fixed edge and the full rank are kept.
+fixed edge and the full rank are kept.  Its bars are kept by one
+``IncrementalRank`` per trial, and they are the bars the earlier
+list-based ``_greedy_independent`` kept at the same trials.
 
 Members are singletons, pairs, vertex-addition members of 3-7 vertices,
 K5, leader-braced members, and folded members, two members joined by
@@ -35,6 +37,7 @@ from metaform.rigidity import BodyBarRank, minimally_rigid_spanning
 
 import merge_reference
 from fixed_base_reference import ReferenceRank
+from incremental_rank_reference import _greedy_independent
 from test_head_screen_differential import MEMBER_KINDS, member
 
 
@@ -164,4 +167,31 @@ def test_k_bodies_keep_the_merge_greedy_subset(monkeypatch, coord_range):
         got = BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(bars)
         assert got == reference_bars(bodies, bars, seed, trials)
         found.add(got is not None)
+    assert found == {True, False}
+
+
+def list_greedy_bars(ranker, bars):
+    """``independent_bars`` as it was, on the earlier list-based greedy."""
+    bars = tuple(bars)
+    for t in range(ranker.trials):
+        positions = ranker._trial(t)
+        if positions is None:
+            continue
+        rows = (ranker._row(positions, e) for e in bars)
+        kept = _greedy_independent(rows, ranker.target)
+        if len(kept) == ranker.target:
+            return tuple(bars[k] for k in kept)
+    return None
+
+
+@pytest.mark.parametrize("coord_range", [2, 3, 2**20])
+def test_k_bodies_keep_the_list_greedy_bars(monkeypatch, coord_range):
+    """One ``IncrementalRank`` per trial keeps the bars the earlier
+    ``_greedy_independent`` kept, on two to four bodies."""
+    monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
+    found = set()
+    for bodies, bars, seed, trials in K_BODY_CASES:
+        expected = list_greedy_bars(BodyBarRank(bodies, seed=seed, trials=trials), bars)
+        assert BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(bars) == expected
+        found.add(expected is not None)
     assert found == {True, False}
