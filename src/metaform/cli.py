@@ -203,12 +203,12 @@ def _cmd_plan_merge(args) -> int:
 def _plan_edge(e, location: str) -> PlanEdge:
     if not isinstance(e, dict) or "tail" not in e or "head" not in e:
         raise InputError("plan edge must be an object with 'tail' and 'head'", location)
-    return PlanEdge(
-        tail=json_int(e["tail"], f"{location}.tail"),
-        head=json_int(e["head"], f"{location}.head"),
-        rule=e.get("rule", "unknown"),
-        step=e.get("step", 0),
-    )
+    tail = json_int(e["tail"], f"{location}.tail")
+    head = json_int(e["head"], f"{location}.head")
+    rule = e.get("rule", "unknown")
+    if not isinstance(rule, str):
+        raise InputError(f"expected a string, got {json.dumps(rule)}", f"{location}.rule")
+    return PlanEdge(tail, head, rule, json_int(e.get("step", 0), f"{location}.step"))
 
 
 def _cmd_verify_plan(args) -> int:

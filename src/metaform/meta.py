@@ -5,14 +5,13 @@ One pass over the meta-vertices proves each one rigid by building its
 gadget, a canonical minimally rigid spanning subgraph of its edges; the
 size classes follow.  Merged rigidity does not depend on meta-vertex
 internals beyond their rigidity, so one greedy pass over the
-inter-edges against the gadgets decides the merge and selects E_M': one
-pebble game in 2D, exactly, and in 3D a ``BodyBarRank`` with each gadget
-a rigid body and each inter-edge a bar, whose rank ceiling is the merge
-bound.  In 3D the counting condition is only necessary; every rigid
-merge meets the count, and the exponential counting search and the
-substituted graph's rigidity check run only to name the witness of a
-not-rigid verdict.  ``check_meta`` proves each member persistent
-between the member pass and the merge decision.
+inter-edges against the gadgets decides the merge and selects E_M': a
+``BodyBarRank`` with each gadget a rigid body and each inter-edge a bar,
+whose rank ceiling is the merge bound, in both dimensions.  The
+exponential counting search and the substituted graph's rigidity check
+run only to name the witness of a not-rigid verdict; in 3D the counting
+condition is only necessary.  ``check_meta`` proves each member
+persistent between the member pass and the merge decision.
 """
 from __future__ import annotations
 
@@ -31,10 +30,8 @@ from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     BodyBarRank,
-    PebbleGame2D,
     check_rigidity,
     minimally_rigid_spanning,
-    required_rank,
 )
 
 SUBSET_SEARCH_CAP = 18
@@ -309,44 +306,28 @@ def _decide_merge(
 
     An inter-edge is kept when it is independent of the gadgets and the
     inter-edges kept before it; the merge is rigid when the kept subset,
-    E_M', reaches the counting bound.  In 2D one pebble game takes the
-    gadget edges, then the inter-edges; its rank is also a not-rigid
-    merge's deficit, and the witness is the smallest subset that violates
-    the count.  In 3D a ``BodyBarRank`` treats each gadget as a rigid
-    body and each inter-edge as a bar.  Counting success alone never
-    implies 3D rigidity (the double banana satisfies every count), so the
-    bitmask search runs only after a not-rigid verdict, to report the
-    screen and a violating subset, and one rigidity check of the
-    substituted graph (gadgets plus inter-edges) names its separating
-    pair or rank deficit.  That check may reach full rank at a trial
-    where a gadget is degenerate, which the greedy pass skips; the merge
-    stays not rigid, with neither witness.  A rigid 3D merge holds a
-    bound-sized independent inter-edge subset, every subset of which
-    meets the count, so its screen is reported passed without searching.
-    Both are marked skipped above the subset-search cap.
+    E_M', reaches the counting bound.  One ``BodyBarRank`` treats each
+    gadget as a rigid body and each inter-edge as a bar, in both
+    dimensions.  A not-rigid merge gets one rigidity check of the
+    substituted graph (gadgets plus inter-edges), which names its rank
+    deficit (in 2D the pebble game's rank) or separating pair.  In 3D
+    that check may reach full rank at a trial where a gadget is
+    degenerate, which the greedy pass skips; the merge stays not rigid,
+    with neither witness.  The 2D witness is the smallest subset that
+    violates the count.  Counting success alone never implies 3D
+    rigidity (the double banana satisfies every count), so the bitmask
+    search runs only after a not-rigid verdict, to report the screen and
+    a violating subset.  A rigid 3D merge holds a bound-sized
+    independent inter-edge subset, every subset of which meets the
+    count, so its screen is reported passed without searching.  Both are
+    marked skipped above the subset-search cap.
     """
     dim = cls.dim
     bound = merge_bound(cls)
-    vertices = tuple(v for mv in meta.meta_vertices for v in mv.vertices)
-    deficit = pair = None
-    if dim == 2:
-        game = PebbleGame2D(vertices)
-        for e in itertools.chain(*kept):
-            game.insert(e)
-        target = required_rank(2, len(vertices))
-        selected = tuple(e for e in meta.inter_edges if game.rank() < target and game.insert(e))
-        rigid = game.rank() == target
-        deficit = (game.rank(), target)
-    else:
-        bodies = (UndirectedView(mv.vertices, edges) for mv, edges in zip(meta.meta_vertices, kept))
-        selected = BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(meta.inter_edges)
-        rigid = selected is not None
-        if not rigid:
-            g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
-            verdict = check_rigidity(g, 3, seed=seed, trials=trials)
-            if not verdict.rigid:
-                deficit, pair = verdict.rank_deficit, verdict.separating_pair
-    if rigid:
+    bodies = (UndirectedView(mv.vertices, edges) for mv, edges in zip(meta.meta_vertices, kept))
+    ranker = BodyBarRank(bodies, dim, seed=seed, trials=trials)
+    selected = ranker.independent_bars(meta.inter_edges)
+    if selected is not None:
         return MetaVerdict(
             rigid=True,
             edge_optimal=len(meta.inter_edges) == bound,
@@ -358,6 +339,12 @@ def _decide_merge(
                 True if dim == 3 and len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None
             ),
         )
+    vertices = tuple(v for mv in meta.meta_vertices for v in mv.vertices)
+    g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
+    verdict = check_rigidity(g, dim, seed=seed, trials=trials)
+    deficit = pair = None
+    if not verdict.rigid:
+        deficit, pair = verdict.rank_deficit, verdict.separating_pair
     if dim == 2:
         counting_ok, witness = None, _smallest_violating_subset(meta, 2)
     else:

@@ -8,12 +8,14 @@ DOF-consumption vectors and, for each, the sets of inter-edges whose
 tails consume it (each set tried once), subject to the incidence
 constraints the theory imposes (at least three incident vertices per
 side, no vertex carrying more than three of the six edges), with every
-candidate validated before being emitted.  The two members are the
-bodies of one ``BodyBarRank``: each is ranked once per rank-oracle
-trial, and at a trial where both reach their generic rank a candidate
-costs one independence test of its inter-edges' Plücker lines, at most
-6x6 mod p.  That is exactly the rank oracle's verdict on the merged
-graph.  A vector with at most two tails,
+candidate validated before being emitted.  In both dimensions the two
+members are the bodies of one ``BodyBarRank``.  In 2D its pebble game
+holds the members' edges, and a candidate costs inserting its
+inter-edges and taking them back out.  In 3D each member is ranked once
+per rank-oracle trial, and at a trial where both reach their generic
+rank a candidate costs one independence test of its inter-edges'
+Plücker lines, at most 6x6 mod p.  Either is exactly the rigidity
+verdict on the merged graph.  A 3D vector with at most two tails,
 when each side has a vertex that is not a tail, is refused before any set
 is built: every inter-edge meets the line through the tails, and turning
 one side about that line is a non-trivial motion, so no placement reaches
@@ -46,7 +48,6 @@ from .rigidity import (
     BodyBarRank,
     check_rigidity,
     dof_constant,
-    laman_check_2d,
 )
 
 # Distinct inter-edge sets tried per DOF-consumption vector before moving on.
@@ -346,36 +347,27 @@ def _assign_heads(ga, gb, cand, dim, member_rows):
 
     At most ``HEAD_SEARCH_LEAF_CAP`` sets of ``_covered_leaves`` are
     tested, one at a time as they are built, and none is built past the
-    first that hits.  2D tests each by the pebble game.  3D first
-    screens out a candidate with at most two tails when each side has a
-    vertex that is not a tail: every inter-edge then meets the line
-    through the tails, so turning one side about that line while the
-    other stays still is a non-trivial motion, the merged graph is
-    generically flexible and no placement reaches full rank.  Otherwise
-    3D tests each leaf with ``member_rows()``, a two-body ``BodyBarRank``
-    built when the first leaf is.  A leaf has exactly the bars the pair
-    needs, so it hits when all of them are kept, at the first trial where
-    both members reach their generic rank and the leaf's Plücker lines
-    are independent: the rank oracle's verdict on its merged graph.
+    first that hits.  3D first screens out a candidate with at most two
+    tails when each side has a vertex that is not a tail: every
+    inter-edge then meets the line through the tails, so turning one side
+    about that line while the other stays still is a non-trivial motion,
+    the merged graph is generically flexible and no placement reaches
+    full rank.  Each leaf is tested with ``member_rows()``, a two-body
+    ``BodyBarRank`` built when the first leaf is.  A leaf has exactly the
+    bars the pair needs, so it hits when all of them are kept: in 2D when
+    the pebble game accepts them all, in 3D at the first trial where both
+    members reach their generic rank and the leaf's Plücker lines are
+    independent.  Either way, that is ``check_rigidity``'s verdict on
+    the merged graph.
     """
     if dim == 3 and len(cand) <= 2 and all(
         any(v not in cand for v in f.vertices) for f in (ga, gb)
     ):
         return None
     leaves = itertools.islice(_covered_leaves(ga, gb, cand, dim), HEAD_SEARCH_LEAF_CAP)
-    if dim == 2:
-        internal_edges = tuple(ga.edges) + tuple(gb.edges)
-        all_vertices = tuple(ga.vertices) + tuple(gb.vertices)
-
-        def rigid(pairs):
-            flat = Formation(vertices=all_vertices, edges=internal_edges + tuple(pairs))
-            return laman_check_2d(flat.underlying()).rigid
-    else:
-
-        def rigid(pairs):
-            return member_rows().independent_bars(pairs) is not None
-
-    return next((pairs for pairs in leaves if rigid(pairs)), None)
+    return next(
+        (pairs for pairs in leaves if member_rows().independent_bars(pairs) is not None), None
+    )
 
 
 def plan_pair(
@@ -407,14 +399,14 @@ def plan_pair(
 
     @functools.cache
     def member_rows() -> BodyBarRank:
-        # Built at the first 3D leaf, not up front: members that share a
+        # Built at the first leaf, not up front: members that share a
         # vertex id fail there, in the merged formation, while a search
         # whose every leaf is pruned still ends in a catalog miss.
         Formation(
             vertices=tuple(ga.vertices) + tuple(gb.vertices),
             edges=tuple(ga.edges) + tuple(gb.edges),
         )
-        return BodyBarRank((ga.underlying(), gb.underlying()), seed=seed, trials=trials)
+        return BodyBarRank((ga.underlying(), gb.underlying()), dim, seed=seed, trials=trials)
 
     rule = "2D-pair" if dim == 2 else ("small-graph" if min(na, nb) < 3 else "op-v")
     for cand in _consumption_vectors(ga, gb, led_a, led_b, required):

@@ -35,11 +35,12 @@ same elimination of the transposed matrix, once per trial: its pivot
 columns are the edges whose rows are independent of the rows before
 them, the edges kept greedily in edge order.
 A merge joins rigid bodies (members, or their gadgets) by bars (the
-inter-edges); a ``BodyBarRank`` ranks each body once per trial and then
-keeps bars greedily by their rows in the bodies' screw coordinates, 6
-columns a body, one ``IncrementalRank`` per trial.  It serves the
-planner's head-search leaves (two bodies) and the 3D ``check-meta``
-merge decision (k bodies).
+inter-edges), and one ``BodyBarRank`` decides it in both dimensions: the
+planner's head-search leaves (two bodies) and the ``check-meta`` merge
+decision (k bodies).  In 2D it holds one pebble game on the bodies and
+takes each query's bars back out; in 3D it ranks each body once per
+trial and keeps bars greedily by their rows in the bodies' screw
+coordinates, 6 columns a body, one ``IncrementalRank`` per trial.
 """
 from __future__ import annotations
 
@@ -263,9 +264,7 @@ def laman_check_2d(g: UndirectedView) -> RigidityVerdict:
 
 
 def sparsity_violation(
-    g: UndirectedView,
-    params: SparsityParams = SparsityParams(3, 6),
-    cap: int = SPARSITY_3D_VERTEX_CAP,
+    g: UndirectedView, params: SparsityParams = SparsityParams(3, 6)
 ) -> tuple[Edge, ...] | None:
     """Some edge subset E'' with |E''| > 3|V(E'')| - 6, sorted, or None.
 
@@ -280,13 +279,13 @@ def sparsity_violation(
     the same first witness as one over all vertices from size 3.  The
     witness depends on the graph only, not on the order of its vertex
     and edge lists.  The search stays exponential in the core size, so
-    the cap on n still applies.  ``params`` admits only (3, 6); a caller
-    may pass it to name the counts it asks for.
+    ``SPARSITY_3D_VERTEX_CAP`` on n still applies.  ``params`` admits
+    only (3, 6); a caller may pass it to name the counts it asks for.
     """
     n = len(g.vertices)
-    if n > cap:
+    if n > SPARSITY_3D_VERTEX_CAP:
         raise ResourceLimitError(
-            f"(3,6) sparsity search capped at {cap} vertices, got {n}"
+            f"(3,6) sparsity search capped at {SPARSITY_3D_VERTEX_CAP} vertices, got {n}"
         )
     core = _core(g.adjacency(), 4)
     verts = sorted(core)
@@ -771,9 +770,19 @@ def _plucker(pi: tuple[int, ...], pj: tuple[int, ...]) -> list[int]:
 
 
 class BodyBarRank:
-    """k rigid bodies on disjoint vertex sets, joined by bars, in 3D.
+    """k rigid bodies on disjoint vertex sets, joined by bars, in 2D or 3D.
 
-    Trial t places the bodies' vertices, concatenated in order, as
+    The merged graph is rigid exactly when the bars add ``target`` =
+    required_rank(dim, n) - sum of required_rank(dim, n_i) to the bodies'
+    rank: the merge bound for n >= dim, and for a pair the inter-edges it
+    needs.  2D holds one ``PebbleGame2D`` with every body edge inserted; a
+    query inserts its bars while the game is short of required_rank(2,
+    n), then removes those it accepted, which leaves the game as a fresh
+    one on the body edges (Lee & Streinu 2008).  So it answers as
+    ``laman_check_2d`` on bodies plus bars, keeping ``target`` bars when
+    the bodies are rigid.
+
+    3D trial t places the bodies' vertices, concatenated in order, as
     ``generic_rank_oracle``'s trial t places them (``trial_placements``),
     and ranks each body once (``rank_at``).  At a trial where every body
     reaches ``required_rank(3, n_i)``, each body's kernel is spanned by
@@ -783,25 +792,28 @@ class BodyBarRank:
     1987).  Bar (i, j) has the row (p_i - p_j, p_j x p_i) in its tail's
     6 columns and the negated row in its head's; the last body's columns
     are dropped, as no bar moves under one motion of all bodies, so for
-    two bodies the row is the bar's Plücker line.  The merged graph is
-    rigid exactly when the rows reach ``target`` = required_rank(3, n) -
-    sum of required_rank(3, n_i): the merge bound 6|N| + 5|D| + 3|S| - 6
-    for n >= 3, and for a pair the inter-edges it needs.  A body short of
-    its generic rank leaves more rank missing than bars can add, so no
-    bar set reaches the target at that trial.  The bars' rows are a few
-    short lists of Python ints, kept by one ``IncrementalRank`` per trial.
+    two bodies the row is the bar's Plücker line.  A body short of its
+    generic rank leaves more rank missing than bars can add, so no bar
+    set reaches the target at that trial.  The bars' rows are short lists
+    of Python ints, kept by one ``IncrementalRank`` per trial.  In 3D,
+    ``trials`` below 1 raises InputError.
     """
 
-    def __init__(self, bodies, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
-        if trials < 1:
-            raise InputError("trials must be >= 1")
+    def __init__(self, bodies, dim: int, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
         self.bodies = tuple(bodies)
+        self.dim = dim
         self.trials = trials
         vertices = tuple(v for g in self.bodies for v in g.vertices)
+        self._full = required_rank(dim, len(vertices))
+        self.target = self._full - sum(required_rank(dim, len(g.vertices)) for g in self.bodies)
+        if dim == 2:
+            self._game = PebbleGame2D(vertices)
+            for e in itertools.chain.from_iterable(g.edges for g in self.bodies):
+                self._game.insert(e)
+            return
+        if trials < 1:
+            raise InputError("trials must be >= 1")
         self._column = {v: 6 * i for i, g in enumerate(self.bodies) for v in g.vertices}
-        self.target = required_rank(3, len(vertices)) - sum(
-            required_rank(3, len(g.vertices)) for g in self.bodies
-        )
         self._placements = trial_placements(vertices, 3, seed)
         # Per trial: the placement, or None where a body falls short.
         self._placed: list[dict[int, tuple[int, ...]] | None] = []
@@ -826,13 +838,21 @@ class BodyBarRank:
         return row[:-6]
 
     def independent_bars(self, bars) -> tuple[Edge, ...] | None:
-        """The bars kept greedily, in the given order, at the first trial
-        where they reach ``target``, or None.
+        """The bars kept greedily, in the given order, once the merged
+        graph is rigid (in 3D at the first trial where the bars reach
+        ``target``), or None.
 
-        A trial is placed and its bodies ranked when a query first reaches
-        it.
+        A 3D trial is placed and its bodies ranked when a query first
+        reaches it.
         """
         bars = tuple(bars)
+        if self.dim == 2:
+            game = self._game
+            kept = [e for e in bars if game.rank() < self._full and game.insert(e)]
+            rigid = game.rank() == self._full
+            for e in kept:
+                game.remove(e)
+            return tuple(kept) if rigid else None
         for t in range(self.trials):
             positions = self._trial(t)
             if positions is None:

@@ -282,6 +282,42 @@ class TestDocumentShape:
         assert main(["verify-plan", str(p)]) == 2
         return capsys.readouterr().err
 
+    def triangle_pair_plan(self, tmp_path, edit):
+        """A 2D triangle+triangle plan from ``plan_collection``, its edge
+        dicts passed through ``edit``, written as a ``verify-plan`` file."""
+        members = [triangle(1), triangle(4)]
+        plan = planner.plan_collection(members, 2).to_dict()
+        for e in plan["edges"]:
+            edit(e)
+        p = tmp_path / "plan.json"
+        p.write_text(json.dumps(
+            {"collection": [f.to_dict() for f in members], "plan": plan, "dim": 2}
+        ))
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("step", "x", 'an integer, got "x"'),
+            ("step", 1.5, "an integer, got 1.5"),
+            ("step", True, "an integer, got true"),
+            ("rule", 7, "a string, got 7"),
+            ("rule", None, "a string, got null"),
+        ],
+    )
+    def test_verify_plan_malformed_step_or_rule_is_located(
+        self, tmp_path, capsys, field, value, expected
+    ):
+        p = self.triangle_pair_plan(tmp_path, lambda e: e.update({field: value}))
+        assert main(["verify-plan", p]) == 2
+        assert capsys.readouterr().err == f"error: expected {expected} (at plan.edges[0].{field})\n"
+
+    def test_verify_plan_without_step_or_rule_keeps_the_defaults(self, tmp_path, capsys):
+        p = self.triangle_pair_plan(tmp_path, lambda e: (e.pop("step"), e.pop("rule")))
+        code, out = run(capsys, ["verify-plan", p])
+        assert code == 0
+        assert json.loads(out)["persistent"] is True
+
     def test_verify_plan_edge_outside_members_is_located_in_plan(self, tmp_path, capsys):
         err = self.verify_plan_error(tmp_path, capsys, [triangle(1), triangle(4)], [(3, 9)])
         assert "endpoint not in any meta-vertex" in err

@@ -105,7 +105,7 @@ def member_rows_of(ga, gb, seed, trials, reference=False):
         )
         if reference:
             return ReferenceRank(members.underlying(), 3, seed=seed, trials=trials)
-        return BodyBarRank((ga.underlying(), gb.underlying()), seed=seed, trials=trials)
+        return BodyBarRank((ga.underlying(), gb.underlying()), 3, seed=seed, trials=trials)
 
     return member_rows
 

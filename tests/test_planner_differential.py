@@ -1,13 +1,15 @@
-"""3D head search and plan verification against their earlier references.
+"""Head search and plan verification against their earlier references.
 
 The head search yields each inter-edge set of a consumption vector once,
-and validates 3D sets one at a time by ``BodyBarRank.independent_bars``:
-each member is ranked once per rank-oracle trial, and a set then needs
-only the independence of its inter-edges' Plücker lines.  The reference
-below is the earlier search, which walked head sequences (one set in
-every order of each tail's heads), built the merged formation and ran
-``generic_rank_oracle`` on it at every leaf.  Both must emit the same plans, the new search after
-using at most as many leaves from the search budget.
+and validates sets one at a time by ``BodyBarRank.independent_bars``: in
+2D on one pebble game that holds the members' edges, in 3D with each
+member ranked once per rank-oracle trial, so that a set needs only the
+independence of its inter-edges' Plücker lines.  The reference below is
+the earlier search, which walked head sequences (one set in every order
+of each tail's heads), built the merged formation and ran
+``laman_check_2d`` or ``generic_rank_oracle`` on it at every leaf.  Both
+must emit the same plans, the new search after using at most as many
+leaves from the search budget.
 
 ``verify_plan`` takes its members as proved persistent once and decides
 edge-optimality from the persistence verdict and the size classes.  Its
@@ -140,7 +142,7 @@ def counting_leaves(monkeypatch):
     The search asks about one leaf at a time and stops at its first
     full-rank leaf.  That is what the reference counts: every leaf it
     tested, stopping at the first hit.  The patch is on the ranker the
-    planner calls, so a 3D plan with no leaf counted means the counter no
+    planner calls, so a plan with no leaf counted means the counter no
     longer sees the search.
     """
     used = []
@@ -205,6 +207,17 @@ COLLECTIONS.update(
     }
 )
 
+COLLECTIONS_2D = {f"survey-2d-{i}": c for i, c in enumerate(survey_collections(4, dim=2))}
+COLLECTIONS_2D.update(
+    {
+        "triangle-triangle": [triangle(1), triangle(4)],
+        "K4-triangle-singleton": [complete(4, 1), triangle(5), singleton(8)],
+        "singleton-singleton": [singleton(1), singleton(2)],
+        "pair-singleton": [pair(1, 2), singleton(3)],
+        "triangles-and-pair": [triangle(1), triangle(4), triangle(7), pair(10, 11)],
+    }
+)
+
 # plan_collection reaches plan_pair on every two-member collection above;
 # these pairs are planned as given, in declared order and unchecked.
 PAIRS = {
@@ -213,15 +226,24 @@ PAIRS = {
     "singleton-pair": COLLECTIONS["singleton-pair"],
     "survey-2-first-two": COLLECTIONS["survey-2"][:2],
 }
+PAIRS_2D = {
+    f"survey-2d-{i}-first-two": c[:2] for i, c in enumerate(survey_collections(6, dim=2))
+}
+PLAN_PAIR_CASES = [(3, name) for name in sorted(PAIRS)] + [
+    (2, name) for name in sorted(PAIRS_2D)
+]
+PLAN_COLLECTION_CASES = [(3, name) for name in sorted(COLLECTIONS)] + [
+    (2, name) for name in sorted(COLLECTIONS_2D)
+]
 
 
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name", sorted(PAIRS))
-def test_plan_pair_matches_reference(monkeypatch, name, seed, trials):
-    ga, gb = PAIRS[name]
+@pytest.mark.parametrize("dim, name", PLAN_PAIR_CASES)
+def test_plan_pair_matches_reference(monkeypatch, dim, name, seed, trials):
+    ga, gb = (PAIRS if dim == 3 else PAIRS_2D)[name]
     new, old, leaves, ref_leaves = both(
-        monkeypatch, plan_pair, ga, gb, 3, seed=seed, trials=trials, check=False
+        monkeypatch, plan_pair, ga, gb, dim, seed=seed, trials=trials, check=False
     )
     assert new == old
     assert leaves <= ref_leaves
@@ -230,10 +252,11 @@ def test_plan_pair_matches_reference(monkeypatch, name, seed, trials):
 
 @pytest.mark.parametrize("trials", [1, 3])
 @pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("name", sorted(COLLECTIONS))
-def test_plan_collection_matches_reference(monkeypatch, name, seed, trials):
+@pytest.mark.parametrize("dim, name", PLAN_COLLECTION_CASES)
+def test_plan_collection_matches_reference(monkeypatch, dim, name, seed, trials):
+    coll = (COLLECTIONS if dim == 3 else COLLECTIONS_2D)[name]
     new, old, leaves, ref_leaves = both(
-        monkeypatch, plan_collection, COLLECTIONS[name], 3, seed=seed, trials=trials
+        monkeypatch, plan_collection, coll, dim, seed=seed, trials=trials
     )
     assert new == old
     assert leaves <= ref_leaves
@@ -597,16 +620,6 @@ def widened(plan, collection, dim):
     return None
 
 
-COLLECTIONS_2D = {f"survey-2d-{i}": c for i, c in enumerate(survey_collections(4, dim=2))}
-COLLECTIONS_2D.update(
-    {
-        "triangle-triangle": [triangle(1), triangle(4)],
-        "K4-triangle-singleton": [complete(4, 1), triangle(5), singleton(8)],
-        "singleton-singleton": [singleton(1), singleton(2)],
-        "pair-singleton": [pair(1, 2), singleton(3)],
-        "triangles-and-pair": [triangle(1), triangle(4), triangle(7), pair(10, 11)],
-    }
-)
 VERIFY_CASES = [(3, name) for name in sorted(COLLECTIONS)] + [
     (2, name) for name in sorted(COLLECTIONS_2D)
 ]

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import octahedron_edges
 
+from metaform import rigidity
 from metaform.errors import ResourceLimitError
 from metaform.generate import banana
 from metaform.graph import UndirectedView
@@ -264,13 +265,16 @@ def test_corpus_covers_each_branch():
     assert all(v is not None and len(v) == 10 for v in found)
 
 
-def test_cap_raises_on_n_even_with_a_small_core():
+def test_cap_raises_on_n_even_with_a_small_core(monkeypatch):
     # The 4-core is the K5 on 1..5, a violation the core search would
-    # find at once; the cap is on n, so it raises first.
+    # find at once; the cap is on n, so it raises first.  The cap is read
+    # when the search is called.
     rng = random.Random(5)
     g = view(*four_bar(SPARSITY_3D_VERTEX_CAP + 1, rng))
     with pytest.raises(ResourceLimitError):
         sparsity_violation(g)
+    monkeypatch.setattr(rigidity, "SPARSITY_3D_VERTEX_CAP", 7)
     with pytest.raises(ResourceLimitError):
-        sparsity_violation(CORPUS["banana"], cap=7)
-    assert sparsity_violation(CORPUS["banana"], cap=8) is None
+        sparsity_violation(CORPUS["banana"])
+    monkeypatch.setattr(rigidity, "SPARSITY_3D_VERTEX_CAP", 8)
+    assert sparsity_violation(CORPUS["banana"]) is None

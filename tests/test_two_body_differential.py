@@ -91,7 +91,7 @@ def test_two_body_rank_matches_the_reference(monkeypatch, coord_range):
         merged = Formation(vertices=ga.vertices + gb.vertices, edges=ga.edges + gb.edges)
         ref = ReferenceRank(merged.underlying(), 3, seed=seed, trials=trials)
         expected = ref.first_full_rank(leaves)
-        got = BodyBarRank((ga.underlying(), gb.underlying()), seed=seed, trials=trials)
+        got = BodyBarRank((ga.underlying(), gb.underlying()), 3, seed=seed, trials=trials)
         kept = [got.independent_bars(leaf) for leaf in leaves]
         assert next((k for k, bars in enumerate(kept) if bars), None) == expected
         assert all(bars in (None, tuple(leaf)) for bars, leaf in zip(kept, leaves))
@@ -150,7 +150,7 @@ def k_body_cases(count):
             for a in ga.vertices
             for b in gb.vertices
         ]
-        target = BodyBarRank(bodies).target
+        target = BodyBarRank(bodies, 3).target
         bars = rng.sample(pairs, min(len(pairs), max(1, target + rng.randint(-2, 4))))
         out.append((bodies, bars, i, rng.randint(1, 3)))
     return out
@@ -164,7 +164,7 @@ def test_k_bodies_keep_the_merge_greedy_subset(monkeypatch, coord_range):
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
     found = set()
     for bodies, bars, seed, trials in K_BODY_CASES:
-        got = BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(bars)
+        got = BodyBarRank(bodies, 3, seed=seed, trials=trials).independent_bars(bars)
         assert got == reference_bars(bodies, bars, seed, trials)
         found.add(got is not None)
     assert found == {True, False}
@@ -191,7 +191,7 @@ def test_k_bodies_keep_the_list_greedy_bars(monkeypatch, coord_range):
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
     found = set()
     for bodies, bars, seed, trials in K_BODY_CASES:
-        expected = list_greedy_bars(BodyBarRank(bodies, seed=seed, trials=trials), bars)
-        assert BodyBarRank(bodies, seed=seed, trials=trials).independent_bars(bars) == expected
+        expected = list_greedy_bars(BodyBarRank(bodies, 3, seed=seed, trials=trials), bars)
+        assert BodyBarRank(bodies, 3, seed=seed, trials=trials).independent_bars(bars) == expected
         found.add(expected is not None)
     assert found == {True, False}
