@@ -238,6 +238,11 @@ def _cmd_verify_plan(args) -> int:
         raise InputError(f"dimension must be 2 or 3, got {dim}", "dim")
     if not collection:
         raise InputError("empty collection", "collection")
+    if sorted(plan.merge_order) != list(range(len(collection))):
+        raise InputError(
+            f"'mergeOrder' must list each collection index 0..{len(collection) - 1} once",
+            "plan.mergeOrder",
+        )
     try:
         plan.apply(collection)
     except InputError as exc:

@@ -5,8 +5,10 @@
 count, a randomized exact-rank oracle on the rigidity matrix decides;
 the necessary screens (3-connectivity, then (3,6)-sparsity when the
 edge count is tight) run only on a not-rigid verdict, to name its
-witness.  The 3-connectivity screen is one cut-vertex search of G - a
-per vertex a, O(n(n + m)).  The (3,6) search stays exponential, but
+witness.  The 3-connectivity screen first looks for a fan-lemma
+certificate, O(m) per vertex it routes by max flow; only without one does
+it run one cut-vertex search of G - a per vertex a, O(n(n + m)), which
+names the separating pair.  The (3,6) search stays exponential, but
 only over the 4-core, where every smallest violating set lies, and only
 up to ``SPARSITY_3D_VERTEX_CAP`` vertices.  Rank arithmetic is modular
 over a large prime, never floating point, so the only possible error is
@@ -494,7 +496,12 @@ def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
     )
 
 
-def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) -> int:
+def rank_at(
+    g: UndirectedView,
+    dim: int,
+    positions: dict[int, tuple[int, ...]],
+    adj: dict[int, set[int]] | None = None,
+) -> int:
     """Rigidity-matrix rank over GF(p) of g with its vertices at ``positions``.
 
     A vertex v with d <= dim remaining edges whose d rows, restricted to
@@ -505,8 +512,11 @@ def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) 
     ``rank_mod_p`` ranks what is left.  A vertex-addition graph peels away
     completely; a vertex whose block is singular at this placement stays
     in the remainder.  ``positions`` may place other vertices too.
+    ``adj``, when given, is g's adjacency, and the peel consumes it: on
+    return it holds the vertices left and the edges among them.
     """
-    adj = g.adjacency()
+    if adj is None:
+        adj = g.adjacency()
     rank = 0
     stack = [v for v in g.vertices if len(adj[v]) <= dim]
     while stack:
@@ -530,13 +540,16 @@ def rank_at(g: UndirectedView, dim: int, positions: dict[int, tuple[int, ...]]) 
     return rank + rank_mod_p(rigidity_matrix_rows(edges, positions, col_of, dim))
 
 
-def rigidity_rank_once(g: UndirectedView, dim: int, rng: random.Random) -> int:
+def rigidity_rank_once(
+    g: UndirectedView, dim: int, rng: random.Random, adj: dict[int, set[int]] | None = None
+) -> int:
     """Rigidity-matrix rank over GF(p) at the trial's placement drawn from rng.
 
     Every vertex is placed first, in vertex order, so the draws do not
-    depend on the edges; ``rank_at`` ranks the matrix there.
+    depend on the edges; ``rank_at`` ranks the matrix there, peeling
+    ``adj`` when it is given.
     """
-    return rank_at(g, dim, _positions(g.vertices, dim, rng))
+    return rank_at(g, dim, _positions(g.vertices, dim, rng), adj)
 
 
 def generic_rank_oracle(
@@ -562,15 +575,19 @@ def generic_rank_oracle(
     is empty.  Proof: removing a vertex and its d edges deletes d rows
     and lowers the rank by at most d, at any placement; peeling down to C
     removes |E| - |E(C)| edges, and C's own rank is at most
-    min(|E(C)|, required_rank(dim, |C|)).
+    min(|E(C)|, required_rank(dim, |C|)).  C is taken from what the first
+    trial's peel left: it peels a vertex only at dim or fewer remaining
+    edges, which no vertex of C ever has, so the remainder holds C, and
+    its own (dim + 1)-core is C.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")
     ceiling = min(len(g.edges), required_rank(dim, len(g.vertices)))
     rng = random.Random(seed)
-    best = rigidity_rank_once(g, dim, rng)
+    left = g.adjacency()
+    best = rigidity_rank_once(g, dim, rng, left)
     if best < ceiling and trials > 1:
-        core = _core(g.adjacency(), dim + 1)
+        core = _core(left, dim + 1)
         if core:
             inner = sum(u in core and w in core for u, w in g.edges)
             ceiling = min(
@@ -633,19 +650,164 @@ def _cut_vertices(nbrs: list[list[int]], removed: int) -> tuple[list[bool], int]
     return is_cut, components
 
 
+def _k4(nbrs: list[list[int]]) -> tuple[int, int, int, int] | None:
+    """Four mutually adjacent vertices u < w < x < y, by index, or None.
+
+    For each edge u-w with u < w, in order, the neighbours x > w of w that
+    are also neighbours of u are marked, and an edge x-y between two of
+    them closes a K4.  The search gives up once it has read 4m adjacency
+    entries, twice one pass over every list, so it costs O(m) whether or
+    not it finds one.
+    """
+    n = len(nbrs)
+    budget = 2 * sum(map(len, nbrs))
+    near = [-1] * n  # near[x] == u: x > u is a neighbour of u
+    both = [-1] * n  # both[x] == w: x > w is also a neighbour of w
+    for u in range(n):
+        nu = nbrs[u]
+        budget -= len(nu)
+        for x in nu:
+            if x > u:
+                near[x] = u
+        for w in nu:
+            if w < u:
+                continue
+            nw = nbrs[w]
+            budget -= len(nw)
+            common = [x for x in nw if x > w and near[x] == u]
+            for x in common:
+                both[x] = w
+            for x in common:
+                nx = nbrs[x]
+                budget -= len(nx)
+                for y in nx:
+                    if both[y] == w and near[y] == u:
+                        return u, w, x, y
+            if budget < 0:
+                return None
+    return None
+
+
+def _has_fan(nbrs: list[list[int]], in_s: list[bool], v: int) -> bool:
+    """Whether v, outside S, has a 3-fan to S: three paths that share only
+    v, run outside S, and end at three distinct vertices of S.
+
+    A unit vertex-capacity max flow from v on the split graph: x_in
+    (node 2x) -> x_out (node 2x + 1) with capacity 1 for each x outside
+    S, x_out -> y_in for each edge, and a unit sink arc out of each
+    s_in for s in S, which has no out-node.  ``prv[y]`` is the x whose
+    arc x_out -> y_in carries flow, or -1; a vertex takes in at most one
+    unit, so this one list is the whole flow.  Each breadth-first search
+    in the residual graph finds one augmenting path; three of them are
+    three units into three distinct sink arcs.  O(m) per search.
+    """
+    n = len(nbrs)
+    prv = [-1] * n
+    root = 2 * v + 1
+    for _ in range(3):
+        par = [-1] * (2 * n)
+        par[root] = par[root - 1] = root  # v_in is never entered
+        queue = [root]
+        end = -1
+        for node in queue:
+            x = node >> 1
+            if node & 1:
+                # x_out: each edge arc not carrying flow, then back into
+                # x_in when x is on a path.
+                for y in nbrs[x]:
+                    if prv[y] != x and par[2 * y] < 0:
+                        par[2 * y] = node
+                        if in_s[y] and prv[y] < 0:
+                            end = 2 * y
+                            break
+                        queue.append(2 * y)
+                if end >= 0:
+                    break
+                if prv[x] >= 0 and par[node - 1] < 0:
+                    par[node - 1] = node
+                    queue.append(node - 1)
+            else:
+                # x_in: on through x when x is free, else back along the
+                # flow arc into it (a used S vertex has only that).
+                p = prv[x]
+                nxt = node + 1 if p < 0 else 2 * p + 1
+                if par[nxt] < 0:
+                    par[nxt] = node
+                    queue.append(nxt)
+        if end < 0:
+            return False
+        node = end
+        while node != root:
+            p = par[node]
+            if not node & 1:
+                # Into y_in from another vertex's out-node: that arc now
+                # carries the flow; from y's own out-node: y leaves the path.
+                prv[node >> 1] = -1 if p == node + 1 else p >> 1
+            node = p
+    return True
+
+
+def _fan_certificate(nbrs: list[list[int]]) -> bool:
+    """True only if the graph on ``nbrs`` (n >= 4) is 3-connected.
+
+    Call S linked when |S| >= 4 and, for every set X of at most two
+    vertices, S - X lies in one component of G - X.  A K4 is linked.  If
+    S is linked and v has a 3-fan to S (three paths sharing only v, ending
+    at distinct vertices of S), S + v is linked: X meets at most two of
+    the paths, and the third joins v to S - X.  Three neighbours in S are
+    such a fan.  So S starts at a K4, takes every vertex with three
+    neighbours in it (the closure), and each vertex still outside, in
+    index order, joins once ``_has_fan`` finds its fan, followed again by
+    the closure.  S = V is 3-connectivity itself.
+
+    False means only that no certificate was found: no K4 within the
+    search's budget, or a vertex with no 3-fan.  By the fan lemma
+    (Menger) a 3-connected graph has a 3-fan from every vertex to every
+    set of 3 or more others, so the second case proves G is not
+    3-connected, and the search stops at the first such vertex.
+    """
+    k4 = _k4(nbrs)
+    if k4 is None:
+        return False
+    n = len(nbrs)
+    in_s = [False] * n
+    hits = [0] * n  # neighbours in S
+    pending = list(k4)
+    for v in k4:
+        in_s[v] = True
+    for v in range(n):
+        while pending:
+            for w in nbrs[pending.pop()]:
+                hits[w] += 1
+                if hits[w] == 3 and not in_s[w]:
+                    in_s[w] = True
+                    pending.append(w)
+        if in_s[v]:
+            continue
+        if not _has_fan(nbrs, in_s, v):
+            return False
+        in_s[v] = True
+        pending.append(v)
+    return True
+
+
 def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]:
-    """Whole-graph 3-connectivity from the cut vertices of each G - a.
+    """Whole-graph 3-connectivity: a fan certificate, else the cut
+    vertices of each G - a.
 
     Graphs on fewer than 4 vertices report vacuously true; the witness
     pair, if any, is the lexicographically smallest in ascending order.
-    For each a in ascending order, one cut-vertex search over G - a
-    decides every pair (a, b): G - {a, b} is disconnected when G - a has
-    3 or more components, or 2 and b is not one of them by itself, or 1
-    and b is a cut vertex of it.  The sorted vertices are mapped to
-    indices 0..n-1 once, and every search runs on one list-of-lists
-    adjacency and flat lists of depths, low points and cut flags.  Cut
-    vertices and component counts do not depend on the search order, so
-    neither does the pair.  O(n(n + m)) in total.
+    The sorted vertices are mapped to indices 0..n-1 once, into one
+    list-of-lists adjacency.  ``_fan_certificate`` first tries to prove
+    the graph 3-connected in O(m) per vertex it has to route, and a proof
+    returns (True, None).  Otherwise the scan decides, unchanged: for
+    each a in ascending order, one cut-vertex search over G - a decides
+    every pair (a, b): G - {a, b} is disconnected when G - a has 3 or
+    more components, or 2 and b is not one of them by itself, or 1 and b
+    is a cut vertex of it.  Every search runs on flat lists of depths,
+    low points and cut flags.  Cut vertices and component counts do not
+    depend on the search order, so neither does the pair.  The scan is
+    O(n(n + m)) in total.
     """
     verts = sorted(g.vertices)
     n = len(verts)
@@ -657,6 +819,8 @@ def three_connectivity(g: UndirectedView) -> tuple[bool, tuple[int, int] | None]
         i, j = index[u], index[w]
         nbrs[i].append(j)
         nbrs[j].append(i)
+    if _fan_certificate(nbrs):
+        return True, None
     for a in range(n - 1):
         is_cut, components = _cut_vertices(nbrs, a)
         for b in range(a + 1, n):
@@ -679,8 +843,12 @@ def rigid_3d_check(
     A full-rank placement proves generic rigidity, which implies
     3-connectivity and, at a tight edge count, (3,6)-sparsity.  So the
     screens run only after a rank deficit, in that order, to replace the
-    deficit with a separating pair or a violating edge set.  ``trials``
-    below 1 raises InputError, whatever the graph.
+    deficit with a separating pair or a violating edge set.  A
+    3-connected graph, such as a four-bar graph, is usually proved so by
+    ``three_connectivity``'s fan certificate without the pair scan; a
+    graph with a separating pair always runs the scan, which names the
+    smallest pair.  ``trials`` below 1 raises InputError, whatever the
+    graph.
     """
     if trials < 1:
         raise InputError("trials must be >= 1")

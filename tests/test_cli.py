@@ -318,6 +318,42 @@ class TestDocumentShape:
         assert code == 0
         assert json.loads(out)["persistent"] is True
 
+    def triangle_pair_plan_ordered(self, tmp_path, order):
+        """The triangle+triangle plan with its mergeOrder set to ``order``,
+        or taken out when ``order`` is None."""
+        p = Path(self.triangle_pair_plan(tmp_path, lambda e: None))
+        doc = json.loads(p.read_text())
+        if order is None:
+            del doc["plan"]["mergeOrder"]
+        else:
+            doc["plan"]["mergeOrder"] = order
+        p.write_text(json.dumps(doc))
+        return str(p)
+
+    @pytest.mark.parametrize(
+        "order",
+        [[7, 7, -3], [0, 0], [1, 1], [0, 2], [-1, 0], [0], [0, 1, 2], []],
+        ids=["repeated-and-negative", "repeated-0", "repeated-1", "out-of-range", "negative",
+             "too-short", "too-long", "empty"],
+    )
+    def test_verify_plan_merge_order_not_a_permutation_is_located(
+        self, tmp_path, capsys, order
+    ):
+        p = self.triangle_pair_plan_ordered(tmp_path, order)
+        assert main(["verify-plan", p]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'mergeOrder' must list each collection index 0..1 once"
+            " (at plan.mergeOrder)\n"
+        )
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0], None], ids=["in-order", "swapped", "absent"])
+    def test_verify_plan_merge_order_permutation_or_absent_exits_zero(
+        self, tmp_path, capsys, order
+    ):
+        code, out = run(capsys, ["verify-plan", self.triangle_pair_plan_ordered(tmp_path, order)])
+        assert code == 0
+        assert json.loads(out)["persistent"] is True
+
     def test_verify_plan_edge_outside_members_is_located_in_plan(self, tmp_path, capsys):
         err = self.verify_plan_error(tmp_path, capsys, [triangle(1), triangle(4)], [(3, 9)])
         assert "endpoint not in any meta-vertex" in err

@@ -208,9 +208,9 @@ def test_rigid_verdict_runs_no_screen(monkeypatch):
 def test_full_rank_stops_after_one_trial(monkeypatch):
     calls = []
 
-    def counted(g, dim, rng):
+    def counted(g, dim, rng, *adj):
         calls.append(dim)
-        return rigidity_rank_once(g, dim, rng)
+        return rigidity_rank_once(g, dim, rng, *adj)
 
     monkeypatch.setattr(rigidity, "rigidity_rank_once", counted)
     assert generic_rank_oracle(CORPUS["grown-21"], 3, trials=3) == 3 * 21 - 6
