@@ -8,10 +8,12 @@ internals beyond their rigidity, so one greedy pass over the
 inter-edges against the gadgets decides the merge and selects E_M': a
 ``BodyBarRank`` with each gadget a rigid body and each inter-edge a bar,
 whose rank ceiling is the merge bound, in both dimensions.  The
-exponential counting search and the substituted graph's rigidity check
-run only to name the witness of a not-rigid verdict; in 3D the counting
-condition is only necessary.  ``check_meta`` proves each member
-persistent between the member pass and the merge decision.
+exponential counting search runs only to name the witness of a not-rigid
+verdict: in 2D only after the pass's pebble game, which also gives the
+rank deficit, rejected an inter-edge; in 3D, where the counting
+condition is only necessary, beside one rigidity check of the
+substituted graph.  ``check_meta`` proves each member persistent
+between the member pass and the merge decision.
 """
 from __future__ import annotations
 
@@ -32,6 +34,7 @@ from .rigidity import (
     BodyBarRank,
     check_rigidity,
     minimally_rigid_spanning,
+    required_rank,
 )
 
 SUBSET_SEARCH_CAP = 18
@@ -308,25 +311,39 @@ def _decide_merge(
     inter-edges kept before it; the merge is rigid when the kept subset,
     E_M', reaches the counting bound.  One ``BodyBarRank`` treats each
     gadget as a rigid body and each inter-edge as a bar, in both
-    dimensions.  A not-rigid merge gets one rigidity check of the
-    substituted graph (gadgets plus inter-edges), which names its rank
-    deficit (in 2D the pebble game's rank) or separating pair.  In 3D
-    that check may reach full rank at a trial where a gadget is
-    degenerate, which the greedy pass skips; the merge stays not rigid,
-    with neither witness.  The 2D witness is the smallest subset that
-    violates the count.  Counting success alone never implies 3D
-    rigidity (the double banana satisfies every count), so the bitmask
-    search runs only after a not-rigid verdict, to report the screen and
-    a violating subset.  A rigid 3D merge holds a bound-sized
-    independent inter-edge subset, every subset of which meets the
-    count, so its screen is reported passed without searching.  Both are
-    marked skipped above the subset-search cap.
+    dimensions.
+
+    In 2D the pass is one pebble game.  On a not-rigid merge it never
+    reaches 2n - 3, so it inserts every inter-edge, and its rank is the
+    substituted graph's (gadgets plus inter-edges): the rank deficit.
+    The witness is the smallest subset that violates the count, and none
+    exists when the game accepted every inter-edge.  Proof: a bar sees
+    only the velocities of its endpoints, which move with 3 freedoms in
+    a member of I (two or more incident vertices) and 2 in a member of J
+    (one).  The 3 trivial motions stretch no bar, so independent bars
+    E'' have |E''| <= 3|I| + 2|J| - 3.  The search therefore runs only
+    after a rejected inter-edge.
+
+    A not-rigid 3D merge gets one rigidity check of the substituted
+    graph, which names its rank deficit or separating pair.  That check
+    may reach full rank at a trial where a gadget is degenerate, which
+    the greedy pass skips; the merge stays not rigid, with neither
+    witness.  Counting success alone never implies 3D rigidity (the
+    double banana satisfies every count), so the bitmask search runs only
+    after a not-rigid verdict, to report the screen and a violating
+    subset.  A rigid 3D merge holds a bound-sized independent inter-edge
+    subset, every subset of which meets the count, so its screen is
+    reported passed without searching.  Both searches are marked skipped
+    above the subset-search cap.
     """
     dim = cls.dim
     bound = merge_bound(cls)
     bodies = (UndirectedView(mv.vertices, edges) for mv, edges in zip(meta.meta_vertices, kept))
     ranker = BodyBarRank(bodies, dim, seed=seed, trials=trials)
-    selected = ranker.independent_bars(meta.inter_edges)
+    if dim == 2:
+        selected, rank, accepted_all = ranker.pebble_bars(meta.inter_edges)
+    else:
+        selected = ranker.independent_bars(meta.inter_edges)
     if selected is not None:
         return MetaVerdict(
             rigid=True,
@@ -340,14 +357,15 @@ def _decide_merge(
             ),
         )
     vertices = tuple(v for mv in meta.meta_vertices for v in mv.vertices)
-    g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
-    verdict = check_rigidity(g, dim, seed=seed, trials=trials)
-    deficit = pair = None
-    if not verdict.rigid:
-        deficit, pair = verdict.rank_deficit, verdict.separating_pair
     if dim == 2:
-        counting_ok, witness = None, _smallest_violating_subset(meta, 2)
+        deficit, pair, counting_ok = (rank, required_rank(2, len(vertices))), None, None
+        witness = None if accepted_all else _smallest_violating_subset(meta, 2)
     else:
+        g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
+        verdict = check_rigidity(g, 3, seed=seed, trials=trials)
+        deficit = pair = None
+        if not verdict.rigid:
+            deficit, pair = verdict.rank_deficit, verdict.separating_pair
         counting_ok, witness = _counting_screen_3d(meta, bound)
     return MetaVerdict(
         rigid=False,

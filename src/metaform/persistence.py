@@ -148,10 +148,6 @@ class TerminalSubgraphs(Sequence):
             choice.append(block[digit])
         return TerminalSubgraph(retained=tuple(e for kept in reversed(choice) for e in kept))
 
-    def __iter__(self):
-        for choice in itertools.product(*self.blocks):
-            yield TerminalSubgraph(retained=tuple(e for kept in choice for e in kept))
-
 
 def terminal_subgraphs(
     f: Formation, dim: int, cap: int = TERMINAL_SET_CAP

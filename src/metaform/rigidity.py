@@ -39,10 +39,11 @@ them, the edges kept greedily in edge order.
 A merge joins rigid bodies (members, or their gadgets) by bars (the
 inter-edges), and one ``BodyBarRank`` decides it in both dimensions: the
 planner's head-search leaves (two bodies) and the ``check-meta`` merge
-decision (k bodies).  In 2D it holds one pebble game on the bodies and
-takes each query's bars back out; in 3D it ranks each body once per
-trial and keeps bars greedily by their rows in the bodies' screw
-coordinates, 6 columns a body, one ``IncrementalRank`` per trial.
+decision (k bodies).  In 2D it holds one pebble game on the bodies,
+reports the rank each query reaches and takes its bars back out; in 3D
+it ranks each body once per trial and keeps bars greedily by their rows
+in the bodies' screw coordinates, 6 columns a body, one
+``IncrementalRank`` per trial.
 """
 from __future__ import annotations
 
@@ -944,11 +945,12 @@ class BodyBarRank:
     required_rank(dim, n) - sum of required_rank(dim, n_i) to the bodies'
     rank: the merge bound for n >= dim, and for a pair the inter-edges it
     needs.  2D holds one ``PebbleGame2D`` with every body edge inserted; a
-    query inserts its bars while the game is short of required_rank(2,
-    n), then removes those it accepted, which leaves the game as a fresh
-    one on the body edges (Lee & Streinu 2008).  So it answers as
-    ``laman_check_2d`` on bodies plus bars, keeping ``target`` bars when
-    the bodies are rigid.
+    query (``pebble_bars``) inserts its bars while the game is short of
+    required_rank(2, n), then removes those it accepted, which leaves the
+    game as a fresh one on the body edges (Lee & Streinu 2008).  So it
+    answers as ``laman_check_2d`` on bodies plus bars, keeping ``target``
+    bars when the bodies are rigid; when they stay short it has inserted
+    every bar, and its rank is ``laman_check_2d``'s.
 
     3D trial t places the bodies' vertices, concatenated in order, as
     ``generic_rank_oracle``'s trial t places them (``trial_placements``),
@@ -1005,6 +1007,19 @@ class BodyBarRank:
         row[cj : cj + 6] = [-x for x in line]
         return row[:-6]
 
+    def pebble_bars(self, bars) -> tuple[tuple[Edge, ...] | None, int, bool]:
+        """2D: ``independent_bars``'s answer, the rank the game reached
+        before the accepted bars came out, and whether it accepted every
+        bar.
+        """
+        bars = tuple(bars)
+        game = self._game
+        kept = [e for e in bars if game.rank() < self._full and game.insert(e)]
+        rank = game.rank()
+        for e in kept:
+            game.remove(e)
+        return (tuple(kept) if rank == self._full else None), rank, len(kept) == len(bars)
+
     def independent_bars(self, bars) -> tuple[Edge, ...] | None:
         """The bars kept greedily, in the given order, once the merged
         graph is rigid (in 3D at the first trial where the bars reach
@@ -1013,14 +1028,9 @@ class BodyBarRank:
         A 3D trial is placed and its bodies ranked when a query first
         reaches it.
         """
-        bars = tuple(bars)
         if self.dim == 2:
-            game = self._game
-            kept = [e for e in bars if game.rank() < self._full and game.insert(e)]
-            rigid = game.rank() == self._full
-            for e in kept:
-                game.remove(e)
-            return tuple(kept) if rigid else None
+            return self.pebble_bars(bars)[0]
+        bars = tuple(bars)
         for t in range(self.trials):
             positions = self._trial(t)
             if positions is None:

@@ -9,15 +9,15 @@ copied here as it was.  ``check_meta`` decided the merge before it proved
 the members persistent, and the CLI computed ``edgeOptimalPersistent``
 with its own local-DOF compliance check.  The gadgets and the selected
 subset come from ``merge_reference``'s copy of the earlier
-``minimally_rigid_spanning``, fixed edge sets and all.
+``minimally_rigid_spanning``, fixed edge sets and all, and the counting
+searches from its copies of ``_smallest_violating_subset`` and
+``_counting_screen_3d``.
 """
 from metaform.errors import InputError, NotPersistentError, NotRigidError
 from metaform.graph import Formation, MetaFormation
 from metaform.meta import (
     MetaVerdict,
     SUBSET_SEARCH_CAP,
-    _counting_screen_3d,
-    _smallest_violating_subset,
     edge_optimal_persistent,
     merge_bound,
     size_classes,
@@ -25,7 +25,11 @@ from metaform.meta import (
 from metaform.persistence import _verdict, is_persistent, ledger, local_dof_compliance
 from metaform.rigidity import PebbleGame2D, check_rigidity, laman_check_2d, rigid_3d_check
 
-from merge_reference import minimally_rigid_spanning
+from merge_reference import (
+    _counting_screen_3d,
+    _smallest_violating_subset,
+    minimally_rigid_spanning,
+)
 
 
 def classify(meta, dim, seed=0, trials=3):

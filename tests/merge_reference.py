@@ -9,24 +9,30 @@ general elimination branch of ``_independent_mod_p``.  All of it now goes
 through ``rigidity.BodyBarRank``; these copies are what it is compared
 with.  ``_decide_merge`` here calls the ``minimally_rigid_spanning``
 copy, so no reference runs the code under test.
+
+``_decide_merge_rechecked`` is the one-pass decision that followed: the
+``BodyBarRank`` greedy pass, then, on a not-rigid merge, a second
+rigidity check of the substituted graph for the rank deficit and, in
+2D, the subset search even where the pass had accepted every
+inter-edge.  The counting searches and the ``meta_count`` code they
+call are copied here too, so neither reference runs ``meta``'s own.
+``_decide_merge_rechecked`` still keeps inter-edges with the live
+``BodyBarRank``, which ``test_body_bar_rank_2d.py`` checks against
+``laman_check_2d`` and a fresh pebble game in 2D.
 """
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 from metaform.errors import InputError, NotRigidError
 from metaform.graph import Edge, MetaClass, MetaFormation, UndirectedView
-from metaform.meta import (
-    SUBSET_SEARCH_CAP,
-    MetaVerdict,
-    _counting_screen_3d,
-    _smallest_violating_subset,
-    merge_bound,
-)
+from metaform.meta import SUBSET_SEARCH_CAP, MetaVerdict, merge_bound
 from metaform.rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     RANK_MODULUS,
+    BodyBarRank,
     PebbleGame2D,
     check_rigidity,
     rank_at,
@@ -274,5 +280,184 @@ def _decide_merge(
         witness_subset=witness,
         rank_deficit=verdict.rank_deficit,
         separating_pair=verdict.separating_pair,
+        counting_ok=counting_ok,
+    )
+
+
+@dataclass(frozen=True)
+class MetaCount:
+    """Class counts of the meta-vertices touched by an inter-edge subset."""
+
+    i_class: tuple[int, ...]
+    j_class: tuple[int, ...]
+    k_class: tuple[int, ...] = ()
+    incident_vertices: int = 0
+
+    def bound(self, dim: int) -> int:
+        if dim == 2:
+            return 3 * len(self.i_class) + 2 * len(self.j_class) - 3
+        return (
+            6 * len(self.i_class)
+            + 5 * len(self.j_class)
+            + 3 * len(self.k_class)
+            - 6
+        )
+
+
+def meta_count(meta: MetaFormation, subset, dim: int) -> MetaCount:
+    """Classify each touched meta-vertex by its incident vertices.
+
+    2D: I has >= 2 incident vertices, J exactly one.  3D: I has >= 3
+    incident vertices or exactly two unconnected ones, J exactly two
+    connected ones, K exactly one.
+    """
+    incident: dict[int, set[int]] = {}
+    for t, h in subset:
+        incident.setdefault(meta.owner_of(t), set()).add(t)
+        incident.setdefault(meta.owner_of(h), set()).add(h)
+    i_class, j_class, k_class = [], [], []
+    total = 0
+    for idx in sorted(incident):
+        verts = incident[idx]
+        total += len(verts)
+        if dim == 2:
+            (i_class if len(verts) >= 2 else j_class).append(idx)
+            continue
+        if len(verts) == 1:
+            k_class.append(idx)
+        elif len(verts) == 2:
+            a, b = sorted(verts)
+            internal = {(min(t, h), max(t, h)) for t, h in meta.meta_vertices[idx].edges}
+            (j_class if (a, b) in internal else i_class).append(idx)
+        else:
+            i_class.append(idx)
+    return MetaCount(
+        i_class=tuple(i_class),
+        j_class=tuple(j_class),
+        k_class=tuple(k_class),
+        incident_vertices=total,
+    )
+
+
+def meta_count_violation(meta: MetaFormation, subset, dim: int) -> MetaCount | None:
+    """The subset's MetaCount if it violates the counting bound, else None.
+
+    The bound derives from counts on the incident vertex set and is only
+    meaningful when that set has at least dim vertices; smaller subsets
+    are never violations.
+    """
+    if not subset:
+        return None
+    count = meta_count(meta, subset, dim)
+    if count.incident_vertices < dim:
+        return None
+    if len(subset) > count.bound(dim):
+        return count
+    return None
+
+
+def _smallest_violating_subset(meta: MetaFormation, dim: int) -> tuple[Edge, ...] | None:
+    edges = meta.inter_edges
+    if len(edges) > SUBSET_SEARCH_CAP:
+        return None
+    for size in range(1, len(edges) + 1):
+        for subset in itertools.combinations(edges, size):
+            if meta_count_violation(meta, subset, dim) is not None:
+                return subset
+    return None
+
+
+def _counting_screen_3d(
+    meta: MetaFormation, bound: int
+) -> tuple[bool | None, tuple[Edge, ...] | None]:
+    """Search for a bound-sized subset all of whose subsets pass the count.
+
+    Subset DP over bitmasks: a set is bad if it violates the count or
+    contains a bad subset.  Returns (screen result or None if skipped,
+    witness when every candidate contains a violation).
+    """
+    edges = meta.inter_edges
+    m = len(edges)
+    if m > SUBSET_SEARCH_CAP:
+        return None, None
+    if bound > m or bound < 0:
+        return False, None
+    bad = [False] * (1 << m)
+    first_violation = None
+    for mask in range(1, 1 << m):
+        if any(bad[mask & ~(1 << i)] for i in range(m) if mask >> i & 1):
+            bad[mask] = True
+            continue
+        subset = tuple(edges[i] for i in range(m) if mask >> i & 1)
+        if meta_count_violation(meta, subset, 3) is not None:
+            bad[mask] = True
+            if first_violation is None:
+                first_violation = subset
+    for mask in range(1 << m):
+        if bin(mask).count("1") == bound and not bad[mask]:
+            return True, None
+    return False, first_violation
+
+
+def _decide_merge_rechecked(
+    meta: MetaFormation, cls: MetaClass, kept, seed: int, trials: int
+) -> MetaVerdict:
+    """Merged rigidity: one greedy pass over the inter-edges, in declared
+    order, against the gadgets ``kept``.
+
+    An inter-edge is kept when it is independent of the gadgets and the
+    inter-edges kept before it; the merge is rigid when the kept subset,
+    E_M', reaches the counting bound.  One ``BodyBarRank`` treats each
+    gadget as a rigid body and each inter-edge as a bar, in both
+    dimensions.  A not-rigid merge gets one rigidity check of the
+    substituted graph (gadgets plus inter-edges), which names its rank
+    deficit (in 2D the pebble game's rank) or separating pair.  In 3D
+    that check may reach full rank at a trial where a gadget is
+    degenerate, which the greedy pass skips; the merge stays not rigid,
+    with neither witness.  The 2D witness is the smallest subset that
+    violates the count.  Counting success alone never implies 3D
+    rigidity (the double banana satisfies every count), so the bitmask
+    search runs only after a not-rigid verdict, to report the screen and
+    a violating subset.  A rigid 3D merge holds a bound-sized
+    independent inter-edge subset, every subset of which meets the
+    count, so its screen is reported passed without searching.  Both are
+    marked skipped above the subset-search cap.
+    """
+    dim = cls.dim
+    bound = merge_bound(cls)
+    bodies = (UndirectedView(mv.vertices, edges) for mv, edges in zip(meta.meta_vertices, kept))
+    ranker = BodyBarRank(bodies, dim, seed=seed, trials=trials)
+    selected = ranker.independent_bars(meta.inter_edges)
+    if selected is not None:
+        return MetaVerdict(
+            rigid=True,
+            edge_optimal=len(meta.inter_edges) == bound,
+            dim=dim,
+            classes=cls,
+            bound=bound,
+            selected_subset=selected,
+            counting_ok=(
+                True if dim == 3 and len(meta.inter_edges) <= SUBSET_SEARCH_CAP else None
+            ),
+        )
+    vertices = tuple(v for mv in meta.meta_vertices for v in mv.vertices)
+    g = UndirectedView(vertices, tuple(itertools.chain(*kept, meta.inter_edges)))
+    verdict = check_rigidity(g, dim, seed=seed, trials=trials)
+    deficit = pair = None
+    if not verdict.rigid:
+        deficit, pair = verdict.rank_deficit, verdict.separating_pair
+    if dim == 2:
+        counting_ok, witness = None, _smallest_violating_subset(meta, 2)
+    else:
+        counting_ok, witness = _counting_screen_3d(meta, bound)
+    return MetaVerdict(
+        rigid=False,
+        edge_optimal=False,
+        dim=dim,
+        classes=cls,
+        bound=bound,
+        witness_subset=witness,
+        rank_deficit=deficit,
+        separating_pair=pair,
         counting_ok=counting_ok,
     )
