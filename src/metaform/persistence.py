@@ -2,11 +2,12 @@
 
 A formation is persistent when every terminal subgraph, obtained by
 repeatedly deleting outgoing edges at vertices whose out-degree exceeds
-the dimension, is rigid.  A deletion changes only its tail's out-degree,
-so the terminal subgraphs are the product of independent per-vertex
-choices of which ``dim`` out-edges to keep, and their number is known
-before any is built.  ``terminal_subgraphs`` returns that product as a
-lazy sequence; no list of terminals is built.
+the dimension, is rigid.  A deletion changes only its tail's out-edges,
+so a terminal is one choice per tail of which ``dim`` out-edges to keep:
+one index into each tail's block of combinations.  Their number is
+known before any is built.  ``terminal_subgraphs`` returns the product
+of the blocks as a lazy sequence of edge tuples; no list of terminals
+is built.
 
 Most of that product is decided by vertex addition (Tay & Whiteley,
 *Generating isostatic frameworks*, 1985; Hendrickx, Anderson, Delvenne
@@ -15,20 +16,22 @@ keeps exactly ``dim`` out-edges, to distinct vertices, in every
 terminal and has no other edge there, so each terminal is rigid exactly
 when it is rigid without that vertex.  ``is_persistent`` peels such
 vertices repeatedly, and the verdict is that of the core left behind:
-its terminals are the product of the unpeeled tails' blocks.  The
-first failing terminal of the whole formation keeps the first choice of
-every peeled block and the core's first failing terminal elsewhere.
+its terminals are the product of the unpeeled tails' blocks.  Both
+deciders return the choice per core block of the core's first failing
+terminal, and the witness is built once from them: choice 0 in every
+peeled block, the core's choices elsewhere.
 
 In 2D one pebble game walks the core's product tree depth first, in
-product order: going down a level inserts one vertex's kept edges, going
-back up removes the edges that were accepted.  Removing an edge returns
-its pebble to whichever endpoint it now leaves, so every vertex keeps
-pebbles + out-degree = 2, and so does every vertex set in total.  The
-game's answers rest only on those counts (Lee & Streinu, *Pebble game
-algorithms and sparse graphs*, 2008), so after a removal they are those
-of a fresh game on the edges that remain.  A subtree whose rank plus the
-edges still to come is short of 2n - 3 fails in every terminal, and its
-first terminal is the witness.
+product order: going down a level inserts one block's chosen edges,
+going back up removes the edges that were accepted.  Removing an edge
+returns its pebble to whichever endpoint it now leaves, so every vertex
+keeps pebbles + out-degree = 2, and so does every vertex set in total.
+The game's answers rest only on those counts (Lee & Streinu, *Pebble
+game algorithms and sparse graphs*, 2008), so after a removal they are
+those of a fresh game on the edges that remain.  A subtree whose rank
+plus the edges still to come is short of ``required_rank`` fails in
+every terminal, and its first terminal, choice 0 in every block below,
+is the witness.
 
 In 3D every core terminal keeps the core's vertices in the same order,
 so trial t of each terminal's rank oracle places them the same way; the
@@ -70,10 +73,10 @@ from .rigidity import (
 TERMINAL_SET_CAP = 10**6
 # 3D terminals ranked together, one batch per trial.  No benchmark op
 # reaches it.  On the back-braced acyclic_dense(16, 3, 7) formation of
-# the tests (16,384 terminals; is_persistent, min of 3 runs, three
-# interleaved rounds, 2-core shared host) 256 took 733-1,076 ms, 512
-# 749-937 ms and 1,024 829-969 ms, at 56, 58 and 64 MB peak RSS; no
-# size won every round.
+# the tests at rng seed 1 (16,384 terminals; is_persistent, min of 3
+# runs, three interleaved rounds, 2-core shared host) 256 took 738-747
+# ms, 512 727-770 ms and 1,024 754-780 ms, at 56, 58 and 64 MB peak
+# RSS; no size won every round.
 TERMINAL_BATCH_SIZE = 512
 
 
@@ -113,21 +116,14 @@ def ledger(f: Formation, dim: int) -> DofLedger:
     )
 
 
-@dataclass(frozen=True)
-class TerminalSubgraph:
-    """The edge set a terminal subgraph retains."""
-
-    retained: tuple[Edge, ...]
-
-
 class TerminalSubgraphs(Sequence):
-    """The terminal subgraphs of a formation, sorted by retained edge set.
+    """The terminal subgraphs of a formation, sorted by edge set.
 
     ``blocks`` holds, per tail in sorted order, the combinations of
     out-edges that tail may keep; a terminal is one choice per block,
     concatenated.  Each block's choices come sorted and share one length,
-    so product order is sorted order, and terminal i is built from the
-    mixed-radix digits of i only when it is asked for.
+    so product order is sorted order, and terminal i, its edge tuple, is
+    built from the mixed-radix digits of i only when it is asked for.
     """
 
     def __init__(self, blocks: tuple[tuple[tuple[Edge, ...], ...], ...]):
@@ -137,22 +133,22 @@ class TerminalSubgraphs(Sequence):
     def __len__(self) -> int:
         return self._count
 
-    def __getitem__(self, i: int) -> TerminalSubgraph:
+    def __getitem__(self, i: int) -> tuple[Edge, ...]:
         if i < 0:
             i += self._count
         if not 0 <= i < self._count:
             raise IndexError("terminal index out of range")
-        choice = []
+        kept = []
         for block in reversed(self.blocks):
-            i, digit = divmod(i, len(block))
-            choice.append(block[digit])
-        return TerminalSubgraph(retained=tuple(e for kept in reversed(choice) for e in kept))
+            i, choice = divmod(i, len(block))
+            kept.append(block[choice])
+        return tuple(e for edges in reversed(kept) for e in edges)
 
 
 def terminal_subgraphs(
     f: Formation, dim: int, cap: int = TERMINAL_SET_CAP
 ) -> TerminalSubgraphs:
-    """All terminal subgraphs, sorted by retained edge set, built on demand.
+    """All terminal subgraphs' edge tuples, sorted, built on demand.
 
     A vertex with out-degree d > dim keeps one of the C(d, dim)
     combinations of its out-edges and drops the rest; every other vertex
@@ -218,68 +214,64 @@ def _verdict(led: DofLedger, minimally: bool, seed: int, witness=None) -> Persis
 
 
 def _first_nonrigid_terminal_2d(
-    vertices: tuple[int, ...], terminals: TerminalSubgraphs
-) -> int | None:
-    """Index of the first terminal on ``vertices`` the pebble game finds
-    not rigid, or None.
+    vertices: tuple[int, ...], blocks: tuple[tuple[tuple[Edge, ...], ...], ...]
+) -> list[int] | None:
+    """The choice per block of the first terminal on ``vertices`` that the
+    pebble game finds not rigid, or None.
 
     One game walks the product tree depth first, in product order: going
-    down a level inserts that block's choice, going back up removes the
-    edges it accepted.  Levels come off in reverse order, so the edges an
-    insert rejected stay dependent on edges still in the game, and the
-    game's rank is always that of the prefix's edge set.  Blocks with a
-    single choice are in every terminal and are inserted once, before the
-    walk.  A prefix whose rank plus the edges still to come falls short
-    of 2n - 3 fails in every terminal below it, so the first of those is
-    the first failing terminal; a prefix already at full rank passes in
-    every terminal below it.  With one vertex the target is -1 and
-    nothing fails; with two, the one edge, if there, reaches 1.
+    down a level sets that block's choice and inserts its edges, going
+    back up removes the edges it accepted.  Levels come off in reverse
+    order, so the edges an insert rejected stay dependent on edges still
+    in the game, and the game's rank is always that of the prefix's edge
+    set.  Blocks with a single choice are in every terminal and are
+    inserted once, before the walk.  A prefix whose rank plus the edges
+    still to come falls short of ``required_rank`` fails in every
+    terminal below it, so the first of those, choice 0 in every block
+    below, is the first failing terminal; a prefix already at full rank
+    passes in every terminal below it.
     """
-    target = 2 * len(vertices) - 3
+    target = required_rank(2, len(vertices))
     game = PebbleGame2D(vertices)
-    levels = []
-    for b, block in enumerate(terminals.blocks):
+    for block in blocks:
         if len(block) == 1:
             for e in block[0]:
                 game.insert(e)
-        else:
-            levels.append(b)
+    levels = [b for b, block in enumerate(blocks) if len(block) > 1]
     # to_come[k]: edges that levels k and below add to every terminal.
-    to_come = [0] * (len(levels) + 1)
-    for k in reversed(range(len(levels))):
-        to_come[k] = to_come[k + 1] + len(terminals.blocks[levels[k]][0])
-    digits = [0] * len(terminals.blocks)
-    added: list[list[Edge]] = []
-    while True:
-        k = len(added)
+    to_come = list(itertools.accumulate((len(blocks[b][0]) for b in reversed(levels)), initial=0))
+    to_come.reverse()
+    choices = [0] * len(blocks)
+
+    def fails(k: int) -> bool:
+        # Leaves choices[levels[k:]] at 0 unless a terminal below fails.
         rank = game.rank()
         if rank + to_come[k] < target:
-            index = 0
-            for block, digit in zip(terminals.blocks, digits):
-                index = index * len(block) + digit
-            return index
-        if k < len(levels) and rank < target:
-            kept = terminals.blocks[levels[k]][digits[levels[k]]]
-            added.append([e for e in kept if game.insert(e)])
-            continue
-        # Every terminal below this prefix is rigid: go to the next one.
-        while added:
-            for e in added.pop():
+            return True
+        if k == len(levels) or rank >= target:
+            return False
+        b = levels[k]
+        for choice, kept in enumerate(blocks[b]):
+            choices[b] = choice
+            added = [e for e in kept if game.insert(e)]
+            if fails(k + 1):
+                return True
+            for e in added:
                 game.remove(e)
-            b = levels[len(added)]
-            digits[b] += 1
-            if digits[b] < len(terminals.blocks[b]):
-                break
-            digits[b] = 0
-        else:
-            return None
+        choices[b] = 0
+        return False
+
+    return choices if fails(0) else None
 
 
 def _first_nonrigid_terminal_3d(
-    vertices: tuple[int, ...], terminals: TerminalSubgraphs, seed: int, trials: int
-) -> int | None:
-    """Index of the first terminal on ``vertices`` that ``rigid_3d_check``
-    finds not rigid, or None.
+    vertices: tuple[int, ...],
+    blocks: tuple[tuple[tuple[Edge, ...], ...], ...],
+    seed: int,
+    trials: int,
+) -> list[int] | None:
+    """The choice per block of the first terminal on ``vertices`` that
+    ``rigid_3d_check`` finds not rigid, or None.
 
     Every terminal keeps min(d+, 3) edges per vertex, so all share one
     edge count and the edge-count exit decides all of them at once.  On
@@ -291,36 +283,41 @@ def _first_nonrigid_terminal_3d(
     does, and one ``reduce_mod_p`` call ranks the single-choice edges
     there and reduces every multi-choice edge's row against them.  A
     terminal is rigid when some trial's base rank plus the rank of its
-    3 reduced rows per multi-choice block reaches 3n - 6.  Each batch of
-    terminals goes on to the next trial with only the terminals still
-    short of full rank.
+    3 reduced rows per multi-choice block reaches 3n - 6.  Batches number
+    the terminals in product order over the multi-choice blocks, and each
+    batch goes on to the next trial with only the terminals still short
+    of full rank.
     """
     target = required_rank(3, len(vertices))
-    if sum(len(block[0]) for block in terminals.blocks) < target:
-        return 0
+    choices = [0] * len(blocks)
+    if sum(len(block[0]) for block in blocks) < target:
+        return choices
     if len(vertices) <= 4:
         return None
-    if len(terminals) == 1:
-        g = UndirectedView(vertices, terminals[0].retained)
-        return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else 0
-    fixed = [e for block in terminals.blocks if len(block) == 1 for e in block[0]]
-    multi = [block for block in terminals.blocks if len(block) > 1]
+    multi = [b for b, block in enumerate(blocks) if len(block) > 1]
+    fixed = [e for block in blocks if len(block) == 1 for e in block[0]]
+    if not multi:
+        g = UndirectedView(vertices, tuple(fixed))
+        return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else choices
     # The edges the multi-choice blocks choose from: their tails' out-edges.
-    extra = sorted({e for block in multi for choice in block for e in choice})
+    extra = sorted({e for b in multi for choice in blocks[b] for e in choice})
     slot = {e: k for k, e in enumerate(extra)}
+    # Per multi-choice block: its choices' slots, one row per choice.
+    slots = [
+        np.array([[slot[e] for e in choice] for choice in blocks[b]], dtype=np.intp) for b in multi
+    ]
+    radices = [len(blocks[b]) for b in multi]
     col_of = {v: i for i, v in enumerate(vertices)}
     placements = trial_placements(vertices, 3, seed)
     # Per trial reached: the rank the base lacks, and the reduced extra rows.
     reduced: list[tuple[int, np.ndarray]] = []
-    # Single-choice blocks add digit 0 only, so product order over the
-    # other blocks is terminal order.
-    pending = itertools.product(*([[slot[e] for e in choice] for choice in b] for b in multi))
-    start = 0
-    while batch := [
-        list(itertools.chain(*choice)) for choice in itertools.islice(pending, TERMINAL_BATCH_SIZE)
-    ]:
-        index = np.array(batch, dtype=np.intp)
-        short = np.arange(len(batch))
+    count = math.prod(radices)
+    for start in range(0, count, TERMINAL_BATCH_SIZE):
+        stop = min(start + TERMINAL_BATCH_SIZE, count)
+        # C order, last block fastest, is product order.
+        digits = np.unravel_index(np.arange(start, stop), radices)
+        index = np.concatenate([s[d] for s, d in zip(slots, digits)], axis=1)
+        short = np.arange(len(index))
         for t in range(trials):
             if t == len(reduced):
                 rows = rigidity_matrix_rows(fixed + extra, next(placements), col_of, 3)
@@ -331,8 +328,9 @@ def _first_nonrigid_terminal_3d(
             if not short.size:
                 break
         if short.size:
-            return start + int(short[0])
-        start += len(batch)
+            for b, d in zip(multi, digits):
+                choices[b] = int(d[short[0]])
+            return choices
     return None
 
 
@@ -383,28 +381,28 @@ def is_persistent(
     if trials < 1:
         raise InputError("trials must be >= 1")
     led = ledger(f, dim)
-    # Terminals come sorted by retained edge set, so the first non-rigid
-    # one is the lexicographically smallest witness.
+    # Terminals come sorted by edge set, so the first non-rigid one is
+    # the lexicographically smallest witness.
     terminals = terminal_subgraphs(f, dim, cap=cap)
     peeled = _peeled(f, dim)
     core = tuple(v for v in f.vertices if v not in peeled)
     # A block's choices all start with its tail's first out-edge.
     in_core = [block[0][0][0] not in peeled for block in terminals.blocks]
-    core_terminals = TerminalSubgraphs(tuple(itertools.compress(terminals.blocks, in_core)))
+    core_blocks = tuple(itertools.compress(terminals.blocks, in_core))
     if dim == 2:
-        first = _first_nonrigid_terminal_2d(core, core_terminals)
+        choices = _first_nonrigid_terminal_2d(core, core_blocks)
     else:
-        first = _first_nonrigid_terminal_3d(core, core_terminals, seed, trials)
-    if first is not None:
-        # Peeled digits are free, so the smallest failing index has 0 in
-        # each peeled block and the core's digits everywhere else.
-        index, place = 0, 1
-        for block, from_core in zip(reversed(terminals.blocks), reversed(in_core)):
-            if from_core:
-                first, digit = divmod(first, len(block))
-                index += digit * place
-            place *= len(block)
-        return _verdict(led, False, seed, witness=terminals[index].retained)
+        choices = _first_nonrigid_terminal_3d(core, core_blocks, seed, trials)
+    if choices is not None:
+        # Peeled blocks are free, so the smallest failing terminal keeps
+        # choice 0 in each of them and the core's choices elsewhere.
+        core_choice = iter(choices)
+        witness = tuple(
+            e
+            for block, from_core in zip(terminals.blocks, in_core)
+            for e in block[next(core_choice) if from_core else 0]
+        )
+        return _verdict(led, False, seed, witness=witness)
     # Every terminal is rigid, and so is the whole formation: a terminal
     # has the same vertices and a subset of its edges, so the whole
     # graph's generic rank is at least a terminal's.  A

@@ -174,8 +174,7 @@ def feasibility(
     if total_vertices < dim:
         return Feasibility(False, REASON_TOO_FEW_VERTICES)
     total_missing = sum(members.missing)
-    budget = 3 if dim == 2 else 6
-    if total_missing > budget:
+    if total_missing > dof_constant(dim, total_vertices):
         return Feasibility(False, REASON_MISSING_DOF, total_missing)
     if dim == 3 and len(members.formations) == 2:
         (a, b), (la, lb) = members.formations, members.ledgers

@@ -236,32 +236,23 @@ def _insert_all(game: PebbleGame2D, edges) -> tuple[Edge, ...] | None:
 
 
 def laman_check_2d(g: UndirectedView) -> RigidityVerdict:
-    """Exact 2D rigidity via the pebble game; Laman counts decide."""
-    n = len(g.vertices)
-    if n == 0:
+    """Exact 2D rigidity via the pebble game; Laman counts decide.
+
+    The target is ``required_rank``: 0 on one vertex and 1 on two, so
+    the game decides those sizes too.
+    """
+    if not g.vertices:
         raise InputError("empty vertex set")
-    if n == 1:
-        return RigidityVerdict(rigid=True, minimally_rigid=True)
-    if n == 2:
-        has_edge = len(g.edges) == 1
-        if has_edge:
-            return RigidityVerdict(rigid=True, minimally_rigid=True)
-        return RigidityVerdict(
-            rigid=False, minimally_rigid=False, rank_deficit=(0, 1)
-        )
     game = PebbleGame2D(g.vertices)
     violating = _insert_all(game, g.edges)
-    target = 2 * n - 3
+    target = required_rank(2, len(g.vertices))
     rank = game.rank()
     rigid = rank == target
     minimally = rigid and len(g.edges) == target
-    deficit = None if rigid else (rank, target)
-    if rigid and not minimally:
-        deficit = (rank, target)
     return RigidityVerdict(
         rigid=rigid,
         minimally_rigid=minimally,
-        rank_deficit=deficit,
+        rank_deficit=None if minimally else (rank, target),
         violating_edges=None if rigid else violating,
     )
 

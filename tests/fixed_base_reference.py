@@ -155,7 +155,7 @@ def _first_nonrigid_terminal_3d(
     if len(vertices) <= 4:
         return None
     if len(terminals) == 1:
-        g = UndirectedView(vertices, terminals[0].retained)
+        g = UndirectedView(vertices, terminals[0])
         return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else 0
     fixed = [e for block in terminals.blocks if len(block) == 1 for e in block[0]]
     ranker = FixedBaseRank(UndirectedView(vertices, tuple(fixed)), 3, seed=seed, trials=trials)

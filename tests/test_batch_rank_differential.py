@@ -126,9 +126,9 @@ def reference_is_persistent(f, dim, seed=0, trials=3):
     led = ledger(f, dim)
     witness = None
     for term in terminal_subgraphs(f, dim):
-        view = UndirectedView(vertices=f.vertices, edges=term.retained)
+        view = UndirectedView(vertices=f.vertices, edges=term)
         if not check_rigidity(view, dim, seed=seed, trials=trials).rigid:
-            witness = term.retained
+            witness = term
             break
     persistent = witness is None
     structurally = persistent and (dim == 2 or len(led.leaders) <= 1)
@@ -256,7 +256,7 @@ def test_is_persistent_3d_matches_per_terminal_loop(monkeypatch, name, seed, tri
     expected = reference_is_persistent(f, 3, seed=seed, trials=trials)
     index = None
     if expected.witness_terminal is not None:
-        index = [t.retained for t in terminals].index(expected.witness_terminal)
+        index = list(terminals).index(expected.witness_terminal)
     assert index == witness
     assert is_persistent(f, 3, seed=seed, trials=trials).to_dict() == expected.to_dict()
 
@@ -350,7 +350,7 @@ def test_small_cores_are_decided_without_the_rank_oracle(monkeypatch, name, seed
     expected = reference_is_persistent(f, 3, seed=seed, trials=trials)
     index = None
     if expected.witness_terminal is not None:
-        index = [t.retained for t in terminal_subgraphs(f, 3)].index(expected.witness_terminal)
+        index = list(terminal_subgraphs(f, 3)).index(expected.witness_terminal)
     assert index == witness
     walked = persistence_reference.reference_is_persistent(f, 3, seed=seed, trials=trials)
     assert walked.to_dict() == expected.to_dict()

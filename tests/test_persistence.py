@@ -48,14 +48,14 @@ class TestTerminalSubgraphs:
     def test_no_excess_returns_original(self):
         terms = terminal_subgraphs(triangle(), 2)
         assert len(terms) == 1
-        assert set(terms[0].retained) == set(triangle().edges)
+        assert set(terms[0]) == set(triangle().edges)
 
     def test_oriented_k4_has_three(self):
         # Vertex 4 has out-degree 3 > 2; drop one of its three edges.
         terms = terminal_subgraphs(complete(4), 2)
         assert len(terms) == 3
         for t in terms:
-            assert len(t.retained) == 5
+            assert len(t) == 5
 
     def test_out_degree_four_star_gives_six(self):
         f = Formation(
@@ -240,8 +240,8 @@ class TestPersistenceProperties:
     def test_terminal_sets_order_canonical(self, f):
         # Reversing the edge list must not change the set of terminal sets.
         rev = Formation(vertices=f.vertices, edges=tuple(reversed(f.edges)))
-        a = {frozenset(t.retained) for t in terminal_subgraphs(f, 2)}
-        b = {frozenset(t.retained) for t in terminal_subgraphs(rev, 2)}
+        a = set(map(frozenset, terminal_subgraphs(f, 2)))
+        b = set(map(frozenset, terminal_subgraphs(rev, 2)))
         assert a == b
 
     @settings(max_examples=50, deadline=None)
@@ -249,7 +249,7 @@ class TestPersistenceProperties:
     def test_terminal_sets_have_no_excess(self, f):
         for t in terminal_subgraphs(f, 2):
             deg = {}
-            for tail, _ in t.retained:
+            for tail, _ in t:
                 deg[tail] = deg.get(tail, 0) + 1
             assert all(d <= 2 for d in deg.values())
 

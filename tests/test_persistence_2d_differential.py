@@ -35,9 +35,9 @@ def reference_is_persistent(f: Formation, cap: int = persistence.TERMINAL_SET_CA
     """Check every terminal in sorted order; the first non-rigid one is the witness."""
     led = ledger(f, 2)
     for term in list(terminal_subgraphs(f, 2, cap=cap)):
-        view = UndirectedView(vertices=f.vertices, edges=term.retained)
+        view = UndirectedView(vertices=f.vertices, edges=term)
         if not check_rigidity(view, 2).rigid:
-            return PersistenceVerdict(False, False, False, led, witness_terminal=term.retained)
+            return PersistenceVerdict(False, False, False, led, witness_terminal=term)
     minimally = check_rigidity(f.underlying(), 2).minimally_rigid
     return PersistenceVerdict(True, True, minimally, led)
 
@@ -51,7 +51,7 @@ def witness_index(f: Formation) -> int:
     verdict = is_persistent(f, 2)
     assert not verdict.persistent
     terms = terminal_subgraphs(f, 2)
-    return [t.retained for t in terms].index(verdict.witness_terminal)
+    return list(terms).index(verdict.witness_terminal)
 
 
 @st.composite
@@ -187,6 +187,21 @@ class TestWitnessPlaces:
         assert_same_as_reference(f)
         last_block = [b for b in terminal_subgraphs(f, 2).blocks if len(b) > 1][-1]
         assert recorded_walk(monkeypatch, f)[-1] in {e for kept in last_block for e in kept}
+
+    def test_cut_after_a_lower_block_ran_through(self):
+        # Under one choice of an upper block every terminal passes, with a
+        # lower block tried at each of its choices; under the next choice
+        # the walk cuts above that lower block, so the witness must keep
+        # its choice 0, not the last one tried.
+        f = Formation(
+            vertices=(1, 4, 5, 6, 7, 9, 11),
+            edges=(
+                (1, 5), (1, 9), (1, 11), (5, 4), (5, 6), (5, 7), (6, 1), (6, 4),
+                (6, 9), (7, 1), (7, 6), (7, 11), (9, 4), (11, 5), (11, 6), (11, 9),
+            ),
+        )
+        assert 0 < witness_index(f) < len(terminal_subgraphs(f, 2)) - 1
+        assert_same_as_reference(f)
 
 
 K6_TERMINALS_2D = math.comb(5, 2) * math.comb(4, 2) * math.comb(3, 2)  # 180

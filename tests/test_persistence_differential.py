@@ -3,8 +3,8 @@
 ``terminal_subgraphs`` builds every terminal as one choice of ``dim``
 kept out-edges per over-constrained vertex and checks the exact count
 against the cap first.  The reference below is the earlier depth-first
-search over removal orders, memoized on retained-edge sets; both must
-give the same retained sets in the same order.
+search over removal orders, memoized on kept edge sets; both must give
+the same edge sets in the same order.
 """
 import math
 
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from metaform import persistence
 from metaform.errors import ResourceLimitError
 from metaform.graph import Formation
-from metaform.persistence import TerminalSubgraph, terminal_subgraphs
+from metaform.persistence import TerminalSubgraphs, terminal_subgraphs
 
 from conftest import complete
 
@@ -56,14 +56,12 @@ def reference_terminal_subgraphs(f, dim, cap=persistence.TERMINAL_SET_CAP):
                     f"terminal subgraph enumeration exceeded {cap} states"
                 )
             stack.append(rest)
-    return [TerminalSubgraph(retained=r) for r in sorted(tuple(sorted(k)) for k in results)]
+    return sorted(tuple(sorted(k)) for k in results)
 
 
 def assert_same_as_reference(f, dim):
     terms = terminal_subgraphs(f, dim)
-    assert [t.retained for t in terms] == [
-        t.retained for t in reference_terminal_subgraphs(f, dim)
-    ]
+    assert list(terms) == reference_terminal_subgraphs(f, dim)
 
 
 @st.composite
@@ -90,7 +88,7 @@ class TestAgainstReference:
 
     def test_no_edges(self):
         f = Formation(vertices=(1, 2))
-        assert list(terminal_subgraphs(f, 2)) == [TerminalSubgraph(retained=())]
+        assert list(terminal_subgraphs(f, 2)) == [()]
         assert_same_as_reference(f, 2)
 
 
@@ -108,12 +106,14 @@ class TestCap:
 
     def test_k9_raises_before_building_a_terminal(self, monkeypatch):
         built = []
+        getitem = TerminalSubgraphs.__getitem__
 
-        def counting(*args, **kwargs):
-            built.append(1)
-            return TerminalSubgraph(*args, **kwargs)
+        def counting(self, i):
+            terminal = getitem(self, i)
+            built.append(terminal)
+            return terminal
 
-        monkeypatch.setattr(persistence, "TerminalSubgraph", counting)
+        monkeypatch.setattr(TerminalSubgraphs, "__getitem__", counting)
         with pytest.raises(ResourceLimitError, match="1587600"):
             persistence.is_persistent(complete(9), 2)
         assert built == []

@@ -195,7 +195,7 @@ def failing_cores(dim: int, count: int):
         if _peeled(f, dim) or len(terminal_subgraphs(f, dim)) > REFERENCE_CAP:
             continue
         witness = reference_is_persistent(f, dim).witness_terminal
-        if witness is not None and witness != terminal_subgraphs(f, dim)[0].retained:
+        if witness is not None and witness != terminal_subgraphs(f, dim)[0]:
             found.append(f)
     return found
 
@@ -209,7 +209,7 @@ def test_witness_carries_peeled_blocks(dim):
         assert peeled == set(f.vertices) - {10 * v for v in core.vertices}
         terminals = terminal_subgraphs(f, dim)
         witness = assert_same_as_reference(f, dim)["witnessTerminal"]
-        index = [list(map(list, t.retained)) for t in terminals].index(witness)
+        index = [list(map(list, t)) for t in terminals].index(witness)
         # The witness is not the first terminal, a peeled block precedes a
         # core block, and each peeled block keeps its first choice.
         assert index > 0

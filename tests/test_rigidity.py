@@ -67,6 +67,31 @@ class TestLaman2D:
         assert laman_check_2d(undirected((1, 2), [(1, 2)])).minimally_rigid
         assert not laman_check_2d(undirected((1, 2), [])).rigid
 
+    @pytest.mark.parametrize(
+        "vertices, edges, report",
+        [
+            ((1,), [], {"rigid": True, "minimallyRigid": True}),
+            ((1, 2), [(1, 2)], {"rigid": True, "minimallyRigid": True}),
+            (
+                (1, 2),
+                [],
+                {
+                    "rigid": False,
+                    "minimallyRigid": False,
+                    "rankDeficit": {"observed": 0, "required": 1},
+                },
+            ),
+        ],
+    )
+    def test_base_case_reports(self, vertices, edges, report):
+        # The game decides one and two vertices against required_rank,
+        # 0 and 1, with the reports the dedicated branches gave.
+        assert laman_check_2d(undirected(vertices, edges)).to_dict() == report
+
+    def test_empty_vertex_set_raises(self):
+        with pytest.raises(InputError, match="empty vertex set"):
+            laman_check_2d(undirected((), []))
+
     def test_overbraced_subgraph_reported(self):
         # K4 plus a pendant vertex: rigid component cannot absorb a 7th edge.
         # 2*5-3 = 7 = |E| but the K4 part carries 6 > 2*4-3 edges.

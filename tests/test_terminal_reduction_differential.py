@@ -7,7 +7,9 @@ every multi-choice edge's row against them.  The reference is
 ``fixed_base_reference``'s copy of the earlier walk, which reduced the
 base row by row into an ``IncrementalRank`` and each extra edge's row
 against it.  Both run on the same core, after the same peel, and place
-its vertices the same way.  Ranks over GF(p) are exact, and every
+its vertices the same way.  The earlier walk took the core's terminals
+and returned an index; ``frozen_walk`` adapts it to the decider's
+blocks in and choices out.  Ranks over GF(p) are exact, and every
 echelon form of the base gives the extra rows the same rank, so the
 reports must be equal, also at coordinate ranges of 3 and 2, where
 placements are often degenerate.
@@ -17,7 +19,7 @@ import random
 import pytest
 
 from metaform import persistence, rigidity
-from metaform.persistence import is_persistent, terminal_subgraphs
+from metaform.persistence import TerminalSubgraphs, is_persistent, terminal_subgraphs
 
 import fixed_base_reference
 from conftest import back_braced, count_calls
@@ -26,15 +28,25 @@ from test_persistence_peel_differential import acyclic_dense, dangler, random_di
 TERMINAL_LIMIT = 3000
 
 
+def frozen_walk(vertices, blocks, seed, trials):
+    """The earlier walk's first failing index, as one choice per block."""
+    index = fixed_base_reference._first_nonrigid_terminal_3d(
+        vertices, TerminalSubgraphs(blocks), seed, trials
+    )
+    if index is None:
+        return None
+    choices = []
+    for block in reversed(blocks):
+        index, choice = divmod(index, len(block))
+        choices.append(choice)
+    return choices[::-1]
+
+
 def reports(monkeypatch, f, **kwargs):
     """``is_persistent``'s report, and the report with the earlier walk."""
     got = is_persistent(f, 3, **kwargs).to_dict()
     with monkeypatch.context() as m:
-        m.setattr(
-            persistence,
-            "_first_nonrigid_terminal_3d",
-            fixed_base_reference._first_nonrigid_terminal_3d,
-        )
+        m.setattr(persistence, "_first_nonrigid_terminal_3d", frozen_walk)
         expected = is_persistent(f, 3, **kwargs).to_dict()
     return got, expected
 
