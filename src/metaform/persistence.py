@@ -70,6 +70,10 @@ from .rigidity import (
     trial_placements,
 )
 
+# Worst case measured under it (in-process, unscaled, one run, 2-core
+# shared host): 67.9 s, check-meta --dim 3 on a non-compliant merge of
+# grown 4- and 6-vertex members by 22 inter-edges, whose fallback
+# is_persistent on the flattened graph walks 819,200 terminals.
 TERMINAL_SET_CAP = 10**6
 # 3D terminals ranked together, one batch per trial.  No benchmark op
 # reaches it.  On the back-braced acyclic_dense(16, 3, 7) formation of

@@ -51,6 +51,7 @@ from .rigidity import (
 )
 
 # Distinct inter-edge sets tried per DOF-consumption vector before moving on.
+# No input has been timed at the cap.
 HEAD_SEARCH_LEAF_CAP = 500
 
 

@@ -18,12 +18,20 @@ probability, never the converse).
 Each oracle trial peels before it eliminates.  A vertex with at most dim
 remaining edges whose rows are independent on its own columns adds their
 number to the rank and leaves with its edges (vertex addition in
-reverse, Tay & Whiteley 1985); only the rest of the matrix is reduced.
-The rank at the trial's placement is exact either way, so peeling
-changes no verdict.  Trials stop at the first one that reaches a rank
-no placement exceeds, the smaller of |E|, the required rank and a
-bound from the graph's (dim + 1)-core; the result is the same as with
-every trial run.
+reverse, Tay & Whiteley 1985).  The rest, R, is certified before it is
+reduced: a vertex of least remaining degree leaves with its edges,
+keeping a maximal set of its rows independent on its own columns and
+dropping the others.  Deleting rows cannot raise the rank, and the kept
+rows are independent of what is left, so the rank of R is at least
+|E(R)| minus the rows dropped.  When that reaches R's ceiling,
+min(|E(R)|, required rank on R's vertices), which no placement exceeds,
+it is R's exact rank; once more rows are dropped than |E(R)| minus the
+ceiling the certificate gives up, and only then is R eliminated.  The
+rank at the trial's placement is exact either way, so neither the peel
+nor the certificate changes a verdict.  Trials stop at the first one
+that reaches a rank no placement exceeds, the smaller of |E|, the
+required rank and a bound from the graph's (dim + 1)-core; the result
+is the same as with every trial run.
 
 Persistence asks about many graphs that share one fixed edge set on
 one vertex set: a terminal subgraph is the single-choice blocks plus
@@ -67,6 +75,10 @@ COORD_RANGE = 2**20
 
 DEFAULT_TRIALS = 3
 DEFAULT_SEED = 0
+# Worst case measured under it (in-process, unscaled, one run, 2-core
+# shared host): 3.05 s, sparsity_violation called directly on the
+# 4-regular circulant graph on 20 vertices, its own 4-core with no
+# violating set.  No known input makes rigid_3d_check reach such a core.
 SPARSITY_3D_VERTEX_CAP = 20
 
 
@@ -500,10 +512,19 @@ def rank_at(
     v's own columns, are independent mod p is peeled: ordering v's rows
     and columns first gives [A B; 0 C] with A of full row rank d, so the
     rank is d plus the rank of C, the matrix of G - v at the same
-    positions.  Peeling repeats on the neighbours whose degree drops, and
-    ``rank_mod_p`` ranks what is left.  A vertex-addition graph peels away
-    completely; a vertex whose block is singular at this placement stays
-    in the remainder.  ``positions`` may place other vertices too.
+    positions.  Peeling repeats on the neighbours whose degree drops.  A
+    vertex-addition graph peels away completely; a vertex whose block is
+    singular at this placement stays in the remainder R.
+
+    R is then certified when it can be (``_reaches_ceiling``): its rank
+    is at least |E(R)| minus the rows a least-degree-first removal drops,
+    and at most its ceiling min(|E(R)|, required_rank(dim, |R|)), the
+    generic rank's bound, which no placement exceeds.  When the rows
+    dropped stay within |E(R)| minus the ceiling, the two meet and the
+    ceiling is R's exact rank.  The certificate gives up once more are
+    dropped: the double banana (ceiling |E(R)| = 18) at its first vertex,
+    while K5 in 3D drops one row and is certified at 9.  Only then does
+    ``rank_mod_p`` rank R.  ``positions`` may place other vertices too.
     ``adj``, when given, is g's adjacency, and the peel consumes it: on
     return it holds the vertices left and the edges among them.
     """
@@ -528,8 +549,47 @@ def rank_at(
     edges = [e for e in g.edges if e[0] in adj and e[1] in adj]
     if not edges:
         return rank
-    col_of = {v: i for i, v in enumerate(v for v in g.vertices if v in adj)}
+    left = [v for v in g.vertices if v in adj]
+    ceiling = min(len(edges), required_rank(dim, len(left)))
+    if _reaches_ceiling(left, adj, positions, len(edges) - ceiling):
+        return rank + ceiling
+    col_of = {v: i for i, v in enumerate(left)}
     return rank + rank_mod_p(rigidity_matrix_rows(edges, positions, col_of, dim))
+
+
+def _reaches_ceiling(
+    vertices: list[int],
+    adj: dict[int, set[int]],
+    positions: dict[int, tuple[int, ...]],
+    budget: int,
+) -> bool:
+    """Is the rank of the matrix on ``vertices`` at least |E| - ``budget``?
+
+    A vertex v of least remaining degree (the first in ``vertices`` on a
+    tie) leaves with its edges; of its rows it keeps a maximal set S
+    independent on its own columns, taken greedily, and drops the others.
+    Ordering v's rows and columns first gives [A *; 0 C] with A = S on
+    v's columns of full row rank, so the rank is at least |S| plus the
+    rank of C, the matrix without v.  Repeated to the last vertex, the
+    rank is at least |E| minus the rows dropped.  It gives up once more
+    than ``budget`` rows are dropped.  ``adj`` is left as it was.
+    """
+    adj = {v: set(adj[v]) for v in vertices}
+    dropped = 0
+    while adj:
+        v = min(adj, key=lambda u: len(adj[u]))
+        ws = adj.pop(v)
+        pv = positions[v]
+        kept = []
+        for w in ws:
+            adj[w].discard(v)
+            row = [a - b for a, b in zip(pv, positions[w])]
+            if len(kept) < len(pv) and _independent_mod_p(kept + [row]):
+                kept.append(row)
+        dropped += len(ws) - len(kept)
+        if dropped > budget:
+            return False
+    return True
 
 
 def rigidity_rank_once(

@@ -80,6 +80,21 @@ def test_rigidity_3d_pass_trial_count(monkeypatch, tmp_path):
     assert len(calls) == 42
 
 
+@pytest.mark.parametrize(
+    "workload, eliminations",
+    [("merge-3d", 0), ("persist-2d", 0), ("persist-3d", 0), ("rigidity-3d", 3)],
+)
+def test_pass_rank_mod_p_count(workload, eliminations, monkeypatch, tmp_path):
+    """``rank_mod_p`` calls per seed-1 pass.  Every remainder a rank-oracle
+    trial or a member's ranking leaves is certified at its ceiling, except
+    the double banana's, which is eliminated at each of its three trials.
+    A count, so a change that turns the certificate off fails here."""
+    calls = count_calls(monkeypatch, "rank_mod_p", rigidity.rank_mod_p)
+    for _ in run_ops(workload, 1, tmp_path):
+        pass
+    assert len(calls) == eliminations
+
+
 # sha256 over every seed-1 op's exit code and stdout, workload by workload
 # in sorted order.  An intended change to any report updates it and says
 # why in CHANGES.md.

@@ -2,12 +2,17 @@
 
 ``rigidity_rank_once`` first peels each vertex of degree at most dim
 whose own rows, restricted to its own columns, are independent mod p,
-and ranks only what is left with ``rank_mod_p``.  The reference ranks
+certifies what is left at its ceiling when it can, and ranks it with
+``rank_mod_p`` only when it cannot.  The reference ranks
 the whole matrix at each trial's placement (``trial_placements``, the
 same draws).  The two must agree on every trial, not only on the
 oracle's maximum.  Coordinates from {1..k} with k in 2..5 make singular
 blocks common, so the path that keeps a vertex in the remainder runs
-too.
+too.  The graphs include remainders the certificate decides
+(vertex-addition graphs braced at their leader, K_n, four-bar graphs)
+and ones where it gives up (the banana, two K5s on a hinge, random
+dense graphs); a wrong certificate would report the ceiling where the
+rank is lower.
 """
 import itertools
 import random
@@ -30,10 +35,11 @@ from metaform.rigidity import (
     trial_placements,
 )
 
-from test_rigidity_differential import four_bar, grown, two_k5_hinge, view
+from test_rigidity_differential import four_bar, grown, random_dense, two_k5_hinge, view
 
 P = RANK_MODULUS
 TRIALS = 3
+COORD_RANGES = [2, 3, 4, 5, 2**20]
 
 
 def reference_ranks(g, dim, seed):
@@ -60,6 +66,25 @@ def grown_2d(n, rng):
     return vs, edges
 
 
+def braced(n, k, dim, rng):
+    """A vertex-addition graph whose leader, vertex 1, gets k <= n - dim - 1
+    more edges: rigid, and every vertex from the first braced one on
+    stays in the peel's remainder.  Vertices past the first dim + 1 join
+    dim earlier ones other than the leader, which leaves it free
+    vertices to brace."""
+    vs = list(range(1, dim + 2))
+    edges = list(itertools.combinations(vs, 2))
+    for v in range(dim + 2, n + 1):
+        edges += [(t, v) for t in rng.sample(vs[1:], dim)]
+        vs.append(v)
+    return vs, edges + [(1, w) for w in rng.sample(vs[dim + 1 :], k)]
+
+
+def dense(n, density, rng):
+    pairs = itertools.combinations(range(1, n + 1), 2)
+    return range(1, n + 1), [e for e in pairs if rng.random() < density]
+
+
 def shuffled(vs, edges, rng):
     vs = list(vs)
     rng.shuffle(vs)
@@ -77,7 +102,7 @@ def cases():
         "banana": (banana().vertices, banana().underlying().edges),
         "two-k5-hinge": two_k5_hinge(),
     }
-    for n in (4, 5, 6, 9, 12):
+    for n in range(4, 13):
         graphs[f"k{n}"] = (range(1, n + 1), itertools.combinations(range(1, n + 1), 2))
     k6 = list(itertools.combinations(range(1, 7), 2))
     graphs["k6-with-pendants-and-isolated"] = (
@@ -92,6 +117,13 @@ def cases():
         graphs[f"four-bar-{n}"] = four_bar(n, rng)
     vs, edges = grown(30, rng)
     graphs["grown-30-with-k6-core"] = (vs, sorted(set(edges) | set(k6)))
+    rng = random.Random(1985)
+    for dim, n, k in itertools.product((2, 3), (8, 12, 20), (1, 2, 3, 4)):
+        graphs[f"braced-{dim}d-{n}-{k}"] = braced(n, k, dim, rng)
+    for i in range(6):
+        graphs[f"random-dense-{i}"] = random_dense(rng.randint(6, 12), rng)
+    for i, density in enumerate((0.5, 0.7, 0.9)):
+        graphs[f"dense-{density}"] = dense(9 + 3 * i, density, rng)
     return {name: view(*g) for name, g in graphs.items()}
 
 
@@ -99,7 +131,7 @@ CASES = cases()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-@pytest.mark.parametrize("coord_range", [2**20, 3])
+@pytest.mark.parametrize("coord_range", COORD_RANGES)
 def test_every_trial_matches_the_whole_matrix(name, coord_range, monkeypatch):
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
     g = CASES[name]
@@ -109,15 +141,17 @@ def test_every_trial_matches_the_whole_matrix(name, coord_range, monkeypatch):
 
 @st.composite
 def graphs(draw):
-    n = draw(st.integers(1, 14))
-    vertices = tuple(draw(st.permutations(range(n))))
-    pairs = list(itertools.combinations(range(n), 2))
-    # Sparse to dense, so that some graphs peel away, some peel only in
-    # part and some not at all.
-    density = draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9]))
+    """Up to 40 vertices in a random order: a braced vertex-addition graph,
+    or a random graph from sparse to dense, so that some graphs peel
+    away, some peel only in part and some not at all."""
+    n = draw(st.integers(1, 40))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    edges = [e for e in pairs if rng.random() < density]
-    return UndirectedView(vertices, tuple(edges))
+    if n >= 8 and draw(st.booleans()):
+        vs, edges = braced(n, draw(st.integers(1, 4)), draw(st.sampled_from([2, 3])), rng)
+    else:
+        vs, edges = dense(n, draw(st.sampled_from([0.1, 0.25, 0.4, 0.6, 0.9])), rng)
+    vertices = tuple(draw(st.permutations(list(vs))))
+    return UndirectedView(vertices, tuple(sorted({(min(e), max(e)) for e in edges})))
 
 
 @settings(max_examples=300, deadline=None)
@@ -125,7 +159,7 @@ def graphs(draw):
     g=graphs(),
     dim=st.sampled_from([2, 3]),
     seed=st.integers(0, 10**6),
-    coord_range=st.integers(2, 5),
+    coord_range=st.sampled_from(COORD_RANGES),
 )
 def test_random_graphs_match_the_whole_matrix(g, dim, seed, coord_range):
     with pytest.MonkeyPatch.context() as mp:
@@ -165,8 +199,8 @@ def test_vertex_addition_peels_away_without_elimination(monkeypatch):
     assert generic_rank_oracle(g2, 2) == required_rank(2, 80)
 
 
-@pytest.mark.parametrize("n", [5, 8, 12])
-def test_complete_graph_does_not_peel(n, monkeypatch):
+def eliminated_shapes(monkeypatch):
+    """The shape of every matrix ``rank_at`` hands to ``rank_mod_p``."""
     shapes = []
 
     def spy(matrix, p=P):
@@ -174,9 +208,29 @@ def test_complete_graph_does_not_peel(n, monkeypatch):
         return rank_mod_p(matrix, p)
 
     monkeypatch.setattr(rigidity, "rank_mod_p", spy)
+    return shapes
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+def test_complete_graph_does_not_peel(n, monkeypatch):
+    """K_n peels nothing (every degree is n - 1 > 3), and the certificate
+    drops n - 4, n - 5, ..., 1 rows, as many as |E| exceeds 3n - 6: its
+    whole matrix reaches the ceiling with no ``rank_mod_p`` call."""
+    shapes = eliminated_shapes(monkeypatch)
     g = view(range(1, n + 1), itertools.combinations(range(1, n + 1), 2))
     assert generic_rank_oracle(g, 3) == required_rank(3, n)
-    assert shapes == [(n * (n - 1) // 2, 3 * n)]
+    assert shapes == []
+
+
+def test_banana_sends_its_whole_matrix_at_every_trial(monkeypatch):
+    """The double banana has 18 = 3n - 6 edges, so the certificate may
+    drop no row, and every vertex has 4 or more: it gives up at its first
+    vertex, and each of the three trials, all short of rank 18, ranks the
+    whole (18, 24) matrix."""
+    shapes = eliminated_shapes(monkeypatch)
+    g = CASES["banana"]
+    assert generic_rank_oracle(g, 3) == 17
+    assert shapes == [(18, 24)] * 3
 
 
 @pytest.mark.parametrize(
