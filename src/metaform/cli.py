@@ -377,7 +377,7 @@ def main(argv=None) -> int:
     except MetaformError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, KeyError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

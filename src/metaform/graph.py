@@ -149,10 +149,6 @@ class UndirectedView:
         if len(set(norm)) != len(norm):
             raise InputError("duplicate undirected edge")
 
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.vertices)
-
     def adjacency(self) -> dict[int, set[int]]:
         adj: dict[int, set[int]] = {v: set() for v in self.vertices}
         for a, b in self.edges:

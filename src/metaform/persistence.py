@@ -138,8 +138,6 @@ class TerminalSubgraphs(Sequence):
         return self._count
 
     def __getitem__(self, i: int) -> tuple[Edge, ...]:
-        if i < 0:
-            i += self._count
         if not 0 <= i < self._count:
             raise IndexError("terminal index out of range")
         kept = []

@@ -86,7 +86,7 @@ def _missing(f: Formation, led: DofLedger) -> int:
 class ProvedMembers:
     """A collection proved persistent in ``dim``, with each member's ledger and
     missing DOF; ``feasibility``, ``plan_collection`` and ``verify_plan``
-    take it in place of the collection."""
+    take it in place of the collection, and ``_plan_pair`` one of two."""
 
     formations: tuple[Formation, ...]
     dim: int
@@ -376,16 +376,19 @@ def plan_pair(
     dim: int,
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
-    check: bool = True,
 ) -> MergePlan:
-    """Minimal persistent merge of two formations.
+    """Minimal persistent merge of two formations, planned from the ledgers
+    of their proof (``prove_members``).
 
     Emits exactly the dimension- and size-appropriate number of directed
     inter-edges, every tail consuming one local DOF.
     """
-    if check:
-        prove_members((ga, gb), dim, seed=seed, trials=trials)
-    led_a, led_b = ledger(ga, dim), ledger(gb, dim)
+    return _plan_pair(prove_members((ga, gb), dim, seed=seed, trials=trials), seed, trials)
+
+
+def _plan_pair(members: ProvedMembers, seed: int, trials: int) -> MergePlan:
+    """``plan_pair`` on two members already proved, from their ledgers."""
+    (ga, gb), (led_a, led_b), dim = members.formations, members.ledgers, members.dim
     na, nb = len(ga.vertices), len(gb.vertices)
     required = _required_pair_edges(na, nb, dim)
     available = led_a.total_dof + led_b.total_dof
@@ -438,9 +441,12 @@ def plan_collection(
 ) -> MergePlan:
     """Merge a whole collection by recursive pairwise planning.
 
-    Missing DOFs are conserved at every internal step, so the total edge
-    count lands exactly on the counting bound of the classified
-    collection.
+    The collection is proved once (``prove_members``), and each fold step
+    plans a proved pair from values it holds: the member's ledger and
+    missing DOF from that proof, the partial merge's from the previous
+    step's check.  Missing DOFs are conserved at every internal step, so
+    the total edge count lands exactly on the counting bound of the
+    classified collection.
     """
     members = prove_members(collection, dim, seed=seed, trials=trials)
     feas = feasibility(members, dim, seed=seed, trials=trials)
@@ -448,11 +454,12 @@ def plan_collection(
         raise InfeasibleMergeError(f"collection cannot be merged: {feas.reason}", feas.reason)
     order = _merge_order(members)
     acc = members.formations[order[0]]
-    acc_missing = members.missing[order[0]]
+    acc_ledger, acc_missing = members.ledgers[order[0]], members.missing[order[0]]
     edges: list[PlanEdge] = []
     for step, idx in enumerate(order[1:], start=1):
-        member = members.formations[idx]
-        pair_plan = plan_pair(acc, member, dim, seed=seed, trials=trials, check=False)
+        member, led, missing = members.formations[idx], members.ledgers[idx], members.missing[idx]
+        pair = ProvedMembers((acc, member), dim, (acc_ledger, led), (acc_missing, missing))
+        pair_plan = _plan_pair(pair, seed, trials)
         edges.extend(
             PlanEdge(tail=e.tail, head=e.head, rule=e.rule, step=step)
             for e in pair_plan.edges
@@ -461,11 +468,12 @@ def plan_collection(
             vertices=tuple(acc.vertices) + tuple(member.vertices),
             edges=tuple(acc.edges) + tuple(member.edges) + pair_plan.edge_pairs(),
         )
-        new_missing = _missing(merged, ledger(merged, dim))
-        if new_missing != acc_missing + members.missing[idx]:
+        acc_ledger = ledger(merged, dim)
+        new_missing = _missing(merged, acc_ledger)
+        if new_missing != acc_missing + missing:
             raise AssertionError(
                 f"missing-DOF conservation broken at step {step}: "
-                f"{new_missing} != {acc_missing} + {members.missing[idx]}"
+                f"{new_missing} != {acc_missing} + {missing}"
             )
         acc, acc_missing = merged, new_missing
     return MergePlan(edges=tuple(edges), merge_order=tuple(order))

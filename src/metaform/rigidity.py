@@ -376,15 +376,16 @@ def rigidity_matrix_rows(
     return m
 
 
-def _eliminate(a: np.ndarray, pivot_rows: int, p: int) -> list[int]:
-    """Row-reduce ``a``, residues mod p, in place; return its pivot columns.
+def _eliminate(a: np.ndarray, pivot_rows: int) -> list[int]:
+    """Row-reduce ``a``, residues mod ``RANK_MODULUS``, in place; return its pivot columns.
 
     Pivots come only from the first ``pivot_rows`` rows, and each pivot
     column is cleared in every row below its pivot.  So the rows after
     ``pivot_rows`` end up reduced against the others: zero in every pivot
     column, and spanning with them what they spanned before.  int64
-    holds every product, as p < 2^31.5.
+    holds every product, as ``RANK_MODULUS`` < 2^31.5.
     """
+    p = RANK_MODULUS
     pivots = []
     r = 0
     for c in range(a.shape[1]):
@@ -410,14 +411,14 @@ def _eliminate(a: np.ndarray, pivot_rows: int, p: int) -> list[int]:
     return pivots
 
 
-def rank_mod_p(matrix: np.ndarray, p: int = RANK_MODULUS) -> int:
-    """Exact rank over GF(p) by row elimination."""
-    a = matrix % p
-    return len(_eliminate(a, a.shape[0], p))
+def rank_mod_p(matrix: np.ndarray) -> int:
+    """Exact rank over GF(``RANK_MODULUS``) by row elimination."""
+    a = matrix % RANK_MODULUS
+    return len(_eliminate(a, a.shape[0]))
 
 
 def reduce_mod_p(base: np.ndarray, extra: np.ndarray) -> tuple[int, np.ndarray]:
-    """The rank of ``base`` over GF(p), and ``extra``'s rows reduced against it.
+    """The rank of ``base`` over GF(``RANK_MODULUS``), and ``extra``'s rows reduced against it.
 
     The reduced rows are returned on the columns that hold no pivot of
     ``base``; they are zero on the others.  So the rank a set of extra
@@ -425,26 +426,27 @@ def reduce_mod_p(base: np.ndarray, extra: np.ndarray) -> tuple[int, np.ndarray]:
     echelon form ``base`` took.
     """
     a = np.concatenate((base, extra)) % RANK_MODULUS
-    pivots = _eliminate(a, len(base), RANK_MODULUS)
+    pivots = _eliminate(a, len(base))
     return len(pivots), np.delete(a[len(base) :], pivots, axis=1)
 
 
-def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
-    """Exact rank over GF(p) of every matrix in a (B, r, c) stack, in one pass.
+def batch_rank_mod_p(stack: np.ndarray) -> np.ndarray:
+    """Exact rank over GF(``RANK_MODULUS``) of every matrix in a (B, r, c) stack, in one pass.
 
     The eliminations advance together, one column per step.  Each
     matrix takes the first unused row with a nonzero entry as its pivot
     and swaps it up; the rows below are cleared by cross-multiplication,
-    row * pivot - entry * pivot_row.  Both products are below p^2 < 2^62,
-    so int64 holds them and no modular inverse is needed.  A matrix with
-    no pivot in the column uses pivot 1 and entries 0, which leaves it as
-    it was.  The input stack is left as it was.
+    row * pivot - entry * pivot_row.  Both products are below the square
+    of ``RANK_MODULUS``, under 2^62, so int64 holds them and no modular
+    inverse is needed.  A matrix with no pivot in the column uses pivot 1
+    and entries 0, which leaves it as it was.  The input stack is left as
+    it was.
     """
     a = np.asarray(stack, dtype=np.int64)
     if a.shape[1] < a.shape[2]:
         # rank(A) = rank(A^T): step over the shorter side.
         a = a.transpose(0, 2, 1)
-    a = np.remainder(a, p, order="C")
+    a = np.remainder(a, RANK_MODULUS, order="C")
     batch, rows, cols = a.shape
     rank = np.zeros(batch, dtype=np.intp)
     every = np.arange(batch)
@@ -468,12 +470,12 @@ def batch_rank_mod_p(stack: np.ndarray, p: int = RANK_MODULUS) -> np.ndarray:
         factors = np.where(row_ids[lo:] >= rank[:, None], block[:, :, 0], 0)
         block *= pivot[:, None, None]
         block -= factors[:, :, None] * prow[:, None, :]
-        block %= p
+        block %= RANK_MODULUS
     return rank
 
 
-def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
-    """Are a peeled vertex's rows, at most dim of length dim, independent over GF(p)?
+def _independent_mod_p(rows: list[list[int]]) -> bool:
+    """Are a peeled vertex's rows, at most dim of length dim, independent mod ``RANK_MODULUS``?
 
     No rows always are; one row when it is nonzero; two rows when some
     2x2 minor is nonzero (the 2D determinant or a cross-product entry);
@@ -481,6 +483,7 @@ def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
     forms on Python ints, because the peel asks once per peeled vertex per
     trial.
     """
+    p = RANK_MODULUS
     k = len(rows)
     if k == 3:
         a, b, c = rows
@@ -1132,7 +1135,7 @@ def minimally_rigid_spanning(
     col_of = {v: i for i, v in enumerate(g.vertices)}
     for positions in itertools.islice(trial_placements(g.vertices, dim, seed), trials):
         a = rigidity_matrix_rows(g.edges, positions, col_of, dim).T
-        pivots = _eliminate(a, len(a), RANK_MODULUS)
+        pivots = _eliminate(a, len(a))
         if len(pivots) >= target:
             return tuple(g.edges[c] for c in pivots[:target])
     raise NotRigidError("graph is not rigid in 3D")

@@ -279,7 +279,7 @@ def test_one_terminal_formation_goes_to_the_rank_oracle(monkeypatch):
     expected = reference_is_persistent(f, 3).to_dict()
     oracle = count_calls(monkeypatch, "generic_rank_oracle", rigidity.generic_rank_oracle)
 
-    def refuse(a, p=RANK_MODULUS):
+    def refuse(a):
         raise AssertionError("batched elimination of a lone terminal")
 
     for module in (rigidity, persistence):

@@ -98,6 +98,24 @@ class TestCheckCommands:
         code, _ = run(capsys, ["check-rigidity", "/nonexistent.json", "--dim", "2"])
         assert code == 2
 
+    def test_formation_read_from_stdin(self, tmp_path, capsys, monkeypatch):
+        p = write(tmp_path, "t.json", triangle())
+        expected = run(capsys, ["check-rigidity", p, "--dim", "2"])
+        monkeypatch.setattr("sys.stdin", io.StringIO(export_formation(triangle())))
+        assert run(capsys, ["check-rigidity", "-", "--dim", "2"]) == expected
+        assert expected[0] == 0
+
+    def test_an_internal_key_error_is_not_reported_as_an_input_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def broken(*args, **kwargs):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "check_rigidity", broken)
+        with pytest.raises(KeyError, match="internal"):
+            main(["check-rigidity", write(tmp_path, "t.json", triangle()), "--dim", "2"])
+        assert capsys.readouterr().err == ""
+
 
 TRIALS_COMMANDS = [
     ("check-rigidity", 2),
@@ -135,6 +153,12 @@ class TestTrialsValidation:
     def test_gen_rejects_zero_trials(self, capsys):
         assert main(["gen", "tetra", "--trials", "0"]) == 2
         assert "(at --trials)" in capsys.readouterr().err
+
+    def test_gen_below_the_kinds_smallest_size_exits_two(self, capsys):
+        assert main(["gen", "min-persistent-3d", "-n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: need at least 3 vertices for this kind, got 2\n"
 
     def test_3d_graph_under_edge_count_rejects_zero_trials(self, tmp_path, capsys):
         path = write(tmp_path, "path.json", Formation(vertices=(1, 2, 3, 4), edges=((2, 1), (3, 2), (4, 3))))
@@ -312,6 +336,16 @@ class TestDocumentShape:
         assert main(["verify-plan", p]) == 2
         assert capsys.readouterr().err == f"error: expected {expected} (at plan.edges[0].{field})\n"
 
+    def test_verify_plan_edge_that_is_not_an_object_is_located(self, tmp_path, capsys):
+        p = self.triangle_pair_plan(tmp_path, lambda e: None)
+        doc = json.loads(Path(p).read_text())
+        doc["plan"]["edges"][0] = [1, 4]
+        Path(p).write_text(json.dumps(doc))
+        assert main(["verify-plan", p]) == 2
+        assert capsys.readouterr().err == (
+            "error: plan edge must be an object with 'tail' and 'head' (at plan.edges[0])\n"
+        )
+
     def test_verify_plan_without_step_or_rule_keeps_the_defaults(self, tmp_path, capsys):
         p = self.triangle_pair_plan(tmp_path, lambda e: (e.pop("step"), e.pop("rule")))
         code, out = run(capsys, ["verify-plan", p])
@@ -344,6 +378,13 @@ class TestDocumentShape:
         assert capsys.readouterr().err == (
             "error: 'mergeOrder' must list each collection index 0..1 once"
             " (at plan.mergeOrder)\n"
+        )
+
+    def test_verify_plan_merge_order_not_a_list_is_located(self, tmp_path, capsys):
+        p = self.triangle_pair_plan_ordered(tmp_path, {"0": 1})
+        assert main(["verify-plan", p]) == 2
+        assert capsys.readouterr().err == (
+            "error: 'mergeOrder' must be a list (at plan.mergeOrder)\n"
         )
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0], None], ids=["in-order", "swapped", "absent"])

@@ -8,6 +8,7 @@ from metaform.errors import InputError
 from metaform.graph import (
     Formation,
     MetaFormation,
+    UndirectedView,
     export_dot,
     export_formation,
     export_meta_formation,
@@ -26,6 +27,10 @@ class TestFormationValidation:
     def test_duplicate_directed_edge_rejected(self):
         with pytest.raises(InputError):
             Formation(vertices=(1, 2), edges=((1, 2), (1, 2)))
+
+    def test_undirected_view_rejects_two_edges_on_one_pair(self):
+        with pytest.raises(InputError, match="^duplicate undirected edge$"):
+            UndirectedView(vertices=(1, 2), edges=((1, 2), (2, 1)))
 
     def test_opposite_direction_on_same_pair_rejected(self):
         # One distance constraint per unordered pair, one responsible agent.

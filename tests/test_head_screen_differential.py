@@ -195,7 +195,7 @@ def test_lazy_search_picks_the_reference_set(monkeypatch, trials):
 
 def outcome(ga, gb):
     try:
-        return plan_pair(ga, gb, 3, check=False).to_dict()
+        return plan_pair(ga, gb, 3).to_dict()
     except MetaformError as exc:
         return (type(exc).__name__, str(exc))
 

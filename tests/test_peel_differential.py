@@ -172,8 +172,8 @@ def test_small_coordinates_reach_singular_blocks(coord_range, monkeypatch):
     """Some low-degree vertices stay in the remainder, and ranks still match."""
     verdicts = []
 
-    def spy(rows, p=P):
-        verdicts.append(_independent_mod_p(rows, p))
+    def spy(rows):
+        verdicts.append(_independent_mod_p(rows))
         return verdicts[-1]
 
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
@@ -203,9 +203,9 @@ def eliminated_shapes(monkeypatch):
     """The shape of every matrix ``rank_at`` hands to ``rank_mod_p``."""
     shapes = []
 
-    def spy(matrix, p=P):
+    def spy(matrix):
         shapes.append(matrix.shape)
-        return rank_mod_p(matrix, p)
+        return rank_mod_p(matrix)
 
     monkeypatch.setattr(rigidity, "rank_mod_p", spy)
     return shapes

@@ -64,6 +64,12 @@ class TestTerminalSubgraphs:
         )
         assert len(terminal_subgraphs(f, 2)) == 6  # C(4, 2)
 
+    @pytest.mark.parametrize("i", [-1, 3])
+    def test_index_outside_0_to_len_raises(self, i):
+        terms = terminal_subgraphs(complete(4), 2)
+        with pytest.raises(IndexError):
+            terms[i]
+
 
 class TestIsPersistent:
     def test_rigid_but_not_persistent(self):

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from metaform import persistence
 from metaform.errors import InfeasibleMergeError, NotPersistentError
 from metaform.graph import Formation
 from metaform.persistence import is_persistent
@@ -16,12 +17,14 @@ from metaform.planner import (
     missing_dof,
     plan_collection,
     plan_pair,
+    prove_members,
     verify_plan,
 )
 from metaform.rigidity import dof_constant
 
 from conftest import (
     complete,
+    count_calls,
     dof_allocated_3d,
     lone_leader_3d,
     nonstructural_3d,
@@ -166,6 +169,12 @@ class TestPlanPair3D:
             plan_pair(nonstructural_3d(1), zero_dof_3d(10), 3)
         assert exc.value.reason == REASON_NONSTRUCTURAL_ZERO
 
+    def test_two_zero_dof_members_lack_the_dofs(self):
+        # Six inter-edges are needed and neither member has a local DOF.
+        with pytest.raises(InfeasibleMergeError) as exc:
+            plan_pair(zero_dof_3d(1), zero_dof_3d(10), 3)
+        assert exc.value.reason == REASON_MISSING_DOF
+
     def test_lone_leader_merges_with_full_dof_partner(self):
         ga, gb = lone_leader_3d(1), complete(4, 10)
         plan = plan_pair(ga, gb, 3)
@@ -231,6 +240,34 @@ class TestPlanCollection:
     def test_single_member_collection(self):
         plan = plan_collection([complete(4, 1)], 3)
         assert plan.edges == ()
+
+
+class TestProvedMembers:
+    def test_a_record_of_the_other_dimension_is_proved_again(self, monkeypatch):
+        coll = [triangle(1), triangle(4)]
+        in_2d = prove_members(coll, 2)
+        proved = count_calls(monkeypatch, "is_persistent", persistence.is_persistent)
+        in_3d = prove_members(in_2d, 3)
+        assert [args[:2] for args in proved] == [(coll[0], 3), (coll[1], 3)]
+        assert in_3d == prove_members(coll, 3)
+        assert in_3d.dim == 3 and in_3d != in_2d
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_plan_collection_computes_2k_minus_1_ledgers(self, monkeypatch, dim, k):
+        """One ledger per member, from its proof, and one per fold step, from
+        the conservation check; no step computes one it already holds."""
+        size = dim + 1
+        coll = [complete(size, 1 + size * i) for i in range(k)]
+        ledgers = count_calls(monkeypatch, "ledger", persistence.ledger)
+        plan_collection(coll, dim)
+        assert len(ledgers) == 2 * k - 1
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_plan_pair_computes_the_two_ledgers_of_its_proof(self, monkeypatch, dim):
+        ledgers = count_calls(monkeypatch, "ledger", persistence.ledger)
+        plan_pair(complete(dim + 1, 1), complete(dim + 1, 10), dim)
+        assert [args[0].vertices[0] for args in ledgers] == [1, 10]
 
 
 class TestVerifyPlan:

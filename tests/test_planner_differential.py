@@ -243,7 +243,7 @@ PLAN_COLLECTION_CASES = [(3, name) for name in sorted(COLLECTIONS)] + [
 def test_plan_pair_matches_reference(monkeypatch, dim, name, seed, trials):
     ga, gb = (PAIRS if dim == 3 else PAIRS_2D)[name]
     new, old, leaves, ref_leaves = both(
-        monkeypatch, plan_pair, ga, gb, dim, seed=seed, trials=trials, check=False
+        monkeypatch, plan_pair, ga, gb, dim, seed=seed, trials=trials
     )
     assert new == old
     assert leaves <= ref_leaves
@@ -436,7 +436,7 @@ def test_plan_unchanged_where_the_reference_spends_its_leaf_cap(monkeypatch, nam
         if len(leaves) == HEAD_SEARCH_LEAF_CAP:
             capped.append(len({frozenset(x) for x in leaves}))
     assert capped and all(n < HEAD_SEARCH_LEAF_CAP for n in capped)
-    new, old, _, _ = both(monkeypatch, plan_pair, ga, gb, 3, seed=seed, trials=trials, check=False)
+    new, old, _, _ = both(monkeypatch, plan_pair, ga, gb, 3, seed=seed, trials=trials)
     assert "edges" in new and new == old
     new, old, _, _ = both(monkeypatch, plan_collection, [ga, gb], 3, seed=seed, trials=trials)
     assert "edges" in new and new == old
@@ -463,14 +463,14 @@ def test_corpus_reaches_screened_candidates_and_refusals(monkeypatch):
 
 def test_five_five_pair_never_rebuilds_the_whole_matrix(monkeypatch):
     ga, gb = PAIRS["five-five"]
-    expected = both(monkeypatch, plan_pair, ga, gb, 3, seed=0, trials=3, check=False)[1]
+    expected = both(monkeypatch, plan_pair, ga, gb, 3, seed=0, trials=3)[1]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a head-search leaf rebuilt the whole rigidity matrix")
 
     monkeypatch.setattr(rigidity, "rigidity_rank_once", forbidden)
     assert "edges" in expected
-    assert plan_pair(ga, gb, 3, check=False).to_dict() == expected
+    assert plan_pair(ga, gb, 3).to_dict() == expected
 
 
 @st.composite

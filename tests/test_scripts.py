@@ -33,3 +33,13 @@ def test_merge_survey(dim):
     done = run_script("merge_survey.py", "--rounds", "3", "--dim", dim)
     assert done.returncode == 0, done.stderr
     assert "3 planned, 3 verified" in done.stdout
+
+
+def test_code_lines():
+    done = run_script("code_lines.py")
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()]
+    modules = sorted(p.name for p in (ROOT / "src" / "metaform").glob("*.py"))
+    assert [name for name, _ in rows] == modules + ["total"]
+    counts = [int(count) for _, count in rows]
+    assert all(counts) and counts[-1] == sum(counts[:-1])

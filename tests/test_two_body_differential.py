@@ -48,7 +48,7 @@ def folded(rng, base):
         ga = member(rng, base)
         gb = member(rng, base + len(ga.vertices))
         try:
-            plan = plan_pair(ga, gb, 3, check=False)
+            plan = plan_pair(ga, gb, 3)
         except InfeasibleMergeError:
             continue
         return Formation(
