@@ -28,20 +28,22 @@ def json_int(x, location: str) -> int:
     return x
 
 
-def _json_edges(edges, name: str) -> tuple[Edge, ...]:
-    """A JSON list of [tail, head] integer pairs, located as ``name[i][j]``.
+def _json_edges(edges, name: str) -> list:
+    """``edges`` itself, checked to be a JSON list of [tail, head] integer
+    pairs; errors are located as ``name[i][j]``.
 
-    Locations are built only to report the first offender.
+    Nothing is copied: ``Formation`` and ``MetaFormation`` convert the
+    pairs once.  Locations are built only to report the first offender.
     """
     if not isinstance(edges, list):
         raise InputError(f"'{name}' must be a list", name)
     for i, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and type(e[0]) is int and type(e[1]) is int):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
             if not isinstance(e, list) or len(e) != 2:
                 raise InputError("edge must be a [tail, head] pair", f"{name}[{i}]")
             json_int(e[0], f"{name}[{i}][0]")
             json_int(e[1], f"{name}[{i}][1]")
-    return tuple(map(tuple, edges))
+    return edges
 
 
 def _raise_first_offender(vertices: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
@@ -78,7 +80,9 @@ class Formation:
 
     Invariants enforced at construction: at least one vertex, no
     self-loops, at most one edge per unordered vertex pair (one distance
-    constraint, one responsible agent), every endpoint declared.
+    constraint, one responsible agent), every endpoint declared.  The
+    vertex ids and edge pairs are converted with ``int`` once, here; a
+    parsed document's edge list reaches this point uncopied.
     """
 
     vertices: tuple[int, ...]
@@ -86,7 +90,7 @@ class Formation:
 
     def __post_init__(self):
         vertices = tuple(map(int, self.vertices))
-        edges = tuple((int(t), int(h)) for t, h in self.edges)
+        edges = tuple([(int(t), int(h)) for t, h in self.edges])
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
         declared = set(vertices)
@@ -138,13 +142,17 @@ class Formation:
 
 @dataclass(frozen=True)
 class UndirectedView:
-    """Direction-forgetting view of a formation; unit of all rigidity checks."""
+    """Direction-forgetting view of a formation; unit of all rigidity checks.
+
+    Each edge is stored as (low, high), ordered inline in one pass; the
+    rank test and the screens read these pairs as they are.
+    """
 
     vertices: tuple[int, ...]
     edges: tuple[Edge, ...] = ()
 
     def __post_init__(self):
-        norm = tuple(_unordered(e) for e in self.edges)
+        norm = tuple([(a, b) if a < b else (b, a) for a, b in self.edges])
         object.__setattr__(self, "edges", norm)
         if len(set(norm)) != len(norm):
             raise InputError("duplicate undirected edge")

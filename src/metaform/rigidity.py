@@ -16,9 +16,10 @@ one-sided (a generic graph can be reported non-rigid with negligible
 probability, never the converse).
 
 Each oracle trial peels before it eliminates.  A vertex with at most dim
-remaining edges whose rows are independent on its own columns adds their
-number to the rank and leaves with its edges (vertex addition in
-reverse, Tay & Whiteley 1985).  The rest, R, is certified before it is
+remaining edges whose rows are independent on its own columns, a closed
+form on its point and its neighbours' points, adds their number to the
+rank and leaves with its edges (vertex addition in reverse, Tay &
+Whiteley 1985).  The rest, R, is certified before it is
 reduced: a vertex of least remaining degree leaves with its edges,
 keeping a maximal set of its rows independent on its own columns and
 dropping the others.  Deleting rows cannot raise the rank, and the kept
@@ -331,21 +332,20 @@ def _positions(vertices, dim: int, rng: random.Random) -> dict[int, tuple[int, .
     Each coordinate is ``rng.randint(1, COORD_RANGE)`` without its call
     frames: draws of ``COORD_RANGE.bit_length()`` bits until one falls
     below ``COORD_RANGE``, plus 1, so the stream and every placement are
-    those of ``randint``.
+    those of ``randint``.  All dim * n coordinates are drawn in one flat
+    loop, in vertex order, and then cut into points.
     """
     span = COORD_RANGE
     bits = span.bit_length()
     draw = rng.getrandbits
-    positions = {}
-    for v in vertices:
-        coords = []
-        for _ in range(dim):
+    coords = []
+    for _ in range(dim * len(vertices)):
+        r = draw(bits)
+        while r >= span:
             r = draw(bits)
-            while r >= span:
-                r = draw(bits)
-            coords.append(r + 1)
-        positions[v] = tuple(coords)
-    return positions
+        coords.append(r + 1)
+    flat = iter(coords)
+    return dict(zip(vertices, zip(*[flat] * dim)))
 
 
 def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):
@@ -474,33 +474,42 @@ def batch_rank_mod_p(stack: np.ndarray) -> np.ndarray:
     return rank
 
 
-def _independent_mod_p(rows: list[list[int]]) -> bool:
-    """Are a peeled vertex's rows, at most dim of length dim, independent mod ``RANK_MODULUS``?
+def _independent_at(p: tuple[int, ...], qs: list[tuple[int, ...]]) -> bool:
+    """Are the rows p - q, one per point q of ``qs``, independent mod ``RANK_MODULUS``?
 
-    No rows always are; one row when it is nonzero; two rows when some
-    2x2 minor is nonzero (the 2D determinant or a cross-product entry);
-    three rows of length 3 when their 3x3 determinant is nonzero.  Closed
-    forms on Python ints, because the peel asks once per peeled vertex per
-    trial.
+    These are a vertex's rows on its own columns, at most dim of them:
+    ``p`` is the vertex's point and ``qs`` its neighbours'.  No rows
+    always are; one row when it is nonzero; two rows when some 2x2 minor
+    is nonzero (the 2D determinant or a cross-product entry); three rows
+    in 3D when their 3x3 determinant is nonzero.  Closed forms on
+    unpacked Python ints, because the peel and the certificate ask once
+    per vertex per trial.
     """
-    p = RANK_MODULUS
-    k = len(rows)
-    if k == 3:
-        a, b, c = rows
-        det = (
-            a[0] * (b[1] * c[2] - b[2] * c[1])
-            - a[1] * (b[0] * c[2] - b[2] * c[0])
-            + a[2] * (b[0] * c[1] - b[1] * c[0])
-        )
-        return det % p != 0
-    if k == 0:
+    m = RANK_MODULUS
+    k = len(qs)
+    if not k:
         return True
-    if k == 1:
-        return any(x % p for x in rows[0])
-    a, b = rows
-    return any(
-        (a[i] * b[j] - a[j] * b[i]) % p for i, j in itertools.combinations(range(len(a)), 2)
-    )
+    if len(p) == 3:
+        x, y, z = p
+        if k == 3:
+            (a, b, c), (d, e, f), (g, h, i) = qs
+            a, b, c = x - a, y - b, z - c
+            d, e, f = x - d, y - e, z - f
+            g, h, i = x - g, y - h, z - i
+            return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % m != 0
+        if k == 2:
+            (a, b, c), (d, e, f) = qs
+            a, b, c = x - a, y - b, z - c
+            d, e, f = x - d, y - e, z - f
+            return (a * e - b * d) % m != 0 or (a * f - c * d) % m != 0 or (b * f - c * e) % m != 0
+        ((a, b, c),) = qs
+        return (x - a) % m != 0 or (y - b) % m != 0 or (z - c) % m != 0
+    x, y = p
+    if k == 2:
+        (a, b), (c, d) = qs
+        return ((x - a) * (y - d) - (y - b) * (x - c)) % m != 0
+    ((a, b),) = qs
+    return (x - a) % m != 0 or (y - b) % m != 0
 
 
 def rank_at(
@@ -515,9 +524,12 @@ def rank_at(
     v's own columns, are independent mod p is peeled: ordering v's rows
     and columns first gives [A B; 0 C] with A of full row rank d, so the
     rank is d plus the rank of C, the matrix of G - v at the same
-    positions.  Peeling repeats on the neighbours whose degree drops.  A
-    vertex-addition graph peels away completely; a vertex whose block is
-    singular at this placement stays in the remainder R.
+    positions.  The test reads v's point and its neighbours' points
+    (``_independent_at``), with no rows built.  Peeling repeats on the
+    neighbours whose degree drops.  A vertex-addition graph peels away
+    completely, and its rank is returned as soon as the adjacency is
+    empty, with no scan of the edges; a vertex whose block is singular
+    at this placement stays in the remainder R.
 
     R is then certified when it can be (``_reaches_ceiling``): its rank
     is at least |E(R)| minus the rows a least-degree-first removal drops,
@@ -537,21 +549,19 @@ def rank_at(
     stack = [v for v in g.vertices if len(adj[v]) <= dim]
     while stack:
         v = stack.pop()
-        if v not in adj:
-            continue
-        pv = positions[v]
-        ws = adj[v]
-        if not _independent_mod_p([[a - b for a, b in zip(pv, positions[w])] for w in ws]):
+        ws = adj.get(v)
+        if ws is None or not _independent_at(positions[v], [positions[w] for w in ws]):
             continue
         rank += len(ws)
         del adj[v]
         for w in ws:
-            adj[w].discard(v)
-            if len(adj[w]) <= dim:
+            around = adj[w]
+            around.discard(v)
+            if len(around) <= dim:
                 stack.append(w)
-    edges = [e for e in g.edges if e[0] in adj and e[1] in adj]
-    if not edges:
+    if not adj:
         return rank
+    edges = [e for e in g.edges if e[0] in adj and e[1] in adj]
     left = [v for v in g.vertices if v in adj]
     ceiling = min(len(edges), required_rank(dim, len(left)))
     if _reaches_ceiling(left, adj, positions, len(edges) - ceiling):
@@ -570,12 +580,14 @@ def _reaches_ceiling(
 
     A vertex v of least remaining degree (the first in ``vertices`` on a
     tie) leaves with its edges; of its rows it keeps a maximal set S
-    independent on its own columns, taken greedily, and drops the others.
-    Ordering v's rows and columns first gives [A *; 0 C] with A = S on
-    v's columns of full row rank, so the rank is at least |S| plus the
-    rank of C, the matrix without v.  Repeated to the last vertex, the
-    rank is at least |E| minus the rows dropped.  It gives up once more
-    than ``budget`` rows are dropped.  ``adj`` is left as it was.
+    independent on its own columns, taken greedily, and drops the others;
+    each row is tested on v's point and the kept neighbours' points with
+    ``_independent_at``, the peel's own test.  Ordering v's rows and
+    columns first gives [A *; 0 C] with A = S on v's columns of full row
+    rank, so the rank is at least |S| plus the rank of C, the matrix
+    without v.  Repeated to the last vertex, the rank is at least |E|
+    minus the rows dropped.  It gives up once more than ``budget`` rows
+    are dropped.  ``adj`` is left as it was.
     """
     adj = {v: set(adj[v]) for v in vertices}
     dropped = 0
@@ -586,9 +598,9 @@ def _reaches_ceiling(
         kept = []
         for w in ws:
             adj[w].discard(v)
-            row = [a - b for a, b in zip(pv, positions[w])]
-            if len(kept) < len(pv) and _independent_mod_p(kept + [row]):
-                kept.append(row)
+            q = positions[w]
+            if len(kept) < len(pv) and _independent_at(pv, kept + [q]):
+                kept.append(q)
         dropped += len(ws) - len(kept)
         if dropped > budget:
             return False

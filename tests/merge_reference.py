@@ -35,12 +35,12 @@ from metaform.rigidity import (
     BodyBarRank,
     PebbleGame2D,
     check_rigidity,
-    rank_at,
     required_rank,
     trial_placements,
 )
 
 from fixed_base_reference import FixedBaseRank
+from rank_at_reference import rank_at
 
 
 def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:
@@ -107,7 +107,8 @@ class TwoBodyRank:
     the merged graph (``trial_placements``); so it is that oracle's
     verdict.
 
-    Each trial ranks each body once (``rank_at``).  A body below
+    Each trial ranks each body once (``rank_at``, the frozen copy in
+    ``rank_at_reference``).  A body below
     ``required_rank(3, n)`` there leaves the merged graph more rank to
     find than a leaf has edges, so no leaf hits at that trial.  When both
     reach it, each body's kernel is spanned by its trivial motions (rank

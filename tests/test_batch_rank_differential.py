@@ -165,6 +165,13 @@ LAST_FAILS = digraph(7, [  # witness 15 of 16
     (4, 5), (4, 3), (2, 6), (5, 6), (7, 4), (5, 3), (5, 2), (6, 4), (3, 6),
     (4, 2), (6, 7), (5, 1), (7, 2), (1, 2), (4, 1), (1, 7), (3, 7), (2, 3),
 ])
+# Two multi-choice blocks: in product order (last block fastest) the
+# first failing terminal is the third; numbered with the first block
+# fastest, it would be the thirteenth.
+THIRD_FAILS = digraph(7, [  # witness 2 of 16
+    (4, 6), (5, 7), (1, 4), (1, 6), (5, 6), (1, 5), (1, 2), (7, 4), (4, 5),
+    (3, 5), (6, 2), (4, 3), (3, 7), (3, 2), (3, 1), (7, 6), (7, 1),
+])
 # Cyclic: peels nothing, so all 160 terminals are the core's.
 LATE_FAILS = digraph(8, [  # witness 57 of 160
     (1, 2), (1, 5), (1, 8), (2, 4), (2, 5), (2, 8), (3, 1), (3, 2), (4, 1),
@@ -212,6 +219,8 @@ CASES = {
     "last-fails-last-of-batch": (LAST_FAILS, 4, 15),
     "last-fails-first-of-batch": (LAST_FAILS, 15, 15),
     "last-fails-one-batch": (LAST_FAILS, None, 15),
+    "third-fails-one-batch": (THIRD_FAILS, None, 2),
+    "third-fails-mid-batch": (THIRD_FAILS, 4, 2),
     "edge-count-short": (EDGE_COUNT_SHORT, 2, 0),
     "late-fails-mid-batch": (LATE_FAILS, 8, 57),
     "late-fails-first-of-batch": (LATE_FAILS, 57, 57),

@@ -26,7 +26,7 @@ from metaform.generate import banana
 from metaform.graph import UndirectedView
 from metaform.rigidity import (
     RANK_MODULUS,
-    _independent_mod_p,
+    _independent_at,
     generic_rank_oracle,
     rank_mod_p,
     required_rank,
@@ -169,15 +169,20 @@ def test_random_graphs_match_the_whole_matrix(g, dim, seed, coord_range):
 
 @pytest.mark.parametrize("coord_range", [2, 3, 4, 5])
 def test_small_coordinates_reach_singular_blocks(coord_range, monkeypatch):
-    """Some low-degree vertices stay in the remainder, and ranks still match."""
+    """Some low-degree vertices stay in the remainder, and ranks still match.
+
+    The 3D closed form for three neighbours, the 3x3 determinant, answers
+    both ways."""
     verdicts = []
 
-    def spy(rows):
-        verdicts.append(_independent_mod_p(rows))
-        return verdicts[-1]
+    def spy(p, qs):
+        verdict = _independent_at(p, qs)
+        if len(p) == 3 and len(qs) == 3:
+            verdicts.append(verdict)
+        return verdict
 
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
-    monkeypatch.setattr(rigidity, "_independent_mod_p", spy)
+    monkeypatch.setattr(rigidity, "_independent_at", spy)
     rng = random.Random(coord_range)
     for seed in range(40):
         n = rng.randint(4, 12)
@@ -233,8 +238,14 @@ def test_banana_sends_its_whole_matrix_at_every_trial(monkeypatch):
     assert shapes == [(18, 24)] * 3
 
 
+def independent(p, rows):
+    """``_independent_at`` on the rows ``rows``, given as the vertex's
+    point ``p`` and the points p - row."""
+    return _independent_at(tuple(p), [tuple(x - r for x, r in zip(p, row)) for row in rows])
+
+
 @pytest.mark.parametrize(
-    "rows, independent",
+    "rows, independent_rows",
     [
         ([], True),
         ([[0, 0]], False),
@@ -250,12 +261,14 @@ def test_banana_sends_its_whole_matrix_at_every_trial(monkeypatch):
         ([[1, 0, 0], [0, 1, 0], [0, 0, -1]], True),
     ],
 )
-def test_block_independence_cases(rows, independent):
-    assert _independent_mod_p(rows) is independent
+def test_block_independence_cases(rows, independent_rows):
+    for dim, at in itertools.product({len(row) for row in rows} or (2, 3), (0, 5, -P)):
+        assert independent((at,) * dim, rows) is independent_rows
 
 
 @st.composite
 def blocks(draw):
+    """A vertex's point and up to dim rows on its columns."""
     dim = draw(st.sampled_from([2, 3]))
     d = draw(st.integers(0, dim))
     entry = st.one_of(
@@ -263,11 +276,13 @@ def blocks(draw):
         st.integers(-(2**20), 2**20),
         st.integers(-3, 3).map(lambda k: k * P),
     )
-    return [draw(st.lists(entry, min_size=dim, max_size=dim)) for _ in range(d)]
+    p = draw(st.lists(entry, min_size=dim, max_size=dim))
+    return p, [draw(st.lists(entry, min_size=dim, max_size=dim)) for _ in range(d)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(blocks())
-def test_block_independence_matches_rank_mod_p(rows):
+def test_block_independence_matches_rank_mod_p(block):
+    p, rows = block
     expected = not rows or rank_mod_p(np.array(rows, dtype=np.int64)) == len(rows)
-    assert _independent_mod_p(rows) is expected
+    assert independent(p, rows) is expected

@@ -18,6 +18,7 @@ LIVE_DECIDERS = {
     "_decide_merge",
     "_smallest_violating_subset",
     "_counting_screen_3d",
+    "rank_at",
 }
 REFERENCES = sorted(Path(__file__).parent.glob("*_reference.py"))
 

@@ -43,3 +43,11 @@ def test_code_lines():
     assert [name for name, _ in rows] == modules + ["total"]
     counts = [int(count) for _, count in rows]
     assert all(counts) and counts[-1] == sum(counts[:-1])
+
+
+def test_mutant_snippets_occur_once():
+    """Each mutant's snippet is in its module exactly once and its test
+    files exist; the kill run itself (``python scripts/mutants.py``) takes
+    minutes and is not run here."""
+    done = run_script("mutants.py", "--check")
+    assert done.returncode == 0, done.stdout + done.stderr
