@@ -91,6 +91,27 @@ MUTANTS = (
         ("test_placements_differential.py",),
     ),
     Mutant(
+        "placements-accept-zero-trials",
+        "rigidity.py",
+        "        if self.trials < 1:\n",
+        "        if self.trials < 0:\n",
+        ("test_placements_differential.py",),
+    ),
+    Mutant(
+        "placements-one-trial-too-many",
+        "rigidity.py",
+        "        for _ in range(self.trials):\n",
+        "        for _ in range(self.trials + 1):\n",
+        ("test_placements_differential.py",),
+    ),
+    Mutant(
+        "placements-reseeded-per-trial",
+        "rigidity.py",
+        "            yield _positions(vertices, dim, rng)\n",
+        "            yield _positions(vertices, dim, random.Random(self.seed))\n",
+        ("test_placements_differential.py",),
+    ),
+    Mutant(
         "certificate-budget-one-too-large",
         "rigidity.py",
         "        if dropped > budget:\n",

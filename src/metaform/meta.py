@@ -53,10 +53,10 @@ def _member_gadgets(
     pebble game (2D) or by exact-rank tests (3D).  Building it is the
     proof that the meta-vertex is rigid.  The filter reaches the rank of
     the whole edge set: the pebble game's exactly, and in 3D the rank at
-    the same ``random.Random(seed)`` placements, trial by trial, as
-    ``rigid_3d_check``.  So it succeeds exactly when ``laman_check_2d``
-    or ``rigid_3d_check`` says rigid.  A smaller meta-vertex keeps its
-    edges; in 3D a two-vertex one is rigid when it contains its edge.
+    ``rigid_3d_check``'s placements (``rigidity.Placements``).  So it
+    succeeds exactly when ``laman_check_2d`` or ``rigid_3d_check`` says
+    rigid.  A smaller meta-vertex keeps its edges; in 3D a two-vertex one
+    is rigid when it contains its edge.
     """
     if dim not in (2, 3):
         raise InputError(f"dimension must be 2 or 3, got {dim}")
@@ -291,7 +291,7 @@ def check_meta(
     merge decision, so a member that is not fails before any not-rigid
     witness search.  A rigid merge has a rigid flattened graph, which
     has the substituted graph's vertices, in order, and a superset of
-    its edges (in 3D at the same trial, which places both alike).
+    its edges (in 3D at the same trial of ``rigidity.Placements``).
     """
     cls, kept = _member_gadgets(meta, dim, seed, trials)
     for i, mv in enumerate(meta.meta_vertices):

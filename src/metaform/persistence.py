@@ -34,18 +34,17 @@ every terminal, and its first terminal, choice 0 in every block below,
 is the witness.
 
 In 3D every core terminal keeps the core's vertices in the same order,
-so trial t of each terminal's rank oracle places them the same way; the
-peeled vertices are not placed, since their part of the verdict rests
-on the theorem above.  Every terminal holds the edges of the
-single-choice blocks, so those form a base that ``reduce_mod_p``
-eliminates once per trial, reducing the other blocks' edges against it;
-a terminal adds one choice per other block, and terminals are ranked in
-batches of these reduced edges.  A core with one terminal is that
-terminal, and the rank oracle decides it, except on at most 4 vertices:
-there a terminal with the 3n - 6 edges rigidity needs has all C(n, 2)
-of them, and a complete graph on at most 4 vertices, a simplex, is
-rigid.  So a formation grown by vertex addition from at most 4 vertices
-needs no rank at all.
+so one ``rigidity.Placements`` places them alike in every terminal; the
+peeled vertices are not placed, since their part of the verdict rests on
+the theorem above.  Every terminal holds the edges of the single-choice
+blocks, so those form a base that ``reduce_mod_p`` eliminates once per
+trial, reducing the other blocks' edges against it; a terminal adds one
+choice per other block, and terminals are ranked in batches of these
+reduced edges.  A core with one terminal is that terminal, and the rank
+oracle decides it, except on at most 4 vertices: there a terminal with
+the 3n - 6 edges rigidity needs has all C(n, 2) of them, and a complete
+graph on at most 4 vertices, a simplex, is rigid.  So a formation grown
+by vertex addition from at most 4 vertices needs no rank at all.
 """
 from __future__ import annotations
 
@@ -62,12 +61,12 @@ from .rigidity import (
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     PebbleGame2D,
+    Placements,
     batch_rank_mod_p,
     generic_rank_oracle,
     reduce_mod_p,
     required_rank,
     rigidity_matrix_rows,
-    trial_placements,
 )
 
 # Worst case measured under it (in-process, unscaled, one run, 2-core
@@ -269,8 +268,7 @@ def _first_nonrigid_terminal_2d(
 def _first_nonrigid_terminal_3d(
     vertices: tuple[int, ...],
     blocks: tuple[tuple[tuple[Edge, ...], ...], ...],
-    seed: int,
-    trials: int,
+    placements: Placements,
 ) -> list[int] | None:
     """The choice per block of the first terminal on ``vertices`` that
     ``rigid_3d_check`` finds not rigid, or None.
@@ -281,14 +279,13 @@ def _first_nonrigid_terminal_3d(
     one terminal, and with 3n - 6 = C(n, 2) edges it is complete: a
     simplex, rigid without the rank oracle.  One terminal on more
     vertices is decided by the rank oracle, as ``rigid_3d_check`` decides
-    it.  Otherwise trial t places the vertices as the oracle's trial t
-    does, and one ``reduce_mod_p`` call ranks the single-choice edges
-    there and reduces every multi-choice edge's row against them.  A
-    terminal is rigid when some trial's base rank plus the rank of its
-    3 reduced rows per multi-choice block reaches 3n - 6.  Batches number
-    the terminals in product order over the multi-choice blocks, and each
-    batch goes on to the next trial with only the terminals still short
-    of full rank.
+    it.  Otherwise, at each of the ``placements``, one ``reduce_mod_p``
+    call ranks the single-choice edges and reduces every multi-choice
+    edge's row against them.  A terminal is rigid when some trial's base
+    rank plus the rank of its 3 reduced rows per multi-choice block
+    reaches 3n - 6.  Batches number the terminals in product order over
+    the multi-choice blocks, and each batch goes on to the next trial
+    with only the terminals still short of full rank.
     """
     target = required_rank(3, len(vertices))
     choices = [0] * len(blocks)
@@ -300,7 +297,8 @@ def _first_nonrigid_terminal_3d(
     fixed = [e for block in blocks if len(block) == 1 for e in block[0]]
     if not multi:
         g = UndirectedView(vertices, tuple(fixed))
-        return None if generic_rank_oracle(g, 3, seed=seed, trials=trials) == target else choices
+        rank = generic_rank_oracle(g, 3, placements.seed, placements.trials)
+        return None if rank == target else choices
     # The edges the multi-choice blocks choose from: their tails' out-edges.
     extra = sorted({e for b in multi for choice in blocks[b] for e in choice})
     slot = {e: k for k, e in enumerate(extra)}
@@ -310,9 +308,14 @@ def _first_nonrigid_terminal_3d(
     ]
     radices = [len(blocks[b]) for b in multi]
     col_of = {v: i for i, v in enumerate(vertices)}
-    placements = trial_placements(vertices, 3, seed)
-    # Per trial reached: the rank the base lacks, and the reduced extra rows.
-    reduced: list[tuple[int, np.ndarray]] = []
+
+    def reduce(positions):
+        rows = rigidity_matrix_rows(fixed + extra, positions, col_of, 3)
+        return reduce_mod_p(rows[: len(fixed)], rows[len(fixed) :])
+
+    # Per trial, when a batch first reaches it: the base's rank and the
+    # reduced extra rows; each later batch replays them from a ``tee`` copy.
+    reduced = map(reduce, placements.of(vertices, 3))
     count = math.prod(radices)
     for start in range(0, count, TERMINAL_BATCH_SIZE):
         stop = min(start + TERMINAL_BATCH_SIZE, count)
@@ -320,13 +323,9 @@ def _first_nonrigid_terminal_3d(
         digits = np.unravel_index(np.arange(start, stop), radices)
         index = np.concatenate([s[d] for s, d in zip(slots, digits)], axis=1)
         short = np.arange(len(index))
-        for t in range(trials):
-            if t == len(reduced):
-                rows = rigidity_matrix_rows(fixed + extra, next(placements), col_of, 3)
-                rank, table = reduce_mod_p(rows[: len(fixed)], rows[len(fixed) :])
-                reduced.append((target - rank, table))
-            need, table = reduced[t]
-            short = short[batch_rank_mod_p(table[index[short]]) < need]
+        reduced, trials = itertools.tee(reduced)
+        for rank, table in trials:
+            short = short[batch_rank_mod_p(table[index[short]]) < target - rank]
             if not short.size:
                 break
         if short.size:
@@ -378,10 +377,10 @@ def is_persistent(
     verdicts come from the randomized rank oracle on a core of more than
     4 vertices, so a persistence verdict inherits its one-sided error
     toward "not persistent"; the seed used is recorded in the verdict.
-    ``trials`` below 1 raises InputError, whatever the formation.
+    ``Placements(seed, trials)`` is made first, so ``trials`` below 1
+    raises InputError whatever the formation.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    placements = Placements(seed, trials)
     led = ledger(f, dim)
     # Terminals come sorted by edge set, so the first non-rigid one is
     # the lexicographically smallest witness.
@@ -394,7 +393,7 @@ def is_persistent(
     if dim == 2:
         choices = _first_nonrigid_terminal_2d(core, core_blocks)
     else:
-        choices = _first_nonrigid_terminal_3d(core, core_blocks, seed, trials)
+        choices = _first_nonrigid_terminal_3d(core, core_blocks, placements)
     if choices is not None:
         # Peeled blocks are free, so the smallest failing terminal keeps
         # choice 0 in each of them and the core's choices elsewhere.

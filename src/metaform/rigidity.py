@@ -34,10 +34,11 @@ that reaches a rank no placement exceeds, the smaller of |E|, the
 required rank and a bound from the graph's (dim + 1)-core; the result
 is the same as with every trial run.
 
+Every 3D ranker draws its trials from one ``Placements(seed, trials)``,
+which places a vertex tuple at trial t the same way whatever the edges.
 Persistence asks about many graphs that share one fixed edge set on
 one vertex set: a terminal subgraph is the single-choice blocks plus
-one choice per other block.  Trial t of each of those oracles places
-the vertices the same way, so ``reduce_mod_p`` eliminates the fixed rows
+one choice per other block.  So ``reduce_mod_p`` eliminates the fixed rows
 once per trial, with ``rank_mod_p``'s own elimination, and reduces the
 other blocks' rows against them; each graph then ranks only its few
 reduced rows, all graphs of a chunk in one ``batch_rank_mod_p`` call:
@@ -348,17 +349,34 @@ def _positions(vertices, dim: int, rng: random.Random) -> dict[int, tuple[int, .
     return dict(zip(vertices, zip(*[flat] * dim)))
 
 
-def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):
-    """The placements of trials 0, 1, 2, ... of the rank oracle, in order.
+@dataclass(frozen=True)
+class Placements:
+    """The placement schedule every 3D ranker shares.
 
-    ``generic_rank_oracle(g, dim, seed)`` places ``g.vertices`` at the
-    t-th of these in trial t: one ``random.Random(seed)`` stream, drawn
-    in vertex order.  So every graph on the same vertex tuple shares
-    each trial's placement, whatever its edges.
+    ``of(vertices, dim)`` yields the placements of trials 0, 1, ...,
+    ``trials - 1``, each drawn by ``_positions`` from one
+    ``random.Random(seed)`` stream when it is asked for.  The draws do
+    not depend on edges, so every ranker handed the same vertex tuple
+    places it alike at trial t: ``generic_rank_oracle`` and
+    ``minimally_rigid_spanning`` on a graph, ``BodyBarRank`` on bodies
+    listed in the order of the merged graph's vertices, and every core
+    terminal of ``is_persistent``.  Each rank is exact at its placement,
+    so each of them answers as the rank oracle does on the same graph,
+    trial by trial.  Making one with ``trials`` below 1 raises
+    InputError.
     """
-    rng = random.Random(seed)
-    while True:
-        yield _positions(vertices, dim, rng)
+
+    seed: int
+    trials: int
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise InputError("trials must be >= 1")
+
+    def of(self, vertices, dim: int):
+        rng = random.Random(self.seed)
+        for _ in range(self.trials):
+            yield _positions(vertices, dim, rng)
 
 
 def rigidity_matrix_rows(
@@ -608,15 +626,14 @@ def _reaches_ceiling(
 
 
 def rigidity_rank_once(
-    g: UndirectedView, dim: int, rng: random.Random, adj: dict[int, set[int]] | None = None
+    g: UndirectedView,
+    dim: int,
+    positions: dict[int, tuple[int, ...]],
+    adj: dict[int, set[int]] | None = None,
 ) -> int:
-    """Rigidity-matrix rank over GF(p) at the trial's placement drawn from rng.
-
-    Every vertex is placed first, in vertex order, so the draws do not
-    depend on the edges; ``rank_at`` ranks the matrix there, peeling
-    ``adj`` when it is given.
-    """
-    return rank_at(g, dim, _positions(g.vertices, dim, rng), adj)
+    """Rigidity-matrix rank over GF(p) at one oracle trial's placement:
+    ``rank_at``, peeling ``adj`` when it is given."""
+    return rank_at(g, dim, positions, adj)
 
 
 def generic_rank_oracle(
@@ -625,13 +642,12 @@ def generic_rank_oracle(
     seed: int = DEFAULT_SEED,
     trials: int = DEFAULT_TRIALS,
 ) -> int:
-    """Max rigidity-matrix rank over seeded random integer placements.
+    """Max rigidity-matrix rank over the ``Placements(seed, trials)``.
 
-    Deterministic given seed; the max over trials cannot exceed the
-    generic rank, so the verdict errs only toward non-rigid.  Each trial's
-    rank is exact at its placement: ``rigidity_rank_once`` peels
-    low-degree vertices and eliminates only the rest, which gives the rank
-    of the whole matrix.
+    The max over trials cannot exceed the generic rank, so the verdict
+    errs only toward non-rigid.  Each trial's rank is exact at its
+    placement: ``rigidity_rank_once`` peels low-degree vertices and
+    eliminates only the rest, which gives the rank of the whole matrix.
 
     Trials stop once the best one reaches a ceiling U that no placement
     can exceed, so the result equals the max over all trials.  U starts
@@ -647,12 +663,10 @@ def generic_rank_oracle(
     edges, which no vertex of C ever has, so the remainder holds C, and
     its own (dim + 1)-core is C.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    placements = Placements(seed, trials).of(g.vertices, dim)
     ceiling = min(len(g.edges), required_rank(dim, len(g.vertices)))
-    rng = random.Random(seed)
     left = g.adjacency()
-    best = rigidity_rank_once(g, dim, rng, left)
+    best = rigidity_rank_once(g, dim, next(placements), left)
     if best < ceiling and trials > 1:
         core = _core(left, dim + 1)
         if core:
@@ -660,10 +674,8 @@ def generic_rank_oracle(
             ceiling = min(
                 ceiling, len(g.edges) - inner + min(inner, required_rank(dim, len(core)))
             )
-    for _ in range(trials - 1):
-        if best >= ceiling:
-            break
-        best = max(best, rigidity_rank_once(g, dim, rng))
+    while best < ceiling and (positions := next(placements, None)) is not None:
+        best = max(best, rigidity_rank_once(g, dim, positions))
     return best
 
 
@@ -914,11 +926,10 @@ def rigid_3d_check(
     3-connected graph, such as a four-bar graph, is usually proved so by
     ``three_connectivity``'s fan certificate without the pair scan; a
     graph with a separating pair always runs the scan, which names the
-    smallest pair.  ``trials`` below 1 raises InputError, whatever the
-    graph.
+    smallest pair.  ``Placements(seed, trials)`` is made first, so
+    ``trials`` below 1 raises InputError whatever the graph.
     """
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    Placements(seed, trials)
     n = len(g.vertices)
     if n == 0:
         raise InputError("empty vertex set")
@@ -1018,10 +1029,10 @@ class BodyBarRank:
     bars when the bodies are rigid; when they stay short it has inserted
     every bar, and its rank is ``laman_check_2d``'s.
 
-    3D trial t places the bodies' vertices, concatenated in order, as
-    ``generic_rank_oracle``'s trial t places them (``trial_placements``),
-    and ranks each body once (``rank_at``).  At a trial where every body
-    reaches ``required_rank(3, n_i)``, each body's kernel is spanned by
+    3D trial t places the bodies' vertices, concatenated in order, at
+    the t-th of the ``Placements(seed, trials)`` and ranks each body once
+    there (``rank_at``).  At a trial where every body reaches
+    ``required_rank(3, n_i)``, each body's kernel is spanned by
     its trivial motions (rank 3n - 6 rules out collinear points), so the
     merged graph's rank is the bodies' ranks plus the rank of its bars'
     rows in the bodies' screw coordinates (Tay 1984; White and Whiteley
@@ -1031,14 +1042,12 @@ class BodyBarRank:
     two bodies the row is the bar's Plücker line.  A body short of its
     generic rank leaves more rank missing than bars can add, so no bar
     set reaches the target at that trial.  The bars' rows are short lists
-    of Python ints, kept by one ``IncrementalRank`` per trial.  In 3D,
-    ``trials`` below 1 raises InputError.
+    of Python ints, kept by one ``IncrementalRank`` per trial.
     """
 
     def __init__(self, bodies, dim: int, seed: int = DEFAULT_SEED, trials: int = DEFAULT_TRIALS):
-        self.bodies = tuple(bodies)
+        self.bodies = bodies = tuple(bodies)
         self.dim = dim
-        self.trials = trials
         vertices = tuple(v for g in self.bodies for v in g.vertices)
         self._full = required_rank(dim, len(vertices))
         self.target = self._full - sum(required_rank(dim, len(g.vertices)) for g in self.bodies)
@@ -1047,22 +1056,21 @@ class BodyBarRank:
             for e in itertools.chain.from_iterable(g.edges for g in self.bodies):
                 self._game.insert(e)
             return
-        if trials < 1:
-            raise InputError("trials must be >= 1")
         self._column = {v: 6 * i for i, g in enumerate(self.bodies) for v in g.vertices}
-        self._placements = trial_placements(vertices, 3, seed)
-        # Per trial: the placement, or None where a body falls short.
-        self._placed: list[dict[int, tuple[int, ...]] | None] = []
+        # Reads ``bodies``, not ``self``: a generator holding its ranker
+        # would be a cycle, freed only by the garbage collector.
+        self._generic = (
+            positions
+            for positions in Placements(seed, trials).of(vertices, 3)
+            if all(rank_at(g, 3, positions) == required_rank(3, len(g.vertices)) for g in bodies)
+        )
 
-    def _trial(self, t: int) -> dict[int, tuple[int, ...]] | None:
-        while len(self._placed) <= t:
-            positions = next(self._placements)
-            generic = all(
-                rank_at(g, 3, positions) == required_rank(3, len(g.vertices))
-                for g in self.bodies
-            )
-            self._placed.append(positions if generic else None)
-        return self._placed[t]
+    def _trials(self):
+        """The placements where every body reaches its generic rank, in
+        trial order: drawn and ranked when a query first reaches them, and
+        replayed from a ``tee`` copy for each later query."""
+        self._generic, trials = itertools.tee(self._generic)
+        return trials
 
     def _row(self, positions: dict[int, tuple[int, ...]], bar: Edge) -> list[int]:
         i, j = bar
@@ -1089,18 +1097,11 @@ class BodyBarRank:
     def independent_bars(self, bars) -> tuple[Edge, ...] | None:
         """The bars kept greedily, in the given order, once the merged
         graph is rigid (in 3D at the first trial where the bars reach
-        ``target``), or None.
-
-        A 3D trial is placed and its bodies ranked when a query first
-        reaches it.
-        """
+        ``target``), or None."""
         if self.dim == 2:
             return self.pebble_bars(bars)[0]
         bars = tuple(bars)
-        for t in range(self.trials):
-            positions = self._trial(t)
-            if positions is None:
-                continue
+        for positions in self._trials():
             basis = IncrementalRank()
             kept = []
             for e in bars:
@@ -1122,15 +1123,12 @@ def minimally_rigid_spanning(
     """Minimally rigid spanning edge set of g, kept greedily in edge order.
 
     2D uses the pebble game.  3D eliminates the transposed rigidity
-    matrix once per trial with ``_eliminate``: column c is a pivot
-    exactly when edge c's row is independent of the rows before it, so
-    the first ``required_rank`` pivot columns are the edges kept
-    greedily in edge order.  It returns them at the first trial with
-    that many pivots (a single unlucky placement can only under-estimate
-    rank).  Its
-    placements are those of ``generic_rank_oracle``, trial by trial, so
-    this succeeds exactly when ``rigid_3d_check`` says g is rigid.  In
-    3D, ``trials`` below 1 raises InputError, as in ``rigid_3d_check``.
+    matrix at each of the ``Placements(seed, trials)`` with
+    ``_eliminate``: column c is a pivot exactly when edge c's row is
+    independent of the rows before it, so the first ``required_rank``
+    pivot columns are the edges kept greedily in edge order.  It returns
+    them at the first trial with that many pivots, so it succeeds
+    exactly when ``rigid_3d_check`` says g is rigid.
     """
     target = required_rank(dim, len(g.vertices))
     if dim == 2:
@@ -1142,10 +1140,8 @@ def minimally_rigid_spanning(
         if game.rank() != target:
             raise NotRigidError("graph is not rigid in 2D")
         return tuple(game.accepted)
-    if trials < 1:
-        raise InputError("trials must be >= 1")
     col_of = {v: i for i, v in enumerate(g.vertices)}
-    for positions in itertools.islice(trial_placements(g.vertices, dim, seed), trials):
+    for positions in Placements(seed, trials).of(g.vertices, dim):
         a = rigidity_matrix_rows(g.edges, positions, col_of, dim).T
         pivots = _eliminate(a, len(a))
         if len(pivots) >= target:

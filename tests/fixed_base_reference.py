@@ -20,6 +20,7 @@ that used it:
   ``ReferenceRank`` is the reference for the two-body ``BodyBarRank``.
 """
 import itertools
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,10 +35,20 @@ from metaform.rigidity import (
     generic_rank_oracle,
     required_rank,
     rigidity_matrix_rows,
-    trial_placements,
 )
 
 from incremental_rank_reference import IncrementalRank
+from rank_at_reference import _positions
+
+
+def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):
+    """The placements of trials 0, 1, 2, ... of the rank oracle, in order:
+    one ``random.Random(seed)`` stream, drawn in vertex order.  A frozen
+    copy of the unbounded stream the library drew before ``Placements``
+    bounded it at ``trials``."""
+    rng = random.Random(seed)
+    while True:
+        yield _positions(vertices, dim, rng)
 
 
 @dataclass

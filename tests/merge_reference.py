@@ -23,6 +23,7 @@ call are copied here too, so neither reference runs ``meta``'s own.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 
 from metaform.errors import InputError, NotRigidError
@@ -36,11 +37,20 @@ from metaform.rigidity import (
     PebbleGame2D,
     check_rigidity,
     required_rank,
-    trial_placements,
 )
 
 from fixed_base_reference import FixedBaseRank
-from rank_at_reference import rank_at
+from rank_at_reference import _positions, rank_at
+
+
+def trial_placements(vertices, dim: int, seed: int = DEFAULT_SEED):
+    """The placements of trials 0, 1, 2, ... of the rank oracle, in order:
+    one ``random.Random(seed)`` stream, drawn in vertex order.  A frozen
+    copy of the unbounded stream the library drew before ``Placements``
+    bounded it at ``trials``."""
+    rng = random.Random(seed)
+    while True:
+        yield _positions(vertices, dim, rng)
 
 
 def _independent_mod_p(rows: list[list[int]], p: int = RANK_MODULUS) -> bool:

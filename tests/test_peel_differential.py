@@ -4,7 +4,7 @@
 whose own rows, restricted to its own columns, are independent mod p,
 certifies what is left at its ceiling when it can, and ranks it with
 ``rank_mod_p`` only when it cannot.  The reference ranks
-the whole matrix at each trial's placement (``trial_placements``, the
+the whole matrix at each trial's placement (``Placements``, the
 same draws).  The two must agree on every trial, not only on the
 oracle's maximum.  Coordinates from {1..k} with k in 2..5 make singular
 blocks common, so the path that keeps a vertex in the remainder runs
@@ -26,13 +26,13 @@ from metaform.generate import banana
 from metaform.graph import UndirectedView
 from metaform.rigidity import (
     RANK_MODULUS,
+    Placements,
     _independent_at,
     generic_rank_oracle,
     rank_mod_p,
     required_rank,
     rigidity_matrix_rows,
     rigidity_rank_once,
-    trial_placements,
 )
 
 from test_rigidity_differential import four_bar, grown, random_dense, two_k5_hinge, view
@@ -47,13 +47,13 @@ def reference_ranks(g, dim, seed):
     col_of = {v: i for i, v in enumerate(g.vertices)}
     return [
         rank_mod_p(rigidity_matrix_rows(g.edges, positions, col_of, dim))
-        for positions in itertools.islice(trial_placements(g.vertices, dim, seed), TRIALS)
+        for positions in Placements(seed, TRIALS).of(g.vertices, dim)
     ]
 
 
 def peeled_ranks(g, dim, seed):
-    rng = random.Random(seed)
-    return [rigidity_rank_once(g, dim, rng) for _ in range(TRIALS)]
+    placements = Placements(seed, TRIALS).of(g.vertices, dim)
+    return [rigidity_rank_once(g, dim, positions) for positions in placements]
 
 
 def grown_2d(n, rng):

@@ -27,7 +27,7 @@ import pytest
 
 from metaform import rigidity
 from metaform.generate import banana
-from metaform.rigidity import generic_rank_oracle, required_rank
+from metaform.rigidity import Placements, generic_rank_oracle, required_rank
 
 from conftest import count_calls
 from rank_oracle_reference import reference_generic_rank_oracle
@@ -52,8 +52,8 @@ def core_ceiling(g, dim):
 
 def trial_ranks(g, dim, seed, trials):
     """The rank of each trial, at the oracle's placements."""
-    rng = random.Random(seed)
-    return [rigidity.rigidity_rank_once(g, dim, rng) for _ in range(trials)]
+    placements = Placements(seed, trials).of(g.vertices, dim)
+    return [rigidity.rigidity_rank_once(g, dim, positions) for positions in placements]
 
 
 def expected_trials(g, dim, seed, trials):

@@ -9,12 +9,10 @@ with the whole matrix; these tests check that its corpus reaches both
 answers of the certificate, that braced 3D members are certified with
 no elimination, and that ``adj`` comes back as the peel left it.
 """
-import itertools
-
 import pytest
 
 from metaform import rigidity
-from metaform.rigidity import rank_at, trial_placements
+from metaform.rigidity import Placements, rank_at
 
 from test_peel_differential import CASES, COORD_RANGES, peeled_ranks, reference_ranks
 
@@ -70,7 +68,7 @@ def test_adjacency_keeps_what_the_peel_left(name, coord_range, monkeypatch):
     core ceiling from."""
     monkeypatch.setattr(rigidity, "COORD_RANGE", coord_range)
     g = CASES[name]
-    for positions in itertools.islice(trial_placements(g.vertices, 3, 5), 3):
+    for positions in Placements(5, 3).of(g.vertices, 3):
         certified = g.adjacency()
         rank = rank_at(g, 3, positions, certified)
         with pytest.MonkeyPatch.context() as mp:

@@ -19,6 +19,7 @@ LIVE_DECIDERS = {
     "_smallest_violating_subset",
     "_counting_screen_3d",
     "rank_at",
+    "Placements",
 }
 REFERENCES = sorted(Path(__file__).parent.glob("*_reference.py"))
 

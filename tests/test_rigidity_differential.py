@@ -21,6 +21,7 @@ from metaform.generate import banana
 from metaform.graph import UndirectedView
 from metaform.rigidity import (
     SPARSITY_3D_VERTEX_CAP,
+    Placements,
     RigidityVerdict,
     SparsityParams,
     generic_rank_oracle,
@@ -28,7 +29,6 @@ from metaform.rigidity import (
     rigid_3d_check,
     rigidity_matrix_rows,
     rigidity_rank_once,
-    trial_placements,
 )
 
 from test_screens_differential import (
@@ -41,7 +41,7 @@ def reference_oracle(g, dim, seed=0, trials=3):
     """Max rank over every trial, with no early stop and no peeling: the
     whole rigidity matrix at each trial's placement."""
     col_of = {v: i for i, v in enumerate(g.vertices)}
-    placements = itertools.islice(trial_placements(g.vertices, dim, seed), trials)
+    placements = Placements(seed, trials).of(g.vertices, dim)
     return max(
         rank_mod_p(rigidity_matrix_rows(g.edges, positions, col_of, dim))
         for positions in placements
@@ -208,9 +208,9 @@ def test_rigid_verdict_runs_no_screen(monkeypatch):
 def test_full_rank_stops_after_one_trial(monkeypatch):
     calls = []
 
-    def counted(g, dim, rng, *adj):
+    def counted(g, dim, positions, *adj):
         calls.append(dim)
-        return rigidity_rank_once(g, dim, rng, *adj)
+        return rigidity_rank_once(g, dim, positions, *adj)
 
     monkeypatch.setattr(rigidity, "rigidity_rank_once", counted)
     assert generic_rank_oracle(CORPUS["grown-21"], 3, trials=3) == 3 * 21 - 6

@@ -28,7 +28,6 @@ from metaform.rigidity import (
     minimally_rigid_spanning,
     required_rank,
     rigidity_matrix_rows,
-    trial_placements,
 )
 
 import merge_reference
@@ -52,7 +51,8 @@ def reference_spanning(g, fixed=(), seed=0, trials=3):
         raise InputError("trials must be >= 1")
     col_of = {v: i for i, v in enumerate(g.vertices)}
     last_error = None
-    for positions in itertools.islice(trial_placements(g.vertices, 3, seed), trials):
+    placements = merge_reference.trial_placements(g.vertices, 3, seed)
+    for positions in itertools.islice(placements, trials):
         inc = IncrementalRank(3 * len(g.vertices))
         chosen = []
         ok = True

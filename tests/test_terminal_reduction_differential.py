@@ -28,10 +28,10 @@ from test_persistence_peel_differential import acyclic_dense, dangler, random_di
 TERMINAL_LIMIT = 3000
 
 
-def frozen_walk(vertices, blocks, seed, trials):
+def frozen_walk(vertices, blocks, placements):
     """The earlier walk's first failing index, as one choice per block."""
     index = fixed_base_reference._first_nonrigid_terminal_3d(
-        vertices, TerminalSubgraphs(blocks), seed, trials
+        vertices, TerminalSubgraphs(blocks), placements.seed, placements.trials
     )
     if index is None:
         return None

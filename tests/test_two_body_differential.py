@@ -173,10 +173,7 @@ def test_k_bodies_keep_the_merge_greedy_subset(monkeypatch, coord_range):
 def list_greedy_bars(ranker, bars):
     """``independent_bars`` as it was, on the earlier list-based greedy."""
     bars = tuple(bars)
-    for t in range(ranker.trials):
-        positions = ranker._trial(t)
-        if positions is None:
-            continue
+    for positions in ranker._trials():
         rows = (ranker._row(positions, e) for e in bars)
         kept = _greedy_independent(rows, ranker.target)
         if len(kept) == ranker.target:
